@@ -6,6 +6,14 @@ import math
 
 from .errors import NonFiniteError
 
+# Imaginary residue allowed in products that are real in exact arithmetic,
+# scaled by the operand magnitudes.  Exceeding it means a broken product,
+# not floating-point noise.
+REALNESS_GUARD = 1e-12
+
+CLOSE_REL = 1e-9   # relative tolerance for two routes to the same value
+CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
+
 
 def finite(value: float, label: str) -> float:
     """Coerce one scalar component to float, rejecting NaN and infinities.
@@ -17,3 +25,19 @@ def finite(value: float, label: str) -> float:
     if not math.isfinite(out):
         raise NonFiniteError(f"{label} must be finite, got {out!r}")
     return out + 0.0
+
+
+def real_operand(value: object) -> float | None:
+    """The float a real-scalar operand stands for, or None if it is not one.
+
+    ``int`` and ``float`` embed as reals; ``bool`` is not a number here,
+    although it subclasses ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
+def close(a: float, b: float) -> bool:
+    """Whether two computed routes to one value agree within the tolerances."""
+    return abs(a - b) <= max(CLOSE_ABS, CLOSE_REL * max(abs(a), abs(b)))

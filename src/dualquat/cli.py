@@ -15,16 +15,13 @@ import sys
 from typing import Sequence
 
 from . import selfcheck
+from ._common import CLOSE_ABS, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
-from .dual import DualNumber
+from .dual import DualNumber, le_defect
 from .errors import DualQuatError, KindMismatchError
-from .selfcheck import le_defect
 from .vectors import basis_check
 
 DEFAULT_TOL = 1e-9
-
-_AGREEMENT_REL = 1e-9   # relative tolerance for dual-route agreement flags
-_AGREEMENT_ABS = 1e-12  # absolute floor under the relative tolerance
 
 
 def _tol_arg(text: str) -> float:
@@ -78,10 +75,6 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= max(_AGREEMENT_ABS, _AGREEMENT_REL * max(abs(a), abs(b)))
-
-
 class Report:
     """Ordered report: same computed values feed both output formats."""
 
@@ -117,7 +110,7 @@ def _cmd_magnitude(doc: InputDocument) -> Report:
     if q.is_appreciable:
         via_sqrt = q.magnitude_via_sqrt()
         difference = max(abs(via_sqrt.std - magnitude.std), abs(via_sqrt.inf - magnitude.inf))
-        passed = difference <= _AGREEMENT_ABS * max(1.0, magnitude.std)
+        passed = difference <= CLOSE_ABS * max(1.0, magnitude.std)
         note = None
         lines.append(f"magnitude via sqrt(qq*): {via_sqrt}")
         lines.append(f"route difference: {difference!r}")
@@ -160,7 +153,7 @@ def _cmd_norms(doc: InputDocument) -> Report:
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()
         residual = max(abs(closed.std - norm2.std), abs(closed.inf - norm2.inf))
-        agree = _close(closed.std, norm2.std) and _close(closed.inf, norm2.inf)
+        agree = close(closed.std, norm2.std) and close(closed.inf, norm2.inf)
         note = None
         lines.append(f"norm2 closed form: {closed}")
         lines.append(f"closed form residual: {residual!r}")
@@ -351,7 +344,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     output = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(output)
     return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
-from ._common import finite
+from ._common import finite, real_operand
 from .errors import (
     NegativeArgumentError,
     NotInvertibleError,
@@ -37,9 +38,13 @@ __all__ = [
     "DualInterval",
     "NoRootReport",
     "EPSILON",
+    "ORDER_SLACK",
     "sgn",
+    "le_defect",
     "no_root_witness",
 ]
+
+ORDER_SLACK = 1e-12  # slack on the deciding component of an order check
 
 
 def sgn(value: float) -> float:
@@ -49,6 +54,18 @@ def sgn(value: float) -> float:
     if value < 0.0:
         return -1.0
     return 0.0
+
+
+def _order(relation):
+    """An order dunder applying ``relation`` to the ``(std, inf)`` keys."""
+
+    def method(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return relation((self.std, self.inf), (other.std, other.inf))
+
+    return method
 
 
 class Ordering(enum.Enum):
@@ -198,29 +215,10 @@ class DualNumber:
             return hash(self.std)
         return hash((self.std, self.inf))
 
-    def __lt__(self, other: DualNumber | float) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.std, self.inf) < (other.std, other.inf)
-
-    def __le__(self, other: DualNumber | float) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.std, self.inf) <= (other.std, other.inf)
-
-    def __gt__(self, other: DualNumber | float) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.std, self.inf) > (other.std, other.inf)
-
-    def __ge__(self, other: DualNumber | float) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.std, self.inf) >= (other.std, other.inf)
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __str__(self) -> str:
         if self.inf < 0.0:
@@ -231,14 +229,23 @@ class DualNumber:
 def _coerce(value: object) -> DualNumber | None:
     if isinstance(value, DualNumber):
         return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return DualNumber(float(value), 0.0)
-    return None
+    real = real_operand(value)
+    return None if real is None else DualNumber(real, 0.0)
 
 
 EPSILON = DualNumber(0.0, 1.0)
+
+
+def le_defect(a: DualNumber, b: DualNumber) -> float:
+    """How much ``a <= b`` fails by, 0.0 when it holds within ``ORDER_SLACK``.
+
+    Standard parts within the slack count as tied; the comparison then
+    falls to the infinitesimal parts with the same slack.
+    """
+    delta = a.std - b.std
+    if abs(delta) > ORDER_SLACK:
+        return max(0.0, delta)
+    return max(0.0, a.inf - b.inf - ORDER_SLACK)
 
 
 @dataclass(frozen=True)

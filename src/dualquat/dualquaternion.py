@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._common import REALNESS_GUARD, real_operand
 from .dual import DualNumber
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, mixed_sum
 
 __all__ = ["DualQuaternion", "UnitCheck"]
-
-_REALNESS_GUARD = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +121,7 @@ class DualQuaternion:
         product = self * self.conjugate()
         scale = max(1.0, (self.std.norm() + self.inf.norm()) ** 2)
         for part in (product.std, product.inf):
-            if part.imaginary_magnitude() > _REALNESS_GUARD * scale:
+            if part.imaginary_magnitude() > REALNESS_GUARD * scale:
                 raise ConsistencyError(
                     f"q * q.conjugate() is not real: got {part} in {product}"
                 )
@@ -169,8 +168,5 @@ def _coerce(value: object) -> DualQuaternion | None:
         return DualQuaternion.from_quaternion(value)
     if isinstance(value, DualNumber):
         return DualQuaternion.from_dual(value)
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return DualQuaternion.from_real(float(value))
-    return None
+    real = real_operand(value)
+    return None if real is None else DualQuaternion.from_real(real)

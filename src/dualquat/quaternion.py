@@ -12,15 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._common import finite
+from ._common import REALNESS_GUARD, finite, real_operand
 from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum"]
-
-# Imaginary residue allowed in products that are real in exact arithmetic,
-# scaled by the operand magnitudes.  Exceeding it means a broken product,
-# not floating-point noise.
-_REALNESS_GUARD = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,11 +116,8 @@ class Quaternion:
 def _coerce(value: object) -> Quaternion | None:
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
-    return None
+    real = real_operand(value)
+    return None if real is None else Quaternion(real, 0.0, 0.0, 0.0)
 
 
 def mixed_sum(p: Quaternion, q: Quaternion) -> float:
@@ -138,12 +130,12 @@ def mixed_sum(p: Quaternion, q: Quaternion) -> float:
     direct = 2.0 * p.dot(q)
     symmetric = p * q.conjugate() + q * p.conjugate()
     scale = max(1.0, p.norm() * q.norm())
-    if symmetric.imaginary_magnitude() > _REALNESS_GUARD * scale:
+    if symmetric.imaginary_magnitude() > REALNESS_GUARD * scale:
         raise ConsistencyError(
             "mixed sum has a non-vanishing imaginary part: "
             f"{symmetric} from p={p}, q={q}"
         )
-    if abs(symmetric.w - direct) > _REALNESS_GUARD * scale:
+    if abs(symmetric.w - direct) > REALNESS_GUARD * scale:
         raise ConsistencyError(
             f"mixed sum disagrees with its dot form: {symmetric.w!r} vs {direct!r}"
         )

@@ -1,15 +1,17 @@
 """Randomized verification suites behind ``dualq selfcheck``.
 
 Each suite draws instances from a seeded generator and checks one algebraic
-fact: an identity is checked componentwise against a relative tolerance
-with a small absolute floor, and an order relation is checked under the
-total order with a slack of ``ORDER_SLACK`` on the component that decides
-the comparison (standard parts within the slack count as tied and the
+fact: an identity is checked componentwise with :func:`dualquat._common.close`,
+a relative tolerance with a small absolute floor, and an order relation is
+checked under the total order with :func:`dualquat.dual.le_defect`, which
+allows a slack of ``ORDER_SLACK`` on the component that decides the
+comparison (standard parts within the slack count as tied and the
 infinitesimal parts take over).  Residuals of exact-arithmetic identities
 are tracked so the report shows the observed floating-point margins.
 
 Everything is driven by one ``random.Random(seed)`` consumed in a fixed
-suite order, so a run is fully determined by ``(seed, cases)``.
+suite order, so a run is fully determined by ``(seed, cases)``.  The suites
+are the ``_suite_<name>`` functions, run in definition order.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .dual import EPSILON, DualNumber, Ordering, no_root_witness
+from ._common import close
+from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, le_defect, no_root_witness
 from .dualquaternion import DualQuaternion
 from .quaternion import Quaternion, mixed_sum
 from .vectors import DQVector, basis_check, embed_real
@@ -27,19 +29,14 @@ from .vectors import DQVector, basis_check, embed_real
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_CASES",
-    "ORDER_SLACK",
     "SuiteResult",
     "run_all",
-    "le_defect",
 ]
 
 DEFAULT_SEED = 2718281828
 DEFAULT_CASES = 10000
 
-ORDER_SLACK = 1e-12  # slack on the deciding component of an order check
-EQ_TOL = 1e-12       # absolute tolerance for identities that are exact in reals
-REL = 1e-9           # relative tolerance for products of computed quantities
-ABS_FLOOR = 1e-12    # absolute floor under every relative comparison
+EQ_TOL = 1e-12  # absolute tolerance for identities that are exact in reals
 
 
 @dataclass(frozen=True)
@@ -55,9 +52,10 @@ class SuiteResult:
 
 
 class _Recorder:
-    __slots__ = ("failures", "worst")
+    __slots__ = ("cases", "failures", "worst")
 
-    def __init__(self):
+    def __init__(self, cases: int):
+        self.cases = cases
         self.failures = 0
         self.worst = 0.0
 
@@ -69,25 +67,13 @@ class _Recorder:
         if not ok:
             self.failures += 1
 
-    def result(self, name: str, cases: int) -> SuiteResult:
-        return SuiteResult(name, cases, self.failures, self.worst)
+    def result(self, name: str) -> SuiteResult:
+        return SuiteResult(name, self.cases, self.failures, self.worst)
 
 
 # -- comparison helpers -----------------------------------------------------
 
-def le_defect(a: DualNumber, b: DualNumber, slack: float = ORDER_SLACK) -> float:
-    """How much ``a <= b`` fails by, 0.0 when it holds within the slack.
-
-    Standard parts within ``slack`` count as tied; the comparison then
-    falls to the infinitesimal parts with the same slack.
-    """
-    delta = a.std - b.std
-    if abs(delta) > slack:
-        return max(0.0, delta)
-    return max(0.0, a.inf - b.inf - slack)
-
-
-def _nonneg_defect(a: DualNumber, slack: float = ORDER_SLACK) -> float:
+def _nonneg_defect(a: DualNumber) -> float:
     """How much ``0 <= a`` fails by, for values that are exact squares.
 
     Exact algebra on dual numbers only produces a zero standard part
@@ -98,36 +84,32 @@ def _nonneg_defect(a: DualNumber, slack: float = ORDER_SLACK) -> float:
     part is judged, with the usual slack.
     """
     if a.std != 0.0:
-        return max(0.0, -a.std - slack)
-    return max(0.0, -a.inf - slack)
-
-
-def _close(a: float, b: float, rel: float = REL, floor: float = ABS_FLOOR) -> bool:
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
+        return max(0.0, -a.std - ORDER_SLACK)
+    return max(0.0, -a.inf - ORDER_SLACK)
 
 
 def _dual_diff(a: DualNumber, b: DualNumber) -> float:
     return max(abs(a.std - b.std), abs(a.inf - b.inf))
 
 
-def _dual_close(a: DualNumber, b: DualNumber, rel: float = REL) -> bool:
-    return _close(a.std, b.std, rel) and _close(a.inf, b.inf, rel)
+def _dual_close(a: DualNumber, b: DualNumber) -> bool:
+    return close(a.std, b.std) and close(a.inf, b.inf)
 
 
 def _quat_diff(a: Quaternion, b: Quaternion) -> float:
     return max(abs(x - y) for x, y in zip(a.components(), b.components()))
 
 
-def _quat_close(a: Quaternion, b: Quaternion, rel: float = REL) -> bool:
-    return all(_close(x, y, rel) for x, y in zip(a.components(), b.components()))
+def _quat_close(a: Quaternion, b: Quaternion) -> bool:
+    return all(close(x, y) for x, y in zip(a.components(), b.components()))
 
 
 def _dq_diff(a: DualQuaternion, b: DualQuaternion) -> float:
     return max(_quat_diff(a.std, b.std), _quat_diff(a.inf, b.inf))
 
 
-def _dq_close(a: DualQuaternion, b: DualQuaternion, rel: float = REL) -> bool:
-    return _quat_close(a.std, b.std, rel) and _quat_close(a.inf, b.inf, rel)
+def _dq_close(a: DualQuaternion, b: DualQuaternion) -> bool:
+    return _quat_close(a.std, b.std) and _quat_close(a.inf, b.inf)
 
 
 # -- generators --------------------------------------------------------------
@@ -231,7 +213,7 @@ def _unit_vector(rng: random.Random, n: int) -> DQVector:
 # -- dual number suites -------------------------------------------------------
 
 def _suite_dual_order_total(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         p, q, r = _dual(rng), _dual(rng), _dual(rng)
         if index % 5 == 0:
@@ -245,39 +227,39 @@ def _suite_dual_order_total(rng, cases):
         rec.check(lo <= mid and mid <= hi and lo <= hi)
         if p <= q and q <= p:
             rec.check(p == q)
-    return rec.result("dual_order_total", cases)
+    return rec
 
 
 def _suite_dual_even_power_nonneg(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         q = _dual(rng)
         k = 1 + index % 3
         defect = _nonneg_defect(q ** (2 * k))
         rec.check(defect == 0.0, defect)
-    return rec.result("dual_even_power_nonneg", cases)
+    return rec
 
 
 def _suite_dual_square_expansion_nonneg(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _dual(rng), _dual(rng)
         defect = _nonneg_defect(p**2 + q**2 - 2 * (p * q))
         rec.check(defect == 0.0, defect)
-    return rec.result("dual_square_expansion_nonneg", cases)
+    return rec
 
 
 def _suite_dual_product_of_nonnegatives(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = abs(_dual(rng)), abs(_dual(rng))
         defect = _nonneg_defect(p * q)
         rec.check(defect == 0.0, defect)
-    return rec.result("dual_product_of_nonnegatives", cases)
+    return rec
 
 
 def _suite_dual_product_of_positives(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     zero = DualNumber()
     for index in range(cases):
         p = abs(_appreciable_dual(rng))  # appreciable and positive
@@ -287,21 +269,21 @@ def _suite_dual_product_of_positives(rng, cases):
         if index % 2:
             p, q = q, p
         rec.check(p * q > zero)
-    return rec.result("dual_product_of_positives", cases)
+    return rec
 
 
 def _suite_dual_abs_zero_iff_zero(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     zero = DualNumber()
     rec.check(abs(zero).is_zero)
     for _ in range(cases):
         q = _dual(rng)
         rec.check(abs(q).is_zero == q.is_zero)
-    return rec.result("dual_abs_zero_iff_zero", cases)
+    return rec
 
 
 def _suite_dual_abs_dominates(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     zero = DualNumber()
     for _ in range(cases):
         q = _dual(rng)
@@ -309,38 +291,38 @@ def _suite_dual_abs_dominates(rng, cases):
             rec.check(abs(q) == q)
         else:
             rec.check(abs(q) > q)
-    return rec.result("dual_abs_dominates", cases)
+    return rec
 
 
 def _suite_dual_abs_sqrt_of_square(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         q = _appreciable_dual(rng)
         diff = _dual_diff(abs(q), (q**2).sqrt())
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("dual_abs_sqrt_of_square", cases)
+    return rec
 
 
 def _suite_dual_abs_multiplicative(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _dual(rng), _dual(rng)
         lhs, rhs = abs(p * q), abs(p) * abs(q)
         rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec.result("dual_abs_multiplicative", cases)
+    return rec
 
 
 def _suite_dual_triangle(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _dual(rng), _dual(rng)
         defect = le_defect(abs(p + q), abs(p) + abs(q))
         rec.check(defect == 0.0, defect)
-    return rec.result("dual_triangle", cases)
+    return rec
 
 
 def _suite_dual_inverse_roundtrip(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     one = DualNumber(1.0)
     for _ in range(cases):
         while True:
@@ -351,20 +333,20 @@ def _suite_dual_inverse_roundtrip(rng, cases):
         rec.check(diff <= 1e-9, diff)
         back = q.inverse().inverse()
         rec.check(_dual_close(back, q), _dual_diff(back, q))
-    return rec.result("dual_inverse_roundtrip", cases)
+    return rec
 
 
 def _suite_dual_sqrt_roundtrip(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         q = abs(_appreciable_dual(rng))
         root = q.sqrt()
         rec.check(_dual_close(root * root, q), _dual_diff(root * root, q))
-    return rec.result("dual_sqrt_roundtrip", cases)
+    return rec
 
 
 def _suite_dual_pow_repeated_mul(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         q = _dual(rng)
         k = 2 + index % 4
@@ -372,11 +354,11 @@ def _suite_dual_pow_repeated_mul(rng, cases):
         for _ in range(k - 1):
             acc = acc * q
         rec.check(_dual_close(q**k, acc), _dual_diff(q**k, acc))
-    return rec.result("dual_pow_repeated_mul", cases)
+    return rec
 
 
 def _suite_dual_no_root_witness(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     report = no_root_witness()
     rec.check(report.value_at_zero == DualNumber(0.0, -1.0))
     rec.check(report.sign_at_zero is Ordering.LESS)
@@ -387,69 +369,69 @@ def _suite_dual_no_root_witness(rng, cases):
     for _ in range(cases):
         x = DualNumber(rng.uniform(0.0, 1.0), _real(rng))
         rec.check(not (x * x - EPSILON).is_zero)
-    return rec.result("dual_no_root_witness", cases)
+    return rec
 
 
 # -- quaternion suites --------------------------------------------------------
 
 def _suite_quat_conjugate_fixes_norm(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         q = _quat(rng)
         diff = abs(q.conjugate().norm() - q.norm())
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("quat_conjugate_fixes_norm", cases)
+    return rec
 
 
 def _suite_quat_self_product_is_norm_squared(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         q = _quat(rng)
         n2 = q.norm() ** 2
         for product in (q * q.conjugate(), q.conjugate() * q):
             resid = max(product.imaginary_magnitude(), abs(product.w - n2))
             rec.check(resid <= EQ_TOL, resid)
-    return rec.result("quat_self_product_is_norm_squared", cases)
+    return rec
 
 
 def _suite_quat_norm_zero_iff_zero(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     rec.check(Quaternion().norm() == 0.0)
     for _ in range(cases):
         q = _quat(rng)
         rec.check((q.norm() == 0.0) == q.is_zero)
-    return rec.result("quat_norm_zero_iff_zero", cases)
+    return rec
 
 
 def _suite_quat_norm_triangle(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _quat(rng), _quat(rng)
         defect = max(0.0, (p + q).norm() - (p.norm() + q.norm()) - ORDER_SLACK)
         rec.check(defect == 0.0, defect)
-    return rec.result("quat_norm_triangle", cases)
+    return rec
 
 
 def _suite_quat_norm_multiplicative(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _quat(rng), _quat(rng)
         lhs, rhs = (p * q).norm(), p.norm() * q.norm()
-        rec.check(_close(lhs, rhs), abs(lhs - rhs))
-    return rec.result("quat_norm_multiplicative", cases)
+        rec.check(close(lhs, rhs), abs(lhs - rhs))
+    return rec
 
 
 def _suite_quat_conjugate_antihomomorphism(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _quat(rng), _quat(rng)
         diff = _quat_diff((p * q).conjugate(), q.conjugate() * p.conjugate())
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("quat_conjugate_antihomomorphism", cases)
+    return rec
 
 
 def _suite_quat_mixed_sum_forms(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q = _quat(rng), _quat(rng)
         two_dot = 2.0 * p.dot(q)
@@ -463,20 +445,20 @@ def _suite_quat_mixed_sum_forms(rng, cases):
         )
         rec.check(resid <= EQ_TOL, resid)
         rec.check(mixed_sum(p, q) == two_dot)
-    return rec.result("quat_mixed_sum_forms", cases)
+    return rec
 
 
 def _suite_quat_product_associative(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         p, q, r = _quat(rng), _quat(rng), _quat(rng)
         lhs, rhs = (p * q) * r, p * (q * r)
         rec.check(_quat_close(lhs, rhs), _quat_diff(lhs, rhs))
-    return rec.result("quat_product_associative", cases)
+    return rec
 
 
 def _suite_quat_inverse_roundtrip(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     one = Quaternion(1.0)
     for _ in range(cases):
         while True:
@@ -486,11 +468,11 @@ def _suite_quat_inverse_roundtrip(rng, cases):
         for product in (q * q.inverse(), q.inverse() * q):
             diff = _quat_diff(product, one)
             rec.check(diff <= EQ_TOL, diff)
-    return rec.result("quat_inverse_roundtrip", cases)
+    return rec
 
 
 def _suite_quat_noncommutativity_witness(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(1)
     i, j, k = Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)
     rec.check(i * j == k)
     rec.check(j * i == -k)
@@ -499,31 +481,31 @@ def _suite_quat_noncommutativity_witness(rng, cases):
     rec.check(k * i == j and i * k == -j)
     rec.check(i * i == Quaternion(-1) and j * j == Quaternion(-1) and k * k == Quaternion(-1))
     rec.check((i * j) * k == Quaternion(-1))
-    return rec.result("quat_noncommutativity_witness", 1)
+    return rec
 
 
 # -- dual quaternion suites ----------------------------------------------------
 
 def _suite_dq_self_conjugate_product_commutes(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         q = _dquat(rng, "AI"[index % 2])
         diff = _dq_diff(q * q.conjugate(), q.conjugate() * q)
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("dq_self_conjugate_product_commutes", cases)
+    return rec
 
 
 def _suite_dq_conjugate_fixes_magnitude(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         q = _dquat(rng, "AI"[index % 2])
         diff = _dual_diff(q.magnitude(), q.conjugate().magnitude())
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("dq_conjugate_fixes_magnitude", cases)
+    return rec
 
 
 def _suite_dq_magnitude_nonneg_definite(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     zero = DualNumber()
     rec.check(DualQuaternion().magnitude().is_zero)
     for index in range(cases):
@@ -532,40 +514,40 @@ def _suite_dq_magnitude_nonneg_definite(rng, cases):
             rec.check(q.magnitude().is_zero)
         else:
             rec.check(q.magnitude() > zero)
-    return rec.result("dq_magnitude_nonneg_definite", cases)
+    return rec
 
 
 def _suite_dq_magnitude_multiplicative(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
         lhs, rhs = (p * q).magnitude(), p.magnitude() * q.magnitude()
         rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec.result("dq_magnitude_multiplicative", cases)
+    return rec
 
 
 def _suite_dq_magnitude_triangle(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
         defect = le_defect((p + q).magnitude(), p.magnitude() + q.magnitude())
         rec.check(defect == 0.0, defect)
-    return rec.result("dq_magnitude_triangle", cases)
+    return rec
 
 
 def _suite_dq_sqrt_route_agrees(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         q = _dquat(rng, "A")
         diff = _dual_diff(q.magnitude_via_sqrt(), q.magnitude())
         rec.check(diff <= EQ_TOL, diff)
-    return rec.result("dq_sqrt_route_agrees", cases)
+    return rec
 
 
 def _suite_dq_inverse_roundtrip(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     one = DualQuaternion.from_real(1.0)
     for _ in range(cases):
         # Standard part of norm 1..10 keeps the inverse well conditioned.
@@ -576,11 +558,11 @@ def _suite_dq_inverse_roundtrip(rng, cases):
             rec.check(diff <= 1e-9, diff)
         back = q.inverse().inverse()
         rec.check(_dq_close(back, q), _dq_diff(back, q))
-    return rec.result("dq_inverse_roundtrip", cases)
+    return rec
 
 
 def _suite_dq_embedding_consistent(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         d1, d2 = _dual(rng), _dual(rng)
         q = _quat(rng)
@@ -592,34 +574,34 @@ def _suite_dq_embedding_consistent(rng, cases):
         )
         rec.check(product_diff <= EQ_TOL, product_diff)
         rec.check(DualQuaternion.from_quaternion(q).magnitude() == DualNumber(q.norm()))
-    return rec.result("dq_embedding_consistent", cases)
+    return rec
 
 
 # -- vector suites --------------------------------------------------------------
 
 def _suite_vec_embedding_isometry(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         quats = tuple(_quat(rng) for _ in range(rng.randint(1, 8)))
         vector = DQVector.from_quaternions(quats)
         norm = vector.norm2()
         resid = max(abs(norm.std - math.hypot(*embed_real(quats))), abs(norm.inf))
         rec.check(resid <= EQ_TOL, resid)
-    return rec.result("vec_embedding_isometry", cases)
+    return rec
 
 
 def _suite_vec_inner_conjugate_symmetry(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         n = rng.randint(1, 8)
         x, y = _vector(rng, n), _vector(rng, n)
         lhs, rhs = x.inner(y).conjugate(), y.inner(x)
         rec.check(_dq_close(lhs, rhs), _dq_diff(lhs, rhs))
-    return rec.result("vec_inner_conjugate_symmetry", cases)
+    return rec
 
 
 def _suite_vec_norms_definite(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     zero = DualNumber()
     for index in range(cases):
         profile = ("general", "infinitesimal", "zero")[index % 3]
@@ -634,11 +616,11 @@ def _suite_vec_norms_definite(rng, cases):
         rec.check(v.norm1() > zero)
         rec.check(v.norm_inf() > zero)
         rec.check(v.norm2() > zero)
-    return rec.result("vec_norms_definite", cases)
+    return rec
 
 
 def _suite_vec_norms_homogeneous(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         x = _vector(rng)
         stratum = index % 5
@@ -657,11 +639,11 @@ def _suite_vec_norms_homogeneous(rng, cases):
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
             lhs, rhs = norm(scaled), factor * norm(x)
             rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec.result("vec_norms_homogeneous", cases)
+    return rec
 
 
 def _suite_vec_norms_triangle(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         variant = index % 6
         n = rng.randint(1, 8)
@@ -684,11 +666,11 @@ def _suite_vec_norms_triangle(rng, cases):
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
             defect = le_defect(norm(total), norm(x) + norm(y))
             rec.check(defect == 0.0, defect)
-    return rec.result("vec_norms_triangle", cases)
+    return rec
 
 
 def _suite_vec_norm_chain(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = _vector(rng, None, profile)
@@ -697,11 +679,11 @@ def _suite_vec_norm_chain(rng, cases):
         high = le_defect(n2, n1)
         rec.check(low == 0.0, low)
         rec.check(high == 0.0, high)
-    return rec.result("vec_norm_chain", cases)
+    return rec
 
 
 def _suite_vec_norm2_closed_form(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for _ in range(cases):
         v = _vector_with_appreciable(rng)
         direct, closed = v.norm2(), v.norm2_closed_form()
@@ -712,11 +694,11 @@ def _suite_vec_norm2_closed_form(rng, cases):
         )
         defect = le_defect(closed, bound)
         rec.check(defect == 0.0, defect)
-    return rec.result("vec_norm2_closed_form", cases)
+    return rec
 
 
 def _suite_vec_unit_checks(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         u = _unit_vector(rng, rng.randint(1, 8))
         verdict = u.unit_check(1e-9)
@@ -728,11 +710,11 @@ def _suite_vec_unit_checks(rng, cases):
             # mixed-sum defect in the infinitesimal part
             bad = DQVector(tuple(DualQuaternion(e.std, e.inf + 0.01 * e.std) for e in u))
         rec.check(not bad.unit_check(1e-9).passed)
-    return rec.result("vec_unit_checks", cases)
+    return rec
 
 
 def _suite_vec_orthonormal_basis(rng, cases):
-    rec = _Recorder()
+    rec = _Recorder(cases)
     for index in range(cases):
         n = rng.randint(1, 4)
         positions = rng.sample(range(n), n)
@@ -748,53 +730,15 @@ def _suite_vec_orthonormal_basis(rng, cases):
         rec.check(verdict.passed, max(max(row) for row in verdict.residuals))
         bad = [1.01 * vectors[0]] + vectors[1:]
         rec.check(not basis_check(bad, 1e-9).passed)
-    return rec.result("vec_orthonormal_basis", cases)
+    return rec
 
 
 # -- registry ---------------------------------------------------------------
 
-_SUITES: tuple[tuple[str, Callable], ...] = (
-    ("dual_order_total", _suite_dual_order_total),
-    ("dual_even_power_nonneg", _suite_dual_even_power_nonneg),
-    ("dual_square_expansion_nonneg", _suite_dual_square_expansion_nonneg),
-    ("dual_product_of_nonnegatives", _suite_dual_product_of_nonnegatives),
-    ("dual_product_of_positives", _suite_dual_product_of_positives),
-    ("dual_abs_zero_iff_zero", _suite_dual_abs_zero_iff_zero),
-    ("dual_abs_dominates", _suite_dual_abs_dominates),
-    ("dual_abs_sqrt_of_square", _suite_dual_abs_sqrt_of_square),
-    ("dual_abs_multiplicative", _suite_dual_abs_multiplicative),
-    ("dual_triangle", _suite_dual_triangle),
-    ("dual_inverse_roundtrip", _suite_dual_inverse_roundtrip),
-    ("dual_sqrt_roundtrip", _suite_dual_sqrt_roundtrip),
-    ("dual_pow_repeated_mul", _suite_dual_pow_repeated_mul),
-    ("dual_no_root_witness", _suite_dual_no_root_witness),
-    ("quat_conjugate_fixes_norm", _suite_quat_conjugate_fixes_norm),
-    ("quat_self_product_is_norm_squared", _suite_quat_self_product_is_norm_squared),
-    ("quat_norm_zero_iff_zero", _suite_quat_norm_zero_iff_zero),
-    ("quat_norm_triangle", _suite_quat_norm_triangle),
-    ("quat_norm_multiplicative", _suite_quat_norm_multiplicative),
-    ("quat_conjugate_antihomomorphism", _suite_quat_conjugate_antihomomorphism),
-    ("quat_mixed_sum_forms", _suite_quat_mixed_sum_forms),
-    ("quat_product_associative", _suite_quat_product_associative),
-    ("quat_inverse_roundtrip", _suite_quat_inverse_roundtrip),
-    ("quat_noncommutativity_witness", _suite_quat_noncommutativity_witness),
-    ("dq_self_conjugate_product_commutes", _suite_dq_self_conjugate_product_commutes),
-    ("dq_conjugate_fixes_magnitude", _suite_dq_conjugate_fixes_magnitude),
-    ("dq_magnitude_nonneg_definite", _suite_dq_magnitude_nonneg_definite),
-    ("dq_magnitude_multiplicative", _suite_dq_magnitude_multiplicative),
-    ("dq_magnitude_triangle", _suite_dq_magnitude_triangle),
-    ("dq_sqrt_route_agrees", _suite_dq_sqrt_route_agrees),
-    ("dq_inverse_roundtrip", _suite_dq_inverse_roundtrip),
-    ("dq_embedding_consistent", _suite_dq_embedding_consistent),
-    ("vec_embedding_isometry", _suite_vec_embedding_isometry),
-    ("vec_inner_conjugate_symmetry", _suite_vec_inner_conjugate_symmetry),
-    ("vec_norms_definite", _suite_vec_norms_definite),
-    ("vec_norms_homogeneous", _suite_vec_norms_homogeneous),
-    ("vec_norms_triangle", _suite_vec_norms_triangle),
-    ("vec_norm_chain", _suite_vec_norm_chain),
-    ("vec_norm2_closed_form", _suite_vec_norm2_closed_form),
-    ("vec_unit_checks", _suite_vec_unit_checks),
-    ("vec_orthonormal_basis", _suite_vec_orthonormal_basis),
+_SUITES = tuple(
+    (name[len("_suite_"):], suite)
+    for name, suite in list(globals().items())
+    if name.startswith("_suite_")
 )
 
 
@@ -807,10 +751,4 @@ def run_all(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> list[SuiteR
     if cases < 1:
         raise ValueError("cases must be at least 1")
     rng = random.Random(seed)
-    results = []
-    for name, suite in _SUITES:
-        result = suite(rng, cases)
-        if result.name != name:
-            raise AssertionError(f"suite {name} reported as {result.name}")
-        results.append(result)
-    return results
+    return [suite(rng, cases).result(name) for name, suite in _SUITES]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .dual import DualNumber
-from .dualquaternion import DualQuaternion
+from .dualquaternion import DualQuaternion, _coerce
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion
 
@@ -120,9 +120,8 @@ class DQVector:
         return DQVector(tuple(-e for e in self.entries))
 
     def __rmul__(self, scalar) -> DQVector:
-        if isinstance(scalar, bool) or not isinstance(
-            scalar, (DualQuaternion, Quaternion, DualNumber, int, float)
-        ):
+        scalar = _coerce(scalar)
+        if scalar is None:
             return NotImplemented
         return DQVector(tuple(scalar * e for e in self.entries))
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import dualquat
 from dualquat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -159,12 +161,20 @@ def test_unknown_command_exits_2():
     assert code == 2
 
 
-@pytest.mark.skipif(shutil.which("dualq") is None, reason="entry point not on PATH")
 def test_installed_entry_point():
+    # Without an installed `dualq` script, run the module entry point with
+    # the package's own source directory on the path.
+    command, env = ["dualq"], None
+    if shutil.which("dualq") is None:
+        src = str(Path(dualquat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "dualquat"]
     proc = subprocess.run(
-        ["dualq", "magnitude", str(DATA / "scalar_unit.dq")],
+        [*command, "magnitude", str(DATA / "scalar_unit.dq")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "magnitude_unit.txt").read_text()

@@ -8,16 +8,20 @@ from hypothesis import given, strategies as st
 
 from dualquat import (
     EPSILON,
+    DQVector,
     DualInterval,
     DualNumber,
+    DualQuaternion,
     NegativeArgumentError,
     NonFiniteError,
     NotInvertibleError,
     NotRepresentableError,
     Ordering,
+    Quaternion,
     no_root_witness,
     sgn,
 )
+from dualquat.dual import ORDER_SLACK, le_defect
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -62,11 +66,21 @@ def test_equality_promotes_reals():
     assert hash(DualNumber(2.0, 0.0)) == hash(2.0)
 
 
-def test_booleans_are_not_numbers():
+@pytest.mark.parametrize(
+    "value",
+    [
+        DualNumber(1.0),
+        Quaternion(1.0),
+        DualQuaternion.from_real(1.0),
+        DQVector((DualQuaternion.from_real(1.0),)),
+    ],
+    ids=["DualNumber", "Quaternion", "DualQuaternion", "DQVector"],
+)
+def test_booleans_are_not_numbers(value):
     with pytest.raises(TypeError):
-        DualNumber(1.0) + True
+        value + True
     with pytest.raises(TypeError):
-        True * DualNumber(1.0)
+        True * value
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -197,6 +211,29 @@ def test_transitivity_via_sorting(p, q, r):
     lo, mid, hi = sorted([p, q, r])
     assert lo <= mid <= hi
     assert lo <= hi
+
+
+def test_le_defect_standard_parts_beyond_the_slack_decide_alone():
+    # The infinitesimal parts point the other way and are ignored.
+    assert le_defect(DualNumber(3.0, -100.0), DualNumber(2.0, 100.0)) == 1.0
+    assert le_defect(DualNumber(2.0, 100.0), DualNumber(3.0, -100.0)) == 0.0
+    just_over = 2 * ORDER_SLACK
+    assert le_defect(DualNumber(just_over, -1.0), DualNumber(0.0, 0.0)) == just_over
+
+
+def test_le_defect_ties_within_the_slack_fall_to_the_infinitesimal_parts():
+    half = ORDER_SLACK / 2
+    assert le_defect(DualNumber(half, 3.0), DualNumber(0.0, 1.0)) == 3.0 - 1.0 - ORDER_SLACK
+    assert le_defect(DualNumber(0.0, 3.0), DualNumber(half, 1.0)) == 3.0 - 1.0 - ORDER_SLACK
+    # The infinitesimal parts get the same slack.
+    assert le_defect(DualNumber(half, 1.0 + half), DualNumber(0.0, 1.0)) == 0.0
+    assert le_defect(DualNumber(half, 1.0 + 2 * ORDER_SLACK), DualNumber(0.0, 1.0)) > 0.0
+
+
+def test_le_defect_is_zero_when_the_order_holds_exactly():
+    assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 2.0)) == 0.0
+    assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 3.0)) == 0.0
+    assert le_defect(DualNumber(-1.0, 9.0), DualNumber(1.0, -9.0)) == 0.0
 
 
 # -- absolute value --------------------------------------------------------------

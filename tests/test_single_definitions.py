@@ -1,0 +1,46 @@
+"""Each shared rule of the package has exactly one definition in ``src/dualquat``."""
+
+import ast
+from pathlib import Path
+
+import dualquat
+
+PACKAGE = Path(dualquat.__file__).resolve().parent
+
+# The realness guard, the order slack and its relaxed order, the agreement
+# test, and the real-scalar operand rule.
+SHARED_RULES = ("REALNESS_GUARD", "ORDER_SLACK", "le_defect", "close", "real_operand")
+
+
+def _module_level_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_shared_rules_are_defined_once_and_cli_keeps_out_of_selfcheck():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    defined = {module: _module_level_definitions(tree) for module, tree in trees.items()}
+    for rule in SHARED_RULES:
+        owners = sorted(module for module, names in defined.items() if rule in names)
+        assert len(owners) == 1, f"{rule} is defined in {owners or 'no module'}"
+
+    # The command line uses the selfcheck engine only through the module
+    # itself: its run_all and its two defaults.
+    cli = trees["cli"]
+    for node in ast.walk(cli):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            assert node.module.rpartition(".")[2] != "selfcheck", ast.unparse(node)
+    used = {
+        node.attr
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "selfcheck"
+    }
+    assert used == {"run_all", "DEFAULT_SEED", "DEFAULT_CASES"}

@@ -335,6 +335,11 @@ def test_scalar_action_is_left_multiplication():
     scaled = DualQuaternion(Quaternion(), I) * x
     # i j = k lands in the infinitesimal slot
     assert scaled[0] == DualQuaternion(Quaternion(), K)
+    x = DQVector((dq(J, K), dq(Quaternion(2.0, 1.0), I), dq(inf=J)))
+    for scalar in (Quaternion(1, 2, 3, 4), DualNumber(2.0, -3.0), 3, 0.5):
+        assert list(scalar * x) == [scalar * e for e in x]
+    with pytest.raises(TypeError):
+        "a" * x
 
 
 def test_vector_iteration_and_negation():
