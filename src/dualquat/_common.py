@@ -15,6 +15,30 @@ CLOSE_REL = 1e-9   # relative tolerance for two routes to the same value
 CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
 
 
+class Value:
+    """Base of the immutable value types, whose fields are their ``__slots__``.
+
+    A subclass stores each field once, in its own ``__init__``, through the
+    slot descriptor, and defines its own ``__eq__`` and ``__hash__``.  Pickle
+    and copy rebuild a value through the constructor, which validates again.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def finite(value: float, label: str) -> float:
     """Coerce one scalar component to float, rejecting NaN and infinities.
 

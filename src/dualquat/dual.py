@@ -25,9 +25,10 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._common import finite, real_operand
+from ._common import Value, finite, real_operand
 from .errors import (
     NegativeArgumentError,
+    NonFiniteError,
     NotInvertibleError,
     NotRepresentableError,
 )
@@ -76,14 +77,15 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DualNumber:
-    std: float = 0.0  # standard part
-    inf: float = 0.0  # infinitesimal part (coefficient of e)
+class DualNumber(Value):
+    """The dual number ``std + inf*e``; both parts are finite floats."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "std", finite(self.std, "standard part"))
-        object.__setattr__(self, "inf", finite(self.inf, "infinitesimal part"))
+    __slots__ = ("std", "inf")  # standard part, infinitesimal part
+    __match_args__ = __slots__
+
+    def __init__(self, std: float = 0.0, inf: float = 0.0):
+        _set_std(self, finite(std, "standard part"))
+        _set_inf(self, finite(inf, "infinitesimal part"))
 
     @property
     def is_appreciable(self) -> bool:
@@ -139,16 +141,21 @@ class DualNumber:
             raise TypeError("exponent must be an int")
         if exponent < 1:
             raise ValueError("exponent must be a positive integer")
-        return DualNumber(
-            self.std**exponent,
-            exponent * self.std ** (exponent - 1) * self.inf,
-        )
+        try:
+            std = self.std**exponent
+            inf = exponent * self.std ** (exponent - 1) * self.inf
+        except OverflowError:
+            raise NonFiniteError(f"a power of {self} overflows") from None
+        return DualNumber(std, inf)
 
     def inverse(self) -> DualNumber:
         """Multiplicative inverse; defined only for appreciable values."""
         if self.std == 0.0:
             raise NotInvertibleError("infinitesimal dual numbers have no inverse")
-        return DualNumber(1.0 / self.std, -self.inf / (self.std * self.std))
+        # Scale by 1/std before squaring, so that std*std cannot under- or
+        # overflow where the infinitesimal part of the result is representable.
+        inv = 1.0 / self.std
+        return DualNumber(inv, -self.inf * inv * inv)
 
     def __truediv__(self, other: DualNumber | float) -> DualNumber:
         other = _coerce(other)
@@ -224,6 +231,10 @@ class DualNumber:
         if self.inf < 0.0:
             return f"{self.std!r}-{-self.inf!r}e"
         return f"{self.std!r}+{self.inf!r}e"
+
+
+_set_std = DualNumber.std.__set__
+_set_inf = DualNumber.inf.__set__
 
 
 def _coerce(value: object) -> DualNumber | None:

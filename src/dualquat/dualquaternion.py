@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._common import REALNESS_GUARD, real_operand
+from ._common import REALNESS_GUARD, Value, real_operand
 from .dual import DualNumber
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, mixed_sum
@@ -24,10 +24,23 @@ from .quaternion import Quaternion, mixed_sum
 __all__ = ["DualQuaternion", "UnitCheck"]
 
 
-@dataclass(frozen=True, slots=True)
-class DualQuaternion:
-    std: Quaternion = Quaternion()
-    inf: Quaternion = Quaternion()
+class DualQuaternion(Value):
+    """The dual quaternion ``std + inf*e`` with quaternion parts."""
+
+    __slots__ = ("std", "inf")
+    __match_args__ = __slots__
+
+    def __init__(self, std: Quaternion = Quaternion(), inf: Quaternion = Quaternion()):
+        _set_std(self, std)
+        _set_inf(self, inf)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.std, self.inf) == (other.std, other.inf)
+
+    def __hash__(self) -> int:
+        return hash((self.std, self.inf))
 
     @classmethod
     def from_quaternion(cls, value: Quaternion) -> DualQuaternion:
@@ -149,6 +162,10 @@ class DualQuaternion:
 
     def __str__(self) -> str:
         return f"({self.std})+({self.inf})e"
+
+
+_set_std = DualQuaternion.std.__set__
+_set_inf = DualQuaternion.inf.__set__
 
 
 @dataclass(frozen=True)

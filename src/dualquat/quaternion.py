@@ -10,26 +10,32 @@ components and reverses products: ``(p * q).conjugate()`` equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._common import REALNESS_GUARD, finite, real_operand
+from ._common import REALNESS_GUARD, Value, finite, real_operand
 from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum"]
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+class Quaternion(Value):
+    """The quaternion ``w + x i + y j + z k``; all components are finite floats."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", finite(self.w, "w component"))
-        object.__setattr__(self, "x", finite(self.x, "x component"))
-        object.__setattr__(self, "y", finite(self.y, "y component"))
-        object.__setattr__(self, "z", finite(self.z, "z component"))
+    __slots__ = ("w", "x", "y", "z")
+    __match_args__ = __slots__
+
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0):
+        _set_w(self, finite(w, "w component"))
+        _set_x(self, finite(x, "x component"))
+        _set_y(self, finite(y, "y component"))
+        _set_z(self, finite(z, "z component"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.w, self.x, self.y, self.z))
 
     @property
     def is_zero(self) -> bool:
@@ -111,6 +117,12 @@ class Quaternion:
             sign = "-" if value < 0.0 else "+"
             out.append(f"{sign}{abs(value)!r}{unit}")
         return "".join(out)
+
+
+_set_w = Quaternion.w.__set__
+_set_x = Quaternion.x.__set__
+_set_y = Quaternion.y.__set__
+_set_z = Quaternion.z.__set__
 
 
 def _coerce(value: object) -> Quaternion | None:

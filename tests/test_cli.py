@@ -156,6 +156,16 @@ def test_bad_flag_values_exit_2():
         assert err != ""
 
 
+def test_overflowing_norm_exits_2(tmp_path):
+    # The squared magnitude 1e400 overflows in norm2.
+    doc = tmp_path / "huge.dq"
+    doc.write_text("vec[ dq{ std: 1e200, inf: 0 } ]\n")
+    code, out, err = run(["norms", str(doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dualq: error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_exits_2():
     code, _, err = run(["frobnicate", "x.dq"])
     assert code == 2

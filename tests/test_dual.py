@@ -114,12 +114,32 @@ def test_power_rejects_bad_exponents():
         q**True
 
 
+def test_power_overflow_is_nonfinite():
+    # float ** int raises OverflowError where a product would give inf.
+    with pytest.raises(NonFiniteError):
+        DualNumber(1e200) ** 2
+    with pytest.raises(NonFiniteError):
+        DualNumber(1.0, 1.0) ** (10**400)
+    with pytest.raises(NonFiniteError):
+        DualNumber(2.0) ** (10**5000)
+    assert DualNumber(2.0**500, 1.0) ** 2 == DualNumber(2.0**1000, 2.0**501)
+
+
 def test_inverse_oracle_and_errors():
     assert DualNumber(2, 4).inverse() == DualNumber(0.5, -1.0)
     with pytest.raises(NotInvertibleError):
         DualNumber(0.0, 3.0).inverse()
     with pytest.raises(NotInvertibleError):
         DualNumber().inverse()
+
+
+def test_inverse_scales_before_squaring():
+    # std*std underflows to 0 here, and the exact inf part, -1e400, is out of range.
+    with pytest.raises(NonFiniteError):
+        DualNumber(1e-200, 1.0).inverse()
+    # std*std overflows here, although the exact inf part, -1e-200, is in range.
+    assert DualNumber(1e200, 1e200).inverse() == DualNumber(1e-200, -1e-200)
+    assert DualNumber(1e-200, 1e-300).inverse() == DualNumber(1e200, -1e100)
 
 
 def test_division_uses_inverse():
