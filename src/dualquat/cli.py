@@ -14,7 +14,6 @@ import json
 import sys
 from typing import Sequence
 
-from . import selfcheck
 from ._common import CLOSE_ABS, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
 from .dual import DualNumber, le_defect
@@ -240,7 +239,14 @@ def _cmd_check_orthonormal(doc: InputDocument, tol: float) -> Report:
     )
 
 
-def _cmd_selfcheck(seed: int, cases: int) -> Report:
+def _cmd_selfcheck(seed: int | None, cases: int | None) -> Report:
+    # Imported here so that the other commands do not pay for loading it.
+    from . import selfcheck
+
+    if seed is None:
+        seed = selfcheck.DEFAULT_SEED
+    if cases is None:
+        cases = selfcheck.DEFAULT_CASES
     results = selfcheck.run_all(seed=seed, cases=cases)
     passed_count = sum(1 for r in results if r.passed)
     lines = [f"seed: {seed}", f"cases: {cases}"]
@@ -306,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(p_basis)
 
     p_self = sub.add_parser("selfcheck", help="run the randomized property suites")
-    p_self.add_argument("--seed", type=_seed_arg, default=selfcheck.DEFAULT_SEED, help="generator seed")
-    p_self.add_argument("--cases", type=_cases_arg, default=selfcheck.DEFAULT_CASES, help="cases per suite")
+    p_self.add_argument("--seed", type=_seed_arg, help="generator seed")
+    p_self.add_argument("--cases", type=_cases_arg, help="cases per suite")
     add_format(p_self)
 
     return parser

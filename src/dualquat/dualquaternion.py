@@ -6,9 +6,10 @@ inside each part.  A dual quaternion is appreciable when its standard part
 is nonzero (exact test); only appreciable values are invertible.
 
 The magnitude of a dual quaternion is a dual *number*: for an appreciable
-value it is ``|std| + (mixed_sum(std, inf) / (2 |std|)) e``, and for an
-infinitesimal one it is ``|inf| e``.  ``magnitude_via_sqrt`` reaches the
-appreciable case independently as ``sqrt(q * q.conjugate())`` and exists
+value it is ``|std| + (std·inf / |std|) e``, where ``std·inf`` is the
+componentwise dot product (half the mixed sum ``std inf* + inf std*``), and
+for an infinitesimal one it is ``|inf| e``.  ``magnitude_via_sqrt`` reaches
+the appreciable case independently as ``sqrt(q * q.conjugate())`` and exists
 mainly so the two routes can be checked against each other.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from ._common import REALNESS_GUARD, Value, real_operand
 from .dual import DualNumber
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
-from .quaternion import Quaternion, mixed_sum
+from .quaternion import Quaternion
 
 __all__ = ["DualQuaternion", "UnitCheck"]
 
@@ -115,7 +116,7 @@ class DualQuaternion(Value):
     def magnitude(self) -> DualNumber:
         if self.is_appreciable:
             n = self.std.norm()
-            return DualNumber(n, mixed_sum(self.std, self.inf) / (2.0 * n))
+            return DualNumber(n, self.std.dot(self.inf) / n)
         return DualNumber(0.0, self.inf.norm())
 
     def magnitude_via_sqrt(self) -> DualNumber:
@@ -150,7 +151,7 @@ class DualQuaternion(Value):
         if tol < 0.0:
             raise ValueError("tolerance must be nonnegative")
         norm_residual = abs(self.std.norm() - 1.0)
-        mixed_residual = abs(mixed_sum(self.std, self.inf))
+        mixed_residual = abs(2.0 * self.std.dot(self.inf))
         return UnitCheck(
             passed=norm_residual <= tol and mixed_residual <= tol,
             norm_residual=norm_residual,

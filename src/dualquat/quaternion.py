@@ -14,7 +14,7 @@ import math
 from ._common import REALNESS_GUARD, Value, finite, real_operand
 from .errors import ConsistencyError, NotInvertibleError
 
-__all__ = ["Quaternion", "mixed_sum"]
+__all__ = ["Quaternion", "mixed_sum", "product"]
 
 
 class Quaternion(Value):
@@ -73,12 +73,8 @@ class Quaternion(Value):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
         return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+            *product(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
         )
 
     def __rmul__(self, other: Quaternion | float) -> Quaternion:
@@ -125,6 +121,23 @@ _set_y = Quaternion.y.__set__
 _set_z = Quaternion.z.__set__
 
 
+def product(
+    aw: float, ax: float, ay: float, az: float, bw: float, bx: float, by: float, bz: float
+) -> tuple[float, float, float, float]:
+    """The Hamilton product ``a * b`` of two quaternions given as components.
+
+    The one definition of the product rule: ``Quaternion.__mul__`` and the
+    fused loops that must round exactly as it does both evaluate it here.
+    No component is checked, so an overflow comes back as an infinity.
+    """
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def _coerce(value: object) -> Quaternion | None:
     if isinstance(value, Quaternion):
         return value
@@ -138,6 +151,8 @@ def mixed_sum(p: Quaternion, q: Quaternion) -> float:
     The value equals twice the componentwise dot product, which is what is
     returned; the symmetrized product form is evaluated as well and checked
     against it, so a defect in the product or conjugate cannot go unnoticed.
+    This is the cross-checked reference form, for tests and ``selfcheck``;
+    the production paths use ``2.0 * p.dot(q)`` and stay off it.
     """
     direct = 2.0 * p.dot(q)
     symmetric = p * q.conjugate() + q * p.conjugate()

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from .dual import DualNumber
 from .dualquaternion import DualQuaternion, _coerce
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, product
 
 __all__ = [
     "DQVector",
@@ -133,10 +133,34 @@ class DQVector:
             raise LengthMismatchError(
                 f"inner product of lengths {len(self)} and {len(other)}"
             )
-        total = DualQuaternion()
+        # Sum a.conjugate() * b over the entries in plain floats: the same
+        # products and the same left-to-right additions as the DualQuaternion
+        # operators, so the result rounds identically.  Signs of zero may
+        # differ on the way, but the constructor normalizes them, and an
+        # overflow stays infinite or NaN through the additions that follow,
+        # so the final finite check raises exactly when an operator would.
+        sw = sx = sy = sz = iw = ix = iy = iz = 0.0
         for a, b in zip(self.entries, other.entries):
-            total = total + a.conjugate() * b
-        return total
+            a_std, a_inf, b_std, b_inf = a.std, a.inf, b.std, b.inf
+            # std part conj(a.std) b.std; inf part conj(a.inf) b.std + conj(a.std) b.inf
+            pw, px, py, pz = product(
+                a_std.w, -a_std.x, -a_std.y, -a_std.z, b_std.w, b_std.x, b_std.y, b_std.z
+            )
+            qw, qx, qy, qz = product(
+                a_inf.w, -a_inf.x, -a_inf.y, -a_inf.z, b_std.w, b_std.x, b_std.y, b_std.z
+            )
+            rw, rx, ry, rz = product(
+                a_std.w, -a_std.x, -a_std.y, -a_std.z, b_inf.w, b_inf.x, b_inf.y, b_inf.z
+            )
+            sw += pw
+            sx += px
+            sy += py
+            sz += pz
+            iw += qw + rw
+            ix += qx + rx
+            iy += qy + ry
+            iz += qz + rz
+        return DualQuaternion(Quaternion(sw, sx, sy, sz), Quaternion(iw, ix, iy, iz))
 
     # -- norms ----------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 from dualquat import (
     DualNumber,
     DualQuaternion,
+    NonFiniteError,
     NotAppreciableError,
     NotInvertibleError,
     Quaternion,
@@ -140,6 +141,16 @@ def test_magnitude_worked_example():
     m = q.magnitude()
     assert math.isclose(m.std, math.sqrt(2), rel_tol=0, abs_tol=1e-15)
     assert math.isclose(m.inf, 1 / math.sqrt(2), rel_tol=0, abs_tol=1e-15)
+
+
+def test_magnitude_and_unit_check_survive_huge_parts():
+    # std*inf is 0, but the products p q* of the symmetrized mixed sum
+    # overflow; neither the magnitude nor the unit check may form them.
+    q = DualQuaternion(Quaternion(1e200), Quaternion(0.0, 1e200))
+    assert q.magnitude() == DualNumber(1e200, 0.0)
+    assert q.unit_check().mixed_residual == 0.0
+    with pytest.raises(NonFiniteError):
+        q.std * q.inf.conjugate()
 
 
 def test_magnitude_via_sqrt_agrees():

@@ -8,8 +8,12 @@ import dualquat
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
-# test, and the real-scalar operand rule.
-SHARED_RULES = ("REALNESS_GUARD", "ORDER_SLACK", "le_defect", "close", "real_operand")
+# test, the real-scalar operand rule, and the quaternion product rule.
+SHARED_RULES = ("REALNESS_GUARD", "ORDER_SLACK", "le_defect", "close", "real_operand", "product")
+
+# Modules on the production paths, which must not run the cross-checked
+# reference form ``mixed_sum``.
+PRODUCTION_MODULES = ("dualquaternion", "vectors", "documents", "cli")
 
 
 def _module_level_definitions(tree: ast.Module) -> set[str]:
@@ -44,3 +48,15 @@ def test_shared_rules_are_defined_once_and_cli_keeps_out_of_selfcheck():
         and node.value.id == "selfcheck"
     }
     assert used == {"run_all", "DEFAULT_SEED", "DEFAULT_CASES"}
+
+
+def test_production_modules_keep_off_the_mixed_sum_cross_check():
+    for module in PRODUCTION_MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "mixed_sum")
+                or (isinstance(node, ast.Attribute) and node.attr == "mixed_sum")
+                or (isinstance(node, ast.alias) and node.name == "mixed_sum")
+            )
+            assert not named, f"{module} uses mixed_sum: {ast.unparse(node)}"

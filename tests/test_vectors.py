@@ -1,9 +1,11 @@
 """Vector norms, the real embedding, inner products, and basis checks."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualquat import (
     DQVector,
@@ -11,6 +13,7 @@ from dualquat import (
     DualQuaternion,
     EmptyVectorError,
     LengthMismatchError,
+    NonFiniteError,
     NotAppreciableError,
     Quaternion,
     basis_check,
@@ -107,6 +110,48 @@ def test_inner_conjugate_symmetry():
             rhs.std.components() + rhs.inf.components(),
         ):
             assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
+# Signed zeros, subnormals, and decimal exponents up to +-200, so that some
+# products underflow and some overflow; plus values of one scale, whose sums
+# round differently when they are associated differently.
+components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-200, 200)),
+    st.floats(-10.0, 10.0),
+)
+quaternions = st.builds(Quaternion, components, components, components, components)
+dual_quaternions = st.builds(DualQuaternion, quaternions, quaternions)
+
+
+def vectors_of_length(n):
+    return st.lists(dual_quaternions, min_size=n, max_size=n).map(tuple).map(DQVector)
+
+
+vector_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(vectors_of_length(n), vectors_of_length(n))
+)
+
+
+def reference_inner(x, y):
+    """The inner product through the DualQuaternion operators, left to right."""
+    return functools.reduce(
+        lambda total, ab: total + ab[0].conjugate() * ab[1], zip(x, y), DualQuaternion()
+    )
+
+
+@settings(max_examples=400)
+@given(vector_pairs)
+def test_inner_rounds_exactly_as_the_operators(pair):
+    x, y = pair
+    try:
+        expected = reference_inner(x, y)
+    except NonFiniteError:
+        with pytest.raises(NonFiniteError):
+            x.inner(y)
+    else:
+        assert repr(x.inner(y)) == repr(expected)
 
 
 def test_inner_length_mismatch():
