@@ -15,6 +15,7 @@ mainly so the two routes can be checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._common import REALNESS_GUARD, Value, real_operand
@@ -22,7 +23,7 @@ from .dual import DualNumber
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion
 
-__all__ = ["DualQuaternion", "UnitCheck"]
+__all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts"]
 
 
 class DualQuaternion(Value):
@@ -32,6 +33,10 @@ class DualQuaternion(Value):
     __match_args__ = __slots__
 
     def __init__(self, std: Quaternion = Quaternion(), inf: Quaternion = Quaternion()):
+        if not isinstance(std, Quaternion):
+            raise TypeError(f"standard part must be a Quaternion, got {type(std).__name__}")
+        if not isinstance(inf, Quaternion):
+            raise TypeError(f"infinitesimal part must be a Quaternion, got {type(inf).__name__}")
         _set_std(self, std)
         _set_inf(self, inf)
 
@@ -114,10 +119,7 @@ class DualQuaternion(Value):
         return DualQuaternion(std_inv, -(std_inv * self.inf * std_inv))
 
     def magnitude(self) -> DualNumber:
-        if self.is_appreciable:
-            n = self.std.norm()
-            return DualNumber(n, self.std.dot(self.inf) / n)
-        return DualNumber(0.0, self.inf.norm())
+        return DualNumber(*magnitude_parts(self.std, self.inf))
 
     def magnitude_via_sqrt(self) -> DualNumber:
         """Magnitude computed as ``sqrt(q * q.conjugate())``.
@@ -133,9 +135,11 @@ class DualQuaternion(Value):
                 "sqrt route to the magnitude needs an appreciable value"
             )
         product = self * self.conjugate()
-        scale = max(1.0, (self.std.norm() + self.inf.norm()) ** 2)
+        # The residue may reach REALNESS_GUARD * scale**2; dividing it by one
+        # factor of the scale keeps a huge scale from overflowing that bound.
+        scale = max(1.0, self.std.norm() + self.inf.norm())
         for part in (product.std, product.inf):
-            if part.imaginary_magnitude() > REALNESS_GUARD * scale:
+            if part.imaginary_magnitude() / scale > REALNESS_GUARD * scale:
                 raise ConsistencyError(
                     f"q * q.conjugate() is not real: got {part} in {product}"
                 )
@@ -167,6 +171,21 @@ class DualQuaternion(Value):
 
 _set_std = DualQuaternion.std.__set__
 _set_inf = DualQuaternion.inf.__set__
+
+
+def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
+    """The standard and infinitesimal parts of the magnitude of ``std + inf*e``.
+
+    The one definition of the magnitude rule: ``DualQuaternion.magnitude``
+    and the vector norms, which must round exactly as it does, both evaluate
+    it here.  The dot product is ``Quaternion.dot``'s, left to right.  No
+    part is checked, so an overflow comes back as an infinity or a NaN.
+    """
+    w, x, y, z = std.w, std.x, std.y, std.z
+    if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
+        return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
+    n = math.hypot(w, x, y, z)
+    return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
 
 
 @dataclass(frozen=True)

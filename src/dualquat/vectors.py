@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .dual import DualNumber
-from .dualquaternion import DualQuaternion, _coerce
-from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
+from .dualquaternion import DualQuaternion, _coerce, magnitude_parts
+from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
 from .quaternion import Quaternion, product
 
 __all__ = [
@@ -57,8 +57,66 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-def _max_abs_component(value: DualQuaternion) -> float:
-    return max(abs(c) for part in (value.std, value.inf) for c in part.components())
+# The inner product in plain floats.  Each entry becomes one row of its eight
+# components, standard part first; a left argument's rows are conjugated.
+# Summing conj(a) b over paired rows with the same products and the same
+# left-to-right additions as the DualQuaternion operators rounds identically.
+# Signs of zero may differ on the way, but the constructor normalizes them,
+# and an overflow stays infinite or NaN through the additions that follow, so
+# the final finite check raises exactly when an operator would.
+
+_Row = tuple[float, float, float, float, float, float, float, float]
+
+
+def _conjugate_rows(vector: DQVector) -> list[_Row]:
+    rows = []
+    for e in vector.entries:
+        s, f = e.std, e.inf
+        rows.append((s.w, -s.x, -s.y, -s.z, f.w, -f.x, -f.y, -f.z))
+    return rows
+
+
+def _rows(vector: DQVector) -> list[_Row]:
+    rows = []
+    for e in vector.entries:
+        s, f = e.std, e.inf
+        rows.append((s.w, s.x, s.y, s.z, f.w, f.x, f.y, f.z))
+    return rows
+
+
+def _inner_parts(left: Sequence[_Row], right: Sequence[_Row]) -> _Row:
+    """The components of ``sum(conj(a) * b)``, unchecked, from conjugated and plain rows."""
+    sw = sx = sy = sz = iw = ix = iy = iz = 0.0
+    for (aw, ax, ay, az, fw, fx, fy, fz), (bw, bx, by, bz, gw, gx, gy, gz) in zip(left, right):
+        # std part conj(a.std) b.std; inf part conj(a.inf) b.std + conj(a.std) b.inf
+        pw, px, py, pz = product(aw, ax, ay, az, bw, bx, by, bz)
+        qw, qx, qy, qz = product(fw, fx, fy, fz, bw, bx, by, bz)
+        rw, rx, ry, rz = product(aw, ax, ay, az, gw, gx, gy, gz)
+        sw += pw
+        sx += px
+        sy += py
+        sz += pz
+        iw += qw + rw
+        ix += qx + rx
+        iy += qy + ry
+        iz += qz + rz
+    return sw, sx, sy, sz, iw, ix, iy, iz
+
+
+def _dual_quaternion(parts: _Row) -> DualQuaternion:
+    sw, sx, sy, sz, iw, ix, iy, iz = parts
+    return DualQuaternion(Quaternion(sw, sx, sy, sz), Quaternion(iw, ix, iy, iz))
+
+
+def _identity_defect(parts: _Row, target: float) -> float:
+    """Largest componentwise deviation of an inner product from the real ``target``.
+
+    Rounds as ``max`` over the components of ``inner - target`` does.
+    """
+    sw, sx, sy, sz, iw, ix, iy, iz = parts
+    return max(
+        abs(sw - target), abs(sx), abs(sy), abs(sz), abs(iw), abs(ix), abs(iy), abs(iz)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,65 +191,54 @@ class DQVector:
             raise LengthMismatchError(
                 f"inner product of lengths {len(self)} and {len(other)}"
             )
-        # Sum a.conjugate() * b over the entries in plain floats: the same
-        # products and the same left-to-right additions as the DualQuaternion
-        # operators, so the result rounds identically.  Signs of zero may
-        # differ on the way, but the constructor normalizes them, and an
-        # overflow stays infinite or NaN through the additions that follow,
-        # so the final finite check raises exactly when an operator would.
-        sw = sx = sy = sz = iw = ix = iy = iz = 0.0
-        for a, b in zip(self.entries, other.entries):
-            a_std, a_inf, b_std, b_inf = a.std, a.inf, b.std, b.inf
-            # std part conj(a.std) b.std; inf part conj(a.inf) b.std + conj(a.std) b.inf
-            pw, px, py, pz = product(
-                a_std.w, -a_std.x, -a_std.y, -a_std.z, b_std.w, b_std.x, b_std.y, b_std.z
-            )
-            qw, qx, qy, qz = product(
-                a_inf.w, -a_inf.x, -a_inf.y, -a_inf.z, b_std.w, b_std.x, b_std.y, b_std.z
-            )
-            rw, rx, ry, rz = product(
-                a_std.w, -a_std.x, -a_std.y, -a_std.z, b_inf.w, b_inf.x, b_inf.y, b_inf.z
-            )
-            sw += pw
-            sx += px
-            sy += py
-            sz += pz
-            iw += qw + rw
-            ix += qx + rx
-            iy += qy + ry
-            iz += qz + rz
-        return DualQuaternion(Quaternion(sw, sx, sy, sz), Quaternion(iw, ix, iy, iz))
+        return _dual_quaternion(_inner_parts(_conjugate_rows(self), _rows(other)))
 
     # -- norms ----------------------------------------------------------
 
+    # The norms evaluate magnitude_parts on the entries and add its floats in
+    # entry order, as the DualNumber operators on the magnitudes would: sums
+    # that start at +0.0 never produce -0.0, which the constructor is the only
+    # one to normalize, and a non-finite magnitude stays infinite or NaN
+    # through the additions, so the final DualNumber raises NonFiniteError
+    # exactly when an operator would.
+
     def norm1(self) -> DualNumber:
-        total = DualNumber()
+        std = inf = 0.0
         for e in self.entries:
-            total = total + e.magnitude()
-        return total
+            n, m = magnitude_parts(e.std, e.inf)
+            std += n
+            inf += m
+        return DualNumber(std, inf)
 
     def norm_inf(self) -> DualNumber:
         return self.entries[self.norm_inf_index()].magnitude()
 
     def norm_inf_index(self) -> int:
         """Lowest index attaining the largest entry magnitude."""
-        best_index = 0
-        best = self.entries[0].magnitude()
-        for index, e in enumerate(self.entries[1:], start=1):
-            m = e.magnitude()
-            if m > best:
-                best_index, best = index, m
+        best_index, best = 0, (-1.0, 0.0)  # below every magnitude
+        for index, e in enumerate(self.entries):
+            key = magnitude_parts(e.std, e.inf)
+            if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+                DualNumber(*key)  # raises NonFiniteError, as magnitude() does
+            if key > best:
+                best_index, best = index, key
         return best_index
 
     def norm2(self) -> DualNumber:
-        if self.has_appreciable_entry:
-            total = DualNumber()
-            for e in self.entries:
-                # The squared magnitude of an infinitesimal entry is exactly
-                # zero, so only appreciable entries feed the radicand.
-                total = total + e.magnitude() ** 2
-            return total.sqrt()
-        return DualNumber(0.0, _euclidean(embed_real(self.inf_part())))
+        if not self.has_appreciable_entry:
+            return DualNumber(0.0, _euclidean(embed_real(self.inf_part())))
+        std = inf = 0.0
+        for e in self.entries:
+            n, m = magnitude_parts(e.std, e.inf)
+            # The squared magnitude as DualNumber.__pow__ computes it.  For an
+            # infinitesimal entry it adds exactly zero, or a NaN when the
+            # magnitude itself overflowed.
+            try:
+                std += n**2
+            except OverflowError:
+                raise NonFiniteError(f"a power of {DualNumber(n, m)} overflows") from None
+            inf += 2.0 * n * m
+        return DualNumber(std, inf).sqrt()
 
     def norm2_closed_form(self) -> DualNumber:
         """2-norm from the flattened embeddings, in one step.
@@ -216,8 +263,8 @@ class DQVector:
         """
         if tol < 0.0:
             raise ValueError("tolerance must be nonnegative")
-        gram_defect = self.inner(self) - 1.0
-        gram_residual = _max_abs_component(gram_defect)
+        gram = self.inner(self)
+        gram_residual = _identity_defect(gram.std.components() + gram.inf.components(), 1.0)
         n2 = self.norm2()
         norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
         return VectorUnitCheck(
@@ -270,14 +317,17 @@ def basis_check(vectors: Sequence[DQVector], tol: float = 1e-9) -> BasisCheck:
             raise LengthMismatchError(
                 f"basis of {n} vectors needs every vector of length {n}, got {len(v)}"
             )
+    left = [_conjugate_rows(v) for v in vectors]
+    right = [_rows(v) for v in vectors]
     rows: list[tuple[float, ...]] = []
     passed = True
     for i in range(n):
         row: list[float] = []
         for j in range(n):
-            target = 1.0 if i == j else 0.0
-            defect = vectors[i].inner(vectors[j]) - target
-            residual = _max_abs_component(defect)
+            parts = _inner_parts(left[i], right[j])
+            if not all(map(math.isfinite, parts)):
+                _dual_quaternion(parts)  # raises NonFiniteError as inner() does
+            residual = _identity_defect(parts, 1.0 if i == j else 0.0)
             row.append(residual)
             if residual > tol:
                 passed = False

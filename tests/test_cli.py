@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualquat
 from dualquat.cli import main
@@ -164,6 +165,70 @@ def test_overflowing_norm_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("dualq: error: ") and err.count("\n") == 1
+
+
+def test_huge_infinitesimal_magnitude_has_no_traceback(tmp_path):
+    # (std + std inf) squared overflows, while q * q.conjugate() does not.
+    doc = tmp_path / "huge_inf.dq"
+    doc.write_text("dq{ std: 1, inf: 1e200 }\n")
+    code, out, err = run(["magnitude", str(doc)])
+    assert code == 0
+    assert err == ""
+    assert "magnitude: 1.0+1e+200e\n" in out
+
+
+# Components m * 10**e, written out as text, with e from the subnormals to
+# beyond the top of the double range, and signed zeros.
+magnitude_texts = st.one_of(
+    st.just("0"),
+    st.builds(lambda m, e: f"{m:.6f}e{e}", st.floats(0.0, 10.0), st.integers(-320, 308)),
+)
+signed_texts = st.tuples(st.sampled_from("+-"), magnitude_texts)
+
+
+def quaternion_text(terms):
+    (sign, w), *rest = terms
+    return f"{'-' if sign == '-' else ''}{w} " + " ".join(
+        f"{sign} {value}{unit}" for (sign, value), unit in zip(rest, "ijk")
+    )
+
+
+quaternion_texts = st.lists(signed_texts, min_size=4, max_size=4).map(quaternion_text)
+dq_texts = st.builds(
+    "dq{{ std: {}, inf: {} }}".format, st.one_of(st.just("0"), quaternion_texts), quaternion_texts
+)
+
+
+def vec_texts(n):
+    return st.lists(dq_texts, min_size=n, max_size=n).map(lambda es: "vec[ " + ", ".join(es) + " ]")
+
+
+basis_texts = st.integers(1, 3).flatmap(
+    lambda n: st.lists(vec_texts(n), min_size=n, max_size=n).map(lambda vs: "basis[ " + ", ".join(vs) + " ]")
+)
+cli_cases = st.one_of(
+    st.tuples(st.just("magnitude"), dq_texts),
+    st.tuples(st.just("norms"), st.integers(1, 4).flatmap(vec_texts)),
+    st.tuples(st.just("check-unit"), st.one_of(dq_texts, st.integers(1, 4).flatmap(vec_texts))),
+    st.tuples(st.just("check-orthonormal"), basis_texts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_cases, st.sampled_from(["text", "json"]))
+def test_cli_never_shows_a_traceback(case, output_format):
+    command, document = case
+    code, out, err = run([command, "--format", output_format, "-"], stdin_text=document)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("dualq: error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        if output_format == "json":
+            assert json.loads(out)["pass"] is (code == 0)
+        else:
+            assert out.endswith("pass: yes\n" if code == 0 else "pass: no\n")
 
 
 def test_unknown_command_exits_2():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualquat import (
     DualNumber,
@@ -13,6 +14,7 @@ from dualquat import (
     NotInvertibleError,
     Quaternion,
 )
+from dualquat.dualquaternion import magnitude_parts
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -151,6 +153,25 @@ def test_magnitude_and_unit_check_survive_huge_parts():
     assert q.unit_check().mixed_residual == 0.0
     with pytest.raises(NonFiniteError):
         q.std * q.inf.conjugate()
+
+
+# Floats of one scale, whose dot products round differently when summed in
+# another order, and floats of every finite scale, some of which overflow.
+quaternions = st.builds(
+    Quaternion,
+    *[st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))] * 4,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(Quaternion()), quaternions), quaternions)
+def test_magnitude_parts_are_the_norm_and_dot_of_the_quaternions(std, inf):
+    if std.is_zero:
+        expected = (0.0, inf.norm())
+    else:
+        expected = (std.norm(), std.dot(inf) / std.norm())
+    # repr, so that NaN from an overflow compares equal to itself.
+    assert repr(magnitude_parts(std, inf)) == repr(expected)
 
 
 def test_magnitude_via_sqrt_agrees():

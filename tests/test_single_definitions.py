@@ -8,8 +8,17 @@ import dualquat
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
-# test, the real-scalar operand rule, and the quaternion product rule.
-SHARED_RULES = ("REALNESS_GUARD", "ORDER_SLACK", "le_defect", "close", "real_operand", "product")
+# test, the real-scalar operand rule, the quaternion product rule and the
+# dual-quaternion magnitude rule.
+SHARED_RULES = (
+    "REALNESS_GUARD",
+    "ORDER_SLACK",
+    "le_defect",
+    "close",
+    "real_operand",
+    "product",
+    "magnitude_parts",
+)
 
 # Modules on the production paths, which must not run the cross-checked
 # reference form ``mixed_sum``.
@@ -60,3 +69,22 @@ def test_production_modules_keep_off_the_mixed_sum_cross_check():
                 or (isinstance(node, ast.alias) and node.name == "mixed_sum")
             )
             assert not named, f"{module} uses mixed_sum: {ast.unparse(node)}"
+
+
+def test_vector_norms_evaluate_the_magnitude_rule_directly():
+    # The norms add the floats of magnitude_parts; a DualNumber per entry
+    # from DualQuaternion.magnitude is the work they must not redo.
+    tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
+    (vector_class,) = (
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector"
+    )
+    methods = {node.name: node for node in vector_class.body if isinstance(node, ast.FunctionDef)}
+    for name in ("norm1", "norm2", "norm_inf_index"):
+        calls = {
+            node.func.attr
+            for node in ast.walk(methods[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "magnitude" not in calls, f"DQVector.{name} calls .magnitude()"
+        names = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
+        assert "magnitude_parts" in names, f"DQVector.{name} does not use magnitude_parts"

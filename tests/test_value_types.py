@@ -90,6 +90,21 @@ def test_nonfinite_components_are_rejected_by_label(build, label, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "std,inf,label",
+    [
+        (1.0, 2.0, "standard part"),
+        (Quaternion(), DualNumber(1.0), "infinitesimal part"),
+        (DualQuaternion(), Quaternion(), "standard part"),
+        (None, Quaternion(), "standard part"),
+    ],
+    ids=["floats", "dual-inf", "nested", "none"],
+)
+def test_dual_quaternion_parts_must_be_quaternions(std, inf, label):
+    with pytest.raises(TypeError, match=f"^{label} must be a Quaternion"):
+        DualQuaternion(std, inf)
+
+
 def test_equal_values_hash_alike():
     pairs = [
         (DualNumber(2.0), 2.0),

@@ -5,17 +5,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualquat import (
+    BasisCheck,
     DQVector,
     DualNumber,
     DualQuaternion,
+    DualQuatError,
     EmptyVectorError,
     LengthMismatchError,
     NonFiniteError,
     NotAppreciableError,
     Quaternion,
+    VectorUnitCheck,
     basis_check,
     embed_real,
 )
@@ -152,6 +155,124 @@ def test_inner_rounds_exactly_as_the_operators(pair):
             x.inner(y)
     else:
         assert repr(x.inner(y)) == repr(expected)
+
+
+# Near the top of the double range, so that magnitudes overflow in hypot and
+# squared magnitudes in ``n ** 2``.
+huge = st.builds(
+    lambda m, sign: sign * m, st.floats(1e307, 1.7976931348623157e308), st.sampled_from([1.0, -1.0])
+)
+
+
+def entries_of(component):
+    """Dual quaternions, half of them infinitesimal."""
+    parts = st.builds(Quaternion, *[component] * 4)
+    return st.builds(DualQuaternion, st.one_of(st.just(Quaternion()), parts), parts)
+
+
+# Each vector takes all of its components from one source: the mix of the
+# inner-product test; floats of one scale only, so that three or more
+# magnitudes of one size meet in a sum and a re-associated sum rounds
+# differently; or the mix with huge values added.
+entry_sources = st.sampled_from(
+    [entries_of(components), entries_of(st.floats(-10.0, 10.0)), entries_of(st.one_of(components, huge))]
+)
+
+
+def dq_vectors(n, entries):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple).map(DQVector)
+
+
+wide_vectors = st.tuples(st.integers(1, 6), entry_sources).flatmap(lambda n_e: dq_vectors(*n_e))
+wide_bases = st.tuples(st.integers(1, 3), entry_sources).flatmap(
+    lambda n_e: st.lists(dq_vectors(*n_e), min_size=n_e[0], max_size=n_e[0])
+)
+
+# An infinitesimal entry whose magnitude overflows in a vector with an
+# appreciable one, and a non-finite magnitude on an entry that is not the
+# largest: both raise in the operator forms.
+OVERFLOWING_INFINITESIMAL = DQVector(
+    (DualQuaternion(Quaternion(1.0)), DualQuaternion(Quaternion(), Quaternion(1.7e308, 1.7e308)))
+)
+OVERFLOWING_RUNNER_UP = DQVector(
+    (DualQuaternion(Quaternion(1.7e308)), DualQuaternion(Quaternion(1e308), Quaternion(10.0)))
+)
+
+
+def outcome(compute, *args):
+    """The ``repr`` of the result, or the class of the DualQuatError raised."""
+    try:
+        return repr(compute(*args))
+    except DualQuatError as exc:
+        return type(exc)
+
+
+def reference_norm1(x):
+    return functools.reduce(lambda total, e: total + e.magnitude(), x, DualNumber())
+
+
+def reference_norm2(x):
+    if not x.has_appreciable_entry:
+        return DualNumber(0.0, math.hypot(*embed_real(x.inf_part())))
+    return functools.reduce(lambda total, e: total + e.magnitude() ** 2, x, DualNumber()).sqrt()
+
+
+def reference_norm_inf(x):
+    return max(e.magnitude() for e in x)
+
+
+def reference_norm_inf_index(x):
+    magnitudes = [e.magnitude() for e in x]
+    return magnitudes.index(max(magnitudes))
+
+
+def reference_defect(x, y, target):
+    """Largest absolute component of ``x.inner(y) - target``, through the operators."""
+    defect = reference_inner(x, y) - target
+    return max(abs(c) for part in (defect.std, defect.inf) for c in part.components())
+
+
+def reference_unit_check(x, tol=1e-9):
+    gram_residual = reference_defect(x, x, 1.0)
+    n2 = reference_norm2(x)
+    norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
+    return VectorUnitCheck(
+        passed=gram_residual <= tol and norm_residual <= tol,
+        gram_residual=gram_residual,
+        norm_residual=norm_residual,
+    )
+
+
+def reference_basis_check(vectors, tol=1e-9):
+    rows = tuple(
+        tuple(reference_defect(x, y, 1.0 if i == j else 0.0) for j, y in enumerate(vectors))
+        for i, x in enumerate(vectors)
+    )
+    return BasisCheck(passed=all(r <= tol for row in rows for r in row), residuals=rows)
+
+
+FUSED_AND_REFERENCE = (
+    (DQVector.norm1, reference_norm1),
+    (DQVector.norm2, reference_norm2),
+    (DQVector.norm_inf, reference_norm_inf),
+    (DQVector.norm_inf_index, reference_norm_inf_index),
+    (DQVector.unit_check, reference_unit_check),
+)
+
+
+@settings(max_examples=400)
+@given(wide_vectors)
+@example(OVERFLOWING_INFINITESIMAL)
+@example(OVERFLOWING_RUNNER_UP)
+def test_norms_and_unit_check_round_exactly_as_the_operators(x):
+    for fused, reference in FUSED_AND_REFERENCE:
+        assert outcome(fused, x) == outcome(reference, x), fused.__name__
+
+
+@settings(max_examples=300)
+@given(wide_bases)
+def test_basis_check_rounds_exactly_as_the_operators(vectors):
+    assert outcome(basis_check, vectors) == outcome(reference_basis_check, vectors)
 
 
 def test_inner_length_mismatch():
