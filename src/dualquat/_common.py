@@ -16,27 +16,45 @@ CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
 
 
 class Value:
-    """Base of the immutable value types, whose fields are their ``__slots__``.
+    """Base of the immutable values and result records.
 
-    A subclass stores each field once, in its own ``__init__``, through the
-    slot descriptor, and defines its own ``__eq__`` and ``__hash__``.  Pickle
-    and copy rebuild a value through the constructor, which validates again.
+    A subclass's fields are its ``__slots__``, and it stores each one once in
+    its own short ``__init__``.  The value types store through slot
+    descriptors cached at module level, the fastest store on their hot
+    constructor paths; the records call ``object.__setattr__``.  ``Value``
+    owns the rest: equality of same-class values with equal fields, the hash
+    that agrees with it, the ``Name(field=value, ...)`` repr, and
+    ``__reduce__``, through which pickle and copy rebuild a value with the
+    constructor, which validates again.  Fields can be neither assigned nor
+    deleted.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), _fields(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fields(value: Value) -> tuple:
+    return tuple([getattr(value, name) for name in value.__slots__])
 
 
 def finite(value: float, label: str) -> float:

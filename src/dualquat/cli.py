@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
 
 from ._common import CLOSE_ABS, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
@@ -332,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"dualq: error: cannot read input: {exc}", file=sys.stderr)
                 return 2
             try:
-                doc = parse_document(text, source=label)
+                doc = parse_document(text)
             except DualQuatError as exc:
                 print(f"dualq: error: {label}: {exc}", file=sys.stderr)
                 return 2

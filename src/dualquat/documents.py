@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
+from ._common import Value
 from .dualquaternion import DualQuaternion
 from .errors import EmptyVectorError, NonFiniteError, ParseError
 from .quaternion import Quaternion
@@ -43,21 +43,24 @@ VECTOR = "vector"
 BASIS = "basis"
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    kind: str  # SCALAR, VECTOR, or BASIS
-    payload: DualQuaternion | DQVector | tuple[DQVector, ...]
-    source: str = "<input>"
+class InputDocument(Value):
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: DualQuaternion | DQVector | tuple[DQVector, ...]):
+        object.__setattr__(self, "kind", kind)  # SCALAR, VECTOR, or BASIS
+        object.__setattr__(self, "payload", payload)
 
 
 # -- lexer ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "number", "punct", "end"
-    text: str
-    line: int
-    column: int
+class _Token(Value):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)  # "ident", "number", "punct", "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -229,25 +232,25 @@ class _Parser:
         self._expect_punct("]")
         return tuple(vectors)
 
-    def document(self, source: str) -> InputDocument:
+    def document(self) -> InputDocument:
         head = self._peek()
         if head.kind != "ident" or head.text not in ("dq", "vec", "basis"):
             self._fail("expected 'dq', 'vec', or 'basis'", head)
         if head.text == "dq":
-            doc = InputDocument(SCALAR, self._dual_quaternion(), source)
+            doc = InputDocument(SCALAR, self._dual_quaternion())
         elif head.text == "vec":
-            doc = InputDocument(VECTOR, self._vector(), source)
+            doc = InputDocument(VECTOR, self._vector())
         else:
-            doc = InputDocument(BASIS, self._basis(), source)
+            doc = InputDocument(BASIS, self._basis())
         trailing = self._peek()
         if trailing.kind != "end":
             self._fail("unexpected trailing input", trailing)
         return doc
 
 
-def parse_document(text: str, source: str = "<input>") -> InputDocument:
+def parse_document(text: str) -> InputDocument:
     """Parse one document.  Raises ParseError with the failing position."""
-    return _Parser(_tokenize(text)).document(source)
+    return _Parser(_tokenize(text)).document()
 
 
 # -- renderer ---------------------------------------------------------------

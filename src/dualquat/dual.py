@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 
 from ._common import Value, finite, real_operand
 from .errors import (
@@ -259,59 +258,33 @@ def le_defect(a: DualNumber, b: DualNumber) -> float:
     return max(0.0, a.inf - b.inf - ORDER_SLACK)
 
 
-@dataclass(frozen=True)
-class DualInterval:
-    """An interval of dual numbers under the total order.
+class DualInterval(Value):
+    """An interval of dual numbers under the total order, closed by default.
 
     A missing bound means the interval is unbounded on that side; the
     corresponding ``*_closed`` flag is then ignored.  Membership is exact:
     no tolerances are applied at the endpoints.
     """
 
-    lower: DualNumber | None = None
-    upper: DualNumber | None = None
-    lower_closed: bool = True
-    upper_closed: bool = True
+    __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
 
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None:
-            if self.lower_closed and self.upper_closed:
-                if self.lower > self.upper:
+    def __init__(
+        self,
+        lower: DualNumber | None = None,
+        upper: DualNumber | None = None,
+        lower_closed: bool = True,
+        upper_closed: bool = True,
+    ):
+        if lower is not None and upper is not None:
+            if lower_closed and upper_closed:
+                if lower > upper:
                     raise ValueError("closed interval needs lower <= upper")
-            elif self.lower >= self.upper:
+            elif lower >= upper:
                 raise ValueError("interval with an open end needs lower < upper")
-
-    @classmethod
-    def closed(cls, lower: DualNumber, upper: DualNumber) -> DualInterval:
-        return cls(lower, upper, True, True)
-
-    @classmethod
-    def open(cls, lower: DualNumber, upper: DualNumber) -> DualInterval:
-        return cls(lower, upper, False, False)
-
-    @classmethod
-    def closed_open(cls, lower: DualNumber, upper: DualNumber) -> DualInterval:
-        return cls(lower, upper, True, False)
-
-    @classmethod
-    def open_closed(cls, lower: DualNumber, upper: DualNumber) -> DualInterval:
-        return cls(lower, upper, False, True)
-
-    @classmethod
-    def at_least(cls, lower: DualNumber) -> DualInterval:
-        return cls(lower, None, True, True)
-
-    @classmethod
-    def greater_than(cls, lower: DualNumber) -> DualInterval:
-        return cls(lower, None, False, True)
-
-    @classmethod
-    def at_most(cls, upper: DualNumber) -> DualInterval:
-        return cls(None, upper, True, True)
-
-    @classmethod
-    def less_than(cls, upper: DualNumber) -> DualInterval:
-        return cls(None, upper, True, False)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower_closed", lower_closed)
+        object.__setattr__(self, "upper_closed", upper_closed)
 
     def contains(self, value: DualNumber | float) -> bool:
         candidate = _coerce(value)
@@ -335,20 +308,37 @@ class DualInterval:
         return self.contains(value)
 
 
-@dataclass(frozen=True)
-class NoRootReport:
+class NoRootReport(Value):
     """Evidence that ``f(x) = x*x - e`` changes sign on [0, 1] without a root.
 
     ``f`` is negative at 0 and positive at 1, yet has no root anywhere: the
     intermediate value property fails for dual-valued polynomials.
     """
 
-    value_at_zero: DualNumber
-    sign_at_zero: Ordering
-    value_at_one: DualNumber
-    sign_at_one: Ordering
-    interval: DualInterval
-    root_exists: bool
+    __slots__ = (
+        "value_at_zero",
+        "sign_at_zero",
+        "value_at_one",
+        "sign_at_one",
+        "interval",
+        "root_exists",
+    )
+
+    def __init__(
+        self,
+        value_at_zero: DualNumber,
+        sign_at_zero: Ordering,
+        value_at_one: DualNumber,
+        sign_at_one: Ordering,
+        interval: DualInterval,
+        root_exists: bool,
+    ):
+        object.__setattr__(self, "value_at_zero", value_at_zero)
+        object.__setattr__(self, "sign_at_zero", sign_at_zero)
+        object.__setattr__(self, "value_at_one", value_at_one)
+        object.__setattr__(self, "sign_at_one", sign_at_one)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "root_exists", root_exists)
 
 
 def no_root_witness() -> NoRootReport:
@@ -379,6 +369,6 @@ def no_root_witness() -> NoRootReport:
         sign_at_zero=at_zero.compare(zero),
         value_at_one=at_one,
         sign_at_one=at_one.compare(zero),
-        interval=DualInterval.closed(zero, DualNumber(1.0, 0.0)),
+        interval=DualInterval(zero, DualNumber(1.0, 0.0)),
         root_exists=root_exists,
     )

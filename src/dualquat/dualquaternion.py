@@ -16,7 +16,6 @@ mainly so the two routes can be checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._common import REALNESS_GUARD, Value, real_operand
 from .dual import DualNumber
@@ -39,14 +38,6 @@ class DualQuaternion(Value):
             raise TypeError(f"infinitesimal part must be a Quaternion, got {type(inf).__name__}")
         _set_std(self, std)
         _set_inf(self, inf)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.std, self.inf) == (other.std, other.inf)
-
-    def __hash__(self) -> int:
-        return hash((self.std, self.inf))
 
     @classmethod
     def from_quaternion(cls, value: Quaternion) -> DualQuaternion:
@@ -188,11 +179,13 @@ def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
     return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
 
 
-@dataclass(frozen=True)
-class UnitCheck:
-    passed: bool
-    norm_residual: float
-    mixed_residual: float
+class UnitCheck(Value):
+    __slots__ = ("passed", "norm_residual", "mixed_residual")
+
+    def __init__(self, passed: bool, norm_residual: float, mixed_residual: float):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "norm_residual", norm_residual)
+        object.__setattr__(self, "mixed_residual", mixed_residual)
 
     def __bool__(self) -> bool:
         return self.passed

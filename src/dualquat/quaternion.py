@@ -29,14 +29,6 @@ class Quaternion(Value):
         _set_y(self, finite(y, "y component"))
         _set_z(self, finite(z, "z component"))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
-
     @property
     def is_zero(self) -> bool:
         return self.w == 0.0 and self.x == 0.0 and self.y == 0.0 and self.z == 0.0

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from ._common import close
+from ._common import Value, close
 from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, le_defect, no_root_witness
 from .dualquaternion import DualQuaternion
 from .quaternion import Quaternion, mixed_sum
@@ -39,12 +38,14 @@ DEFAULT_CASES = 10000
 EQ_TOL = 1e-12  # absolute tolerance for identities that are exact in reals
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    cases: int
-    failures: int
-    worst_residual: float
+class SuiteResult(Value):
+    __slots__ = ("name", "cases", "failures", "worst_residual")
+
+    def __init__(self, name: str, cases: int, failures: int, worst_residual: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "worst_residual", worst_residual)
 
     @property
     def passed(self) -> bool:

@@ -21,9 +21,8 @@ with ``norm2`` up to rounding and exists as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
+from ._common import Value
 from .dual import DualNumber
 from .dualquaternion import DualQuaternion, _coerce, magnitude_parts
 from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
@@ -119,12 +118,11 @@ def _identity_defect(parts: _Row, target: float) -> float:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class DQVector:
-    entries: tuple[DualQuaternion, ...]
+class DQVector(Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries: Iterable[DualQuaternion]):
+        entries = tuple(entries)
         if not entries:
             raise EmptyVectorError("a vector needs at least one entry")
         for e in entries:
@@ -280,20 +278,24 @@ class DQVector:
         return "[" + ", ".join(str(e) for e in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class VectorUnitCheck:
-    passed: bool
-    gram_residual: float
-    norm_residual: float
+class VectorUnitCheck(Value):
+    __slots__ = ("passed", "gram_residual", "norm_residual")
+
+    def __init__(self, passed: bool, gram_residual: float, norm_residual: float):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "gram_residual", gram_residual)
+        object.__setattr__(self, "norm_residual", norm_residual)
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclass(frozen=True)
-class BasisCheck:
-    passed: bool
-    residuals: tuple[tuple[float, ...], ...]  # [i][j] = |x_i . x_j - delta_ij|
+class BasisCheck(Value):
+    __slots__ = ("passed", "residuals")
+
+    def __init__(self, passed: bool, residuals: tuple[tuple[float, ...], ...]):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residuals", residuals)  # [i][j] = |x_i . x_j - delta_ij|
 
     def __bool__(self) -> bool:
         return self.passed

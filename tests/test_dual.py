@@ -313,30 +313,30 @@ def test_abs_of_square_matches_on_appreciable():
 # -- intervals --------------------------------------------------------------------
 
 def test_interval_membership_endpoints():
-    box = DualInterval.closed(DualNumber(0), DualNumber(1))
+    box = DualInterval(DualNumber(0), DualNumber(1))
     assert DualNumber(0) in box and DualNumber(1) in box
     assert DualNumber(0.5, -3) in box
     assert DualNumber(1, 1) not in box
     assert DualNumber(0, -1) not in box
 
-    gap = DualInterval.open(DualNumber(0), DualNumber(1))
+    gap = DualInterval(DualNumber(0), DualNumber(1), lower_closed=False, upper_closed=False)
     assert DualNumber(0) not in gap and DualNumber(1) not in gap
     assert EPSILON in gap  # 0 < e < 1 lexicographically
 
 
 def test_interval_unbounded_sides():
-    ray = DualInterval.at_least(DualNumber(2))
+    ray = DualInterval(lower=DualNumber(2))
     assert DualNumber(2) in ray and DualNumber(1e9) in ray
     assert DualNumber(2, -1) not in ray
-    low = DualInterval.less_than(DualNumber(0))
+    low = DualInterval(upper=DualNumber(0), upper_closed=False)
     assert DualNumber(-1, 50) in low and DualNumber(0) not in low
 
 
 def test_interval_rejects_inverted_bounds():
     with pytest.raises(ValueError):
-        DualInterval.closed(DualNumber(1), DualNumber(0))
+        DualInterval(DualNumber(1), DualNumber(0))
     with pytest.raises(ValueError):
-        DualInterval.open(DualNumber(1), DualNumber(1))
+        DualInterval(DualNumber(1), DualNumber(1), lower_closed=False, upper_closed=False)
 
 
 # -- the no-root witness ------------------------------------------------------------

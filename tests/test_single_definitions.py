@@ -1,6 +1,9 @@
 """Each shared rule of the package has exactly one definition in ``src/dualquat``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dualquat
@@ -88,3 +91,22 @@ def test_vector_norms_evaluate_the_magnitude_rule_directly():
         assert "magnitude" not in calls, f"DQVector.{name} calls .magnitude()"
         names = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
         assert "magnitude_parts" in names, f"DQVector.{name} does not use magnitude_parts"
+
+
+def test_cold_start_imports_no_record_or_typing_machinery():
+    # The records are plain Value classes and annotations stay unevaluated,
+    # so ``dualq`` never loads dataclasses (with the inspect, ast, dis and
+    # tokenize it pulls in) or typing.  ``-S`` keeps site out: a .pth file
+    # there may import typing at start-up and hide a regression.
+    script = (
+        "import sys\n"
+        "import dualquat.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "import dualquat.selfcheck\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -1,9 +1,13 @@
-"""The value-type contract shared by DualNumber, Quaternion and DualQuaternion.
+"""The contract shared by the value types and the result records.
 
-Each is an immutable value: keyword construction with defaults, int
-components stored as floats, non-finite components rejected by label,
-equality with hashes that agree, a fixed ``repr``, no instance ``__dict__``,
-and pickle and copy round trips.
+DualNumber, Quaternion and DualQuaternion are immutable values: keyword
+construction with defaults, int components stored as floats, non-finite
+components rejected by label, equality with hashes that agree, a fixed
+``repr``, no instance ``__dict__``, and pickle and copy round trips.  The
+records that carry results (UnitCheck, VectorUnitCheck, BasisCheck,
+DQVector, DualInterval, NoRootReport, InputDocument, SuiteResult) share the
+last four: equal records hash alike, and each has its fixed ``repr``, no
+``__dict__`` and the same round trips.
 """
 
 import copy
@@ -12,13 +16,25 @@ import pickle
 
 import pytest
 
-from dualquat import DualNumber, DualQuaternion, NonFiniteError, Quaternion
+from dualquat import (
+    BasisCheck,
+    DQVector,
+    DualInterval,
+    DualNumber,
+    DualQuaternion,
+    NonFiniteError,
+    Quaternion,
+    UnitCheck,
+    VectorUnitCheck,
+    no_root_witness,
+)
+from dualquat.documents import VECTOR, InputDocument, parse_document
+from dualquat.selfcheck import SuiteResult
 
 P = Quaternion(1, -2, 0.5, 0)
 Q = Quaternion(0, 3, -4, 1e-300)
-
-TYPES = [DualNumber, Quaternion, DualQuaternion]
-TYPE_IDS = [t.__name__ for t in TYPES]
+ONE = DualQuaternion.from_real(1.0)
+ONE_TEXT = "DualQuaternion(std=Quaternion(w=1.0, x=0.0, y=0.0, z=0.0), inf=Quaternion(w=0.0, x=0.0, y=0.0, z=0.0))"
 
 # (value, its repr, the names of its fields)
 SAMPLES = [
@@ -30,7 +46,48 @@ SAMPLES = [
         "inf=Quaternion(w=0.0, x=3.0, y=-4.0, z=1e-300))",
         ("std", "inf"),
     ),
+    (
+        UnitCheck(True, 0.0, 1e-17),
+        "UnitCheck(passed=True, norm_residual=0.0, mixed_residual=1e-17)",
+        ("passed", "norm_residual", "mixed_residual"),
+    ),
+    (
+        VectorUnitCheck(False, 0.5, 0.25),
+        "VectorUnitCheck(passed=False, gram_residual=0.5, norm_residual=0.25)",
+        ("passed", "gram_residual", "norm_residual"),
+    ),
+    (
+        BasisCheck(True, ((0.0, 1e-16), (1e-16, 0.0))),
+        "BasisCheck(passed=True, residuals=((0.0, 1e-16), (1e-16, 0.0)))",
+        ("passed", "residuals"),
+    ),
+    (DQVector((ONE,)), f"DQVector(entries=({ONE_TEXT},))", ("entries",)),
+    (
+        DualInterval(DualNumber(0), DualNumber(1, 2), upper_closed=False),
+        "DualInterval(lower=DualNumber(std=0.0, inf=0.0), upper=DualNumber(std=1.0, inf=2.0), "
+        "lower_closed=True, upper_closed=False)",
+        ("lower", "upper", "lower_closed", "upper_closed"),
+    ),
+    (
+        no_root_witness(),
+        "NoRootReport(value_at_zero=DualNumber(std=0.0, inf=-1.0), sign_at_zero=<Ordering.LESS: -1>, "
+        "value_at_one=DualNumber(std=1.0, inf=-1.0), sign_at_one=<Ordering.GREATER: 1>, "
+        "interval=DualInterval(lower=DualNumber(std=0.0, inf=0.0), upper=DualNumber(std=1.0, inf=0.0), "
+        "lower_closed=True, upper_closed=True), root_exists=False)",
+        ("value_at_zero", "sign_at_zero", "value_at_one", "sign_at_one", "interval", "root_exists"),
+    ),
+    (
+        InputDocument(VECTOR, DQVector((ONE,))),
+        f"InputDocument(kind='vector', payload=DQVector(entries=({ONE_TEXT},)))",
+        ("kind", "payload"),
+    ),
+    (
+        SuiteResult("dual_triangle", 10, 0, 2.5e-16),
+        "SuiteResult(name='dual_triangle', cases=10, failures=0, worst_residual=2.5e-16)",
+        ("name", "cases", "failures", "worst_residual"),
+    ),
 ]
+SAMPLE_IDS = [type(value).__name__ for value, _, _ in SAMPLES]
 
 
 def floats_of(value):
@@ -42,7 +99,7 @@ def floats_of(value):
     return (value.std, value.inf)
 
 
-@pytest.mark.parametrize("value,text,_", SAMPLES, ids=TYPE_IDS)
+@pytest.mark.parametrize("value,text,_", SAMPLES, ids=SAMPLE_IDS)
 def test_repr(value, text, _):
     assert repr(value) == text
 
@@ -116,6 +173,14 @@ def test_equal_values_hash_alike():
         (Quaternion(1, 2, 3, 4), Quaternion(1.0, 2.0, 3.0, 4.0)),
         (DualQuaternion(Quaternion(-0.0), P), DualQuaternion(Quaternion(), P)),
         (DualQuaternion(P, Q), DualQuaternion(Quaternion(*P.components()), Quaternion(*Q.components()))),
+        (UnitCheck(True, 0, 1e-17), UnitCheck(True, 0.0, 1e-17)),
+        (VectorUnitCheck(False, 0.5, -0.0), VectorUnitCheck(False, 0.5, 0.0)),
+        (BasisCheck(True, ((0.0,),)), BasisCheck(True, ((-0.0,),))),
+        (DQVector([ONE]), DQVector((DualQuaternion.from_real(1),))),
+        (DualInterval(DualNumber(0), DualNumber(1)), DualInterval(DualNumber(-0.0), DualNumber(1.0), True, True)),
+        (no_root_witness(), no_root_witness()),
+        (InputDocument(VECTOR, DQVector((ONE,))), parse_document("vec[ dq{ std: 1, inf: 0 } ]")),
+        (SuiteResult("s", 10, 0, 0.0), SuiteResult("s", 10, 0, -0.0)),
     ]
     for left, right in pairs:
         assert left == right and right == left
@@ -132,9 +197,12 @@ def test_unequal_values_and_foreign_operands():
     assert Quaternion(2) != 2.0 and Quaternion(2) != DualNumber(2.0)
     assert DualQuaternion.from_real(2.0) != Quaternion(2) and DualQuaternion.from_real(2.0) != 2.0
     assert DualNumber(2.0) != Quaternion(2) and DualNumber(2.0) != "2.0"
+    # So do records, even with the same fields.
+    assert UnitCheck(True, 0.0, 0.0) != VectorUnitCheck(True, 0.0, 0.0)
+    assert SuiteResult("s", 10, 0, 0.0) != SuiteResult("s", 10, 1, 0.0)
 
 
-@pytest.mark.parametrize("value,_,fields", SAMPLES, ids=TYPE_IDS)
+@pytest.mark.parametrize("value,_,fields", SAMPLES, ids=SAMPLE_IDS)
 def test_fields_cannot_be_assigned_or_deleted(value, _, fields):
     before = repr(value)
     for name in fields:
@@ -145,13 +213,13 @@ def test_fields_cannot_be_assigned_or_deleted(value, _, fields):
     assert repr(value) == before
 
 
-@pytest.mark.parametrize("value,_,fields", SAMPLES, ids=TYPE_IDS)
+@pytest.mark.parametrize("value,_,fields", SAMPLES, ids=SAMPLE_IDS)
 def test_no_instance_dict(value, _, fields):
     assert not hasattr(value, "__dict__")
     assert type(value).__slots__ == fields
 
 
-@pytest.mark.parametrize("value,_,__", SAMPLES, ids=TYPE_IDS)
+@pytest.mark.parametrize("value,_,__", SAMPLES, ids=SAMPLE_IDS)
 @pytest.mark.parametrize(
     "clone",
     [
