@@ -10,8 +10,10 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Sequence
 
 from ._common import CLOSE_ABS, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
@@ -279,6 +281,9 @@ def _cmd_selfcheck(seed: int | None, cases: int | None) -> Report:
     )
 
 
+# Built once per process: ``parse_args`` fills a fresh namespace on every
+# call, and help and usage text read the terminal width when formatted.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualq",
@@ -319,8 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "selfcheck":
             report = _cmd_selfcheck(args.seed, args.cases)

@@ -10,7 +10,11 @@ A quaternion literal is either a single real or the full four-term form
 ``a + bi + cj + dk`` with an explicit sign before each of the i, j, k
 terms.  Reals are plain decimals with an optional exponent; ``inf``,
 ``nan``, and literals that overflow the double range are rejected.
-Whitespace is free between tokens.
+Whitespace between tokens is any run of space, tab, CR and LF, and no
+other character.  Any other character that starts no token, form feed,
+vertical tab and NUL among them, is rejected with its line and column.
+A line ends at LF, and every other character, tab included, is one
+column.
 
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
@@ -53,137 +57,103 @@ class InputDocument(Value):
 
 # -- lexer ----------------------------------------------------------------
 
-class _Token(Value):
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        object.__setattr__(self, "kind", kind)  # "ident", "number", "punct", "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-
-
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = "{}[]:,+-"
+# The alternatives are tried in order: number, identifier, punctuation, and
+# last any other character but whitespace, which the lexer rejects.  So only
+# space, tab, CR and LF match nothing, and ``finditer`` skips exactly those.
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_SCANNER = re.compile(
+    rf"(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[{}\[\]:,+-])|(?P<bad>[^ \t\r\n])"
+)
 _NON_FINITE_WORDS = frozenset({"inf", "infinity", "nan"})
 
+# A token is (kind, text, offset) with kind "number", "ident", "punct" or
+# "end".  The end token has empty text and offset len(text).
+_Tok = tuple[str, str, int]
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, column = 0, 1, 1
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            column = 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, column))
-            column += 1
-            pos += 1
-            continue
-        match = _NUMBER.match(text, pos)
-        if match is not None:
-            tokens.append(_Token("number", match.group(), line, column))
-            column += match.end() - pos
-            pos = match.end()
-            continue
-        match = _IDENT.match(text, pos)
-        if match is not None:
-            tokens.append(_Token("ident", match.group(), line, column))
-            column += match.end() - pos
-            pos = match.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; every character but LF is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _SCANNER.finditer(text)]
+    for kind, token_text, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token_text!r}", *_position(text, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 # -- parser ---------------------------------------------------------------
 
-def _describe(token: _Token) -> str:
-    if token.kind == "end":
-        return "end of input"
-    return repr(token.text)
+_SIGNS = ("+", "-")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    # No two kinds share a token text, and only the end token's is empty,
+    # so comparing texts is enough wherever a punctuation mark or a word is
+    # expected.  The parser steps past a token only once it has accepted it.
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _tokenize(text)
         self._pos = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _where(self, token: _Tok) -> str:
+        line, column = _position(self._text, token[2])
+        return f"line {line}, column {column}"
 
-    def _advance(self) -> _Token:
+    def _fail(self, message: str, token: _Tok):
+        got = "end of input" if token[0] == "end" else repr(token[1])
+        raise ParseError(f"{message}, got {got}", *_position(self._text, token[2]))
+
+    def _expect(self, text: str, message: str = "") -> _Tok:
         token = self._tokens[self._pos]
-        if token.kind != "end":
-            self._pos += 1
-        return token
-
-    def _fail(self, message: str, token: _Token):
-        raise ParseError(f"{message}, got {_describe(token)}", token.line, token.column)
-
-    def _expect_punct(self, ch: str) -> _Token:
-        token = self._advance()
-        if token.kind != "punct" or token.text != ch:
-            self._fail(f"expected {ch!r}", token)
-        return token
-
-    def _expect_ident(self, name: str) -> _Token:
-        token = self._advance()
-        if token.kind != "ident" or token.text != name:
-            self._fail(f"expected {name!r}", token)
+        if token[1] != text:
+            self._fail(message or f"expected {text!r}", token)
+        self._pos += 1
         return token
 
     def _unsigned_real(self) -> float:
-        token = self._advance()
-        if token.kind == "ident" and token.text.lower() in _NON_FINITE_WORDS:
-            raise NonFiniteError(
-                f"non-finite literal {token.text!r} at line {token.line}, "
-                f"column {token.column}"
-            )
-        if token.kind != "number":
+        token = self._tokens[self._pos]
+        kind, text = token[0], token[1]
+        if kind == "ident" and text.lower() in _NON_FINITE_WORDS:
+            raise NonFiniteError(f"non-finite literal {text!r} at {self._where(token)}")
+        if kind != "number":
             self._fail("expected a number", token)
-        value = float(token.text)
+        value = float(text)
         if not math.isfinite(value):
             raise NonFiniteError(
-                f"literal {token.text!r} overflows the double range at line "
-                f"{token.line}, column {token.column}"
+                f"literal {text!r} overflows the double range at {self._where(token)}"
             )
+        self._pos += 1
         return value
 
     def _signed_real(self) -> float:
-        token = self._peek()
-        sign = 1.0
-        if token.kind == "punct" and token.text in "+-":
-            self._advance()
-            sign = -1.0 if token.text == "-" else 1.0
-        return sign * self._unsigned_real()
+        sign = self._tokens[self._pos][1]
+        if sign in _SIGNS:
+            self._pos += 1
+            if sign == "-":
+                return -self._unsigned_real()
+        return self._unsigned_real()
 
     def _quaternion(self) -> Quaternion:
         w = self._signed_real()
-        token = self._peek()
-        if token.kind == "punct" and token.text in "+-":
+        token = self._tokens[self._pos]
+        if token[1] in _SIGNS:
             coefficients: list[float] = []
             for unit in ("i", "j", "k"):
-                sign_token = self._advance()
-                if sign_token.kind != "punct" or sign_token.text not in "+-":
-                    self._fail(f"expected '+' or '-' before the {unit} term", sign_token)
+                sign = self._tokens[self._pos]
+                if sign[1] not in _SIGNS:
+                    self._fail(f"expected '+' or '-' before the {unit} term", sign)
+                self._pos += 1
                 value = self._unsigned_real()
-                unit_token = self._advance()
-                if unit_token.kind != "ident" or unit_token.text != unit:
-                    self._fail(f"expected unit {unit!r}", unit_token)
-                coefficients.append(-value if sign_token.text == "-" else value)
+                self._expect(unit, f"expected unit {unit!r}")
+                coefficients.append(-value if sign[1] == "-" else value)
             return Quaternion(w, *coefficients)
-        if token.kind == "ident" and token.text in ("i", "j", "k"):
+        if token[1] in ("i", "j", "k"):
             self._fail(
                 "a quaternion literal is a single real or spells out "
                 "all of the i, j, k terms",
@@ -192,65 +162,61 @@ class _Parser:
         return Quaternion(w)
 
     def _dual_quaternion(self) -> DualQuaternion:
-        self._expect_ident("dq")
-        self._expect_punct("{")
-        self._expect_ident("std")
-        self._expect_punct(":")
+        self._expect("dq")
+        self._expect("{")
+        self._expect("std")
+        self._expect(":")
         std = self._quaternion()
-        self._expect_punct(",")
-        self._expect_ident("inf")
-        self._expect_punct(":")
+        self._expect(",")
+        self._expect("inf")
+        self._expect(":")
         inf = self._quaternion()
-        self._expect_punct("}")
+        self._expect("}")
         return DualQuaternion(std, inf)
 
     def _vector(self) -> DQVector:
-        self._expect_ident("vec")
-        opener = self._expect_punct("[")
-        if self._peek().kind == "punct" and self._peek().text == "]":
-            raise EmptyVectorError(
-                f"empty vector at line {opener.line}, column {opener.column}"
-            )
+        self._expect("vec")
+        opener = self._expect("[")
+        if self._tokens[self._pos][1] == "]":
+            raise EmptyVectorError(f"empty vector at {self._where(opener)}")
         entries = [self._dual_quaternion()]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._tokens[self._pos][1] == ",":
+            self._pos += 1
             entries.append(self._dual_quaternion())
-        self._expect_punct("]")
+        self._expect("]")
         return DQVector(tuple(entries))
 
     def _basis(self) -> tuple[DQVector, ...]:
-        self._expect_ident("basis")
-        opener = self._expect_punct("[")
-        if self._peek().kind == "punct" and self._peek().text == "]":
-            raise EmptyVectorError(
-                f"empty basis at line {opener.line}, column {opener.column}"
-            )
+        self._expect("basis")
+        opener = self._expect("[")
+        if self._tokens[self._pos][1] == "]":
+            raise EmptyVectorError(f"empty basis at {self._where(opener)}")
         vectors = [self._vector()]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._tokens[self._pos][1] == ",":
+            self._pos += 1
             vectors.append(self._vector())
-        self._expect_punct("]")
+        self._expect("]")
         return tuple(vectors)
 
     def document(self) -> InputDocument:
-        head = self._peek()
-        if head.kind != "ident" or head.text not in ("dq", "vec", "basis"):
-            self._fail("expected 'dq', 'vec', or 'basis'", head)
-        if head.text == "dq":
+        head = self._tokens[self._pos][1]
+        if head == "dq":
             doc = InputDocument(SCALAR, self._dual_quaternion())
-        elif head.text == "vec":
+        elif head == "vec":
             doc = InputDocument(VECTOR, self._vector())
-        else:
+        elif head == "basis":
             doc = InputDocument(BASIS, self._basis())
-        trailing = self._peek()
-        if trailing.kind != "end":
+        else:
+            self._fail("expected 'dq', 'vec', or 'basis'", self._tokens[self._pos])
+        trailing = self._tokens[self._pos]
+        if trailing[0] != "end":
             self._fail("unexpected trailing input", trailing)
         return doc
 
 
 def parse_document(text: str) -> InputDocument:
     """Parse one document.  Raises ParseError with the failing position."""
-    return _Parser(_tokenize(text)).document()
+    return _Parser(text).document()
 
 
 # -- renderer ---------------------------------------------------------------

@@ -21,6 +21,7 @@ with ``norm2`` up to rounding and exists as an independent cross-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._common import Value
 from .dual import DualNumber

@@ -157,6 +157,40 @@ def test_bad_flag_values_exit_2():
         assert err != ""
 
 
+def test_one_parser_serves_every_call_with_fresh_parser_output(tmp_path, monkeypatch):
+    from dualquat.cli import _build_parser
+
+    # Passes at --tol 0.5 only, so a tolerance left over from an earlier
+    # call would show.
+    drift = tmp_path / "drift.dq"
+    drift.write_text("dq{ std: 1.2, inf: 0 }")
+    drift, pair = str(drift), str(DATA / "vector_pair.dq")
+    steps = [
+        (["check-unit", "--tol", "0.5", drift], "80"),
+        (["check-unit", drift], "80"),
+        (["check-unit", "--tol", "-1", drift], "80"),
+        (["norms", pair], "80"),
+        (["norms", "--format", "json", pair], "80"),
+        # usage text is wrapped to the terminal width when it is printed
+        (["check-unit", "--tol", "-1", drift], "40"),
+    ]
+
+    def run_at(argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        return run(argv)
+
+    fresh = []
+    for argv, columns in steps:
+        _build_parser.cache_clear()
+        fresh.append(run_at(argv, columns))
+    _build_parser.cache_clear()
+    reused = [run_at(argv, columns) for argv, columns in steps]
+    assert _build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 2]
+    assert fresh[2][2] != fresh[5][2]
+
+
 def test_overflowing_norm_exits_2(tmp_path):
     # The squared magnitude 1e400 overflows in norm2.
     doc = tmp_path / "huge.dq"

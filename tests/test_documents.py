@@ -151,6 +151,124 @@ def test_multiline_error_location():
     assert err.value.column == 11
 
 
+# Every raise site in ``documents``, each on line 3 after CRLF line ends and
+# tabs: a tab, a CR and every other character count one column.
+_VEC_PREFIX = "vec[\r\n\tdq{ std: 1, inf: 0 },\r\n\t"
+
+RAISE_SITES = [
+    # the lexer
+    (_VEC_PREFIX + "\fdq{ std: 1, inf: 0 } ]", ParseError, "unexpected character '\\x0c'", 3, 2),
+    (_VEC_PREFIX + "\vdq{ std: 1, inf: 0 } ]", ParseError, "unexpected character '\\x0b'", 3, 2),
+    (_VEC_PREFIX + "dq{ std: 1\x00, inf: 0 } ]", ParseError, "unexpected character '\\x00'", 3, 12),
+    (_VEC_PREFIX + "dq{ std: é, inf: 0 } ]", ParseError, "unexpected character 'é'", 3, 11),
+    (_VEC_PREFIX + "\tdq{ std: 1 @ 2i, inf: 0 } ]", ParseError, "unexpected character '@'", 3, 14),
+    # _Parser._fail
+    (_VEC_PREFIX + "dq{ std: , inf: 0 } ]", ParseError, "expected a number, got ','", 3, 11),
+    (_VEC_PREFIX + "dq{ std: 1 + 2i, inf: 0 } ]", ParseError,
+     "expected '+' or '-' before the j term, got ','", 3, 17),
+    (_VEC_PREFIX + "dq{ std: 1 + 2j + 0j + 0k, inf: 0 } ]", ParseError, "expected unit 'i', got 'j'", 3, 16),
+    (_VEC_PREFIX + "dq{ std: 2i, inf: 0 } ]", ParseError,
+     "a quaternion literal is a single real or spells out all of the i, j, k terms, got 'i'", 3, 12),
+    ("dq{\r\n\tstd: 1,\r\n\t inf 0 }", ParseError, "expected ':', got '0'", 3, 7),
+    ("\r\n\r\n\tmatrix[ ]", ParseError, "expected 'dq', 'vec', or 'basis', got 'matrix'", 3, 2),
+    ("dq{ std: 1,\r\n\tinf: 0 }\r\n\t  x", ParseError, "unexpected trailing input, got 'x'", 3, 4),
+    # the end-of-input token, after a trailing newline
+    ("vec[\r\n\tdq{ std: 1, inf: 0 }\r\n", ParseError, "expected ']', got end of input", 3, 1),
+    # the non-finite word and the overflow
+    (_VEC_PREFIX + "dq{ std: 1, inf: -Infinity } ]", NonFiniteError,
+     "non-finite literal 'Infinity' at line 3, column 20", 3, 20),
+    (_VEC_PREFIX + "dq{ std: 1 + 1e999i + 0j + 0k, inf: 0 } ]", NonFiniteError,
+     "literal '1e999' overflows the double range at line 3, column 15", 3, 15),
+    # the empty vector and the empty basis
+    ("basis[\r\n\tvec[ dq{ std: 1, inf: 0 } ],\r\n\tvec[\t]\r\n]", EmptyVectorError,
+     "empty vector at line 3, column 5", 3, 5),
+    ("\r\n\t\r\n\tbasis[ ]", EmptyVectorError, "empty basis at line 3, column 7", 3, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "text,error,message,line,column",
+    RAISE_SITES,
+    ids=[f"{error.__name__}-{index}" for index, (_, error, *_) in enumerate(RAISE_SITES)],
+)
+def test_every_raise_site_reports_its_position(text, error, message, line, column):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    if error is ParseError:
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+    else:
+        assert str(err.value) == message
+        assert message.endswith(f"line {line}, column {column}")
+
+
+def _naive_position(text, offset):
+    line, column = 1, 1
+    for ch in text[:offset]:
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return line, column
+
+
+_number_tokens = st.floats(allow_nan=False, allow_infinity=False, min_value=0.0).map(repr)
+
+
+@st.composite
+def _quaternion_tokens(draw):
+    if draw(st.booleans()):
+        return [draw(_number_tokens)]
+    tokens = [draw(_number_tokens)]
+    for unit in "ijk":
+        tokens += [draw(st.sampled_from("+-")), draw(_number_tokens), unit]
+    return tokens
+
+
+@st.composite
+def _dq_tokens(draw):
+    return [
+        "dq", "{", "std", ":", *draw(_quaternion_tokens()), ",",
+        "inf", ":", *draw(_quaternion_tokens()), "}",
+    ]
+
+
+def _listed(head, items):
+    tokens = [head, "["]
+    for index, item in enumerate(items):
+        tokens += ([","] if index else []) + item
+    return tokens + ["]"]
+
+
+_vec_tokens = st.lists(_dq_tokens(), min_size=1, max_size=3).map(lambda dqs: _listed("vec", dqs))
+_document_tokens = st.one_of(
+    _dq_tokens(),
+    _vec_tokens,
+    st.lists(_vec_tokens, min_size=1, max_size=3).map(lambda vecs: _listed("basis", vecs)),
+)
+_whitespace_runs = st.text(alphabet=" \t\r\n", max_size=4)
+
+
+@given(_document_tokens, st.data())
+def test_unexpected_character_position_is_a_naive_character_count(tokens, data):
+    text, boundaries = "", []
+    for token in tokens:
+        text += data.draw(_whitespace_runs)
+        boundaries.append(len(text))
+        text += token
+        boundaries.append(len(text))
+    text += data.draw(_whitespace_runs)
+    boundaries.append(len(text))
+    offset = data.draw(st.sampled_from(boundaries))
+    spliced = text[:offset] + "?" + text[offset:]
+    with pytest.raises(ParseError) as err:
+        parse(spliced)
+    line, column = _naive_position(spliced, offset)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: unexpected character '?'"
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse("dq{std: 1, inf: 0} dq{std: 1, inf: 0}")

@@ -1,9 +1,11 @@
 """Each shared rule of the package has exactly one definition in ``src/dualquat``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import dualquat
@@ -110,3 +112,36 @@ def test_cold_start_imports_no_record_or_typing_machinery():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def _functions_outside_functions(body, prefix=()):
+    """Qualified names of the defs reachable from a module: at module level or in classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + (node.name,)
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions_outside_functions(node.body, prefix + (node.name,))
+
+
+def test_every_annotation_resolves():
+    # Annotations stay unevaluated strings at import, so a name used only
+    # there can go missing unnoticed until a tool evaluates it.  Defs nested
+    # in a function exist only while it runs and are not checked.
+    checked = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"dualquat.{path.stem}")
+        for qualname in _functions_outside_functions(ast.parse(path.read_text(encoding="utf-8")).body):
+            owner = module
+            for name in qualname[:-1]:
+                owner = getattr(owner, name)
+            function = vars(owner)[qualname[-1]]
+            if isinstance(function, (staticmethod, classmethod)):
+                function = function.__func__
+            elif isinstance(function, property):
+                function = function.fget
+            try:
+                typing.get_type_hints(function)
+            except NameError as exc:
+                raise AssertionError(f"{module.__name__}.{'.'.join(qualname)}: {exc}") from exc
+            checked += 1
+    assert checked > 200
