@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Sequence
 
@@ -29,8 +30,8 @@ def _tol_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be nonnegative")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
     return value
 
 

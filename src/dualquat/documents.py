@@ -8,13 +8,13 @@ Three document kinds exist, one per payload shape::
 
 A quaternion literal is either a single real or the full four-term form
 ``a + bi + cj + dk`` with an explicit sign before each of the i, j, k
-terms.  Reals are plain decimals with an optional exponent; ``inf``,
-``nan``, and literals that overflow the double range are rejected.
+terms.  Reals are plain decimals in ASCII digits with an optional exponent;
+``inf``, ``nan``, and literals that overflow the double range are rejected.
 Whitespace between tokens is any run of space, tab, CR and LF, and no
 other character.  Any other character that starts no token, form feed,
-vertical tab and NUL among them, is rejected with its line and column.
-A line ends at LF, and every other character, tab included, is one
-column.
+vertical tab, NUL and non-ASCII digits among them, is rejected with its
+line and column.  A line ends at LF, and every other character, tab
+included, is one column.
 
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
@@ -60,7 +60,7 @@ class InputDocument(Value):
 # The alternatives are tried in order: number, identifier, punctuation, and
 # last any other character but whitespace, which the lexer rejects.  So only
 # space, tab, CR and LF match nothing, and ``finditer`` skips exactly those.
-_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _SCANNER = re.compile(
     rf"(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>[{}\[\]:,+-])|(?P<bad>[^ \t\r\n])"

@@ -1,23 +1,30 @@
 """Randomized verification suites behind ``dualq selfcheck``.
 
 Each suite draws instances from a seeded generator and checks one algebraic
-fact: an identity is checked componentwise with :func:`dualquat._common.close`,
-a relative tolerance with a small absolute floor, and an order relation is
-checked under the total order with :func:`dualquat.dual.le_defect`, which
-allows a slack of ``ORDER_SLACK`` on the component that decides the
-comparison (standard parts within the slack count as tied and the
-infinitesimal parts take over).  Residuals of exact-arithmetic identities
-are tracked so the report shows the observed floating-point margins.
+fact on a recorder, through one of three kinds of check, each of which turns
+a comparison into a verdict and a residual: ``within(residual, tol)`` for an
+identity that is exact in reals, against an absolute tolerance (``EQ_TOL``
+by default); ``holds(defect)`` for an order relation, whose defect under the
+total order (:func:`dualquat.dual.le_defect`, with a slack of
+``ORDER_SLACK`` on the component that decides the comparison) must be zero;
+and ``agree(a, b)`` for two routes to one float, dual number, quaternion or
+dual quaternion, which must be componentwise :func:`dualquat._common.close`
+(a relative tolerance with a small absolute floor), with their largest
+componentwise difference as the residual.  Plain facts go through ``check``.
+A suite's worst residual shows the observed floating-point margins.
 
 Everything is driven by one ``random.Random(seed)`` consumed in a fixed
 suite order, so a run is fully determined by ``(seed, cases)``.  The suites
-are the ``_suite_<name>`` functions, run in definition order.
+are the ``_suite_<name>(rng, rec)`` functions, run in definition order.
+``run_all`` owns the recorders: one per suite, made with the case count and
+turned into that suite's result.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from operator import sub
 
 from ._common import Value, close
 from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, le_defect, no_root_witness
@@ -68,6 +75,15 @@ class _Recorder:
         if not ok:
             self.failures += 1
 
+    def within(self, residual: float, tol: float = EQ_TOL):
+        self.check(residual <= tol, residual)
+
+    def holds(self, defect: float):
+        self.check(defect == 0.0, defect)
+
+    def agree(self, a, b):
+        self.check(all(map(close, _parts(a), _parts(b))), _diff(a, b))
+
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name, self.cases, self.failures, self.worst)
 
@@ -89,28 +105,20 @@ def _nonneg_defect(a: DualNumber) -> float:
     return max(0.0, -a.inf - ORDER_SLACK)
 
 
-def _dual_diff(a: DualNumber, b: DualNumber) -> float:
-    return max(abs(a.std - b.std), abs(a.inf - b.inf))
+def _parts(value: float | DualNumber | Quaternion | DualQuaternion) -> tuple[float, ...]:
+    cls = value.__class__
+    if cls is DualNumber:
+        return (value.std, value.inf)
+    if cls is DualQuaternion:
+        return value.std.components() + value.inf.components()
+    if cls is Quaternion:
+        return value.components()
+    return (value,)
 
 
-def _dual_close(a: DualNumber, b: DualNumber) -> bool:
-    return close(a.std, b.std) and close(a.inf, b.inf)
-
-
-def _quat_diff(a: Quaternion, b: Quaternion) -> float:
-    return max(abs(x - y) for x, y in zip(a.components(), b.components()))
-
-
-def _quat_close(a: Quaternion, b: Quaternion) -> bool:
-    return all(close(x, y) for x, y in zip(a.components(), b.components()))
-
-
-def _dq_diff(a: DualQuaternion, b: DualQuaternion) -> float:
-    return max(_quat_diff(a.std, b.std), _quat_diff(a.inf, b.inf))
-
-
-def _dq_close(a: DualQuaternion, b: DualQuaternion) -> bool:
-    return _quat_close(a.std, b.std) and _quat_close(a.inf, b.inf)
+def _diff(a, b) -> float:
+    """The largest componentwise absolute difference of two values of one kind."""
+    return max(map(abs, map(sub, _parts(a), _parts(b))))
 
 
 # -- generators --------------------------------------------------------------
@@ -213,9 +221,8 @@ def _unit_vector(rng: random.Random, n: int) -> DQVector:
 
 # -- dual number suites -------------------------------------------------------
 
-def _suite_dual_order_total(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dual_order_total(rng, rec):
+    for index in range(rec.cases):
         p, q, r = _dual(rng), _dual(rng), _dual(rng)
         if index % 5 == 0:
             q = DualNumber(p.std, q.inf)  # force a standard-part tie
@@ -228,41 +235,30 @@ def _suite_dual_order_total(rng, cases):
         rec.check(lo <= mid and mid <= hi and lo <= hi)
         if p <= q and q <= p:
             rec.check(p == q)
-    return rec
 
 
-def _suite_dual_even_power_nonneg(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dual_even_power_nonneg(rng, rec):
+    for index in range(rec.cases):
         q = _dual(rng)
         k = 1 + index % 3
-        defect = _nonneg_defect(q ** (2 * k))
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(_nonneg_defect(q ** (2 * k)))
 
 
-def _suite_dual_square_expansion_nonneg(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_square_expansion_nonneg(rng, rec):
+    for _ in range(rec.cases):
         p, q = _dual(rng), _dual(rng)
-        defect = _nonneg_defect(p**2 + q**2 - 2 * (p * q))
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(_nonneg_defect(p**2 + q**2 - 2 * (p * q)))
 
 
-def _suite_dual_product_of_nonnegatives(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_product_of_nonnegatives(rng, rec):
+    for _ in range(rec.cases):
         p, q = abs(_dual(rng)), abs(_dual(rng))
-        defect = _nonneg_defect(p * q)
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(_nonneg_defect(p * q))
 
 
-def _suite_dual_product_of_positives(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dual_product_of_positives(rng, rec):
     zero = DualNumber()
-    for index in range(cases):
+    for index in range(rec.cases):
         p = abs(_appreciable_dual(rng))  # appreciable and positive
         q = abs(_dual(rng, zero_std_rate=0.5))
         if q.is_zero:
@@ -270,96 +266,73 @@ def _suite_dual_product_of_positives(rng, cases):
         if index % 2:
             p, q = q, p
         rec.check(p * q > zero)
-    return rec
 
 
-def _suite_dual_abs_zero_iff_zero(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dual_abs_zero_iff_zero(rng, rec):
     zero = DualNumber()
     rec.check(abs(zero).is_zero)
-    for _ in range(cases):
+    for _ in range(rec.cases):
         q = _dual(rng)
         rec.check(abs(q).is_zero == q.is_zero)
-    return rec
 
 
-def _suite_dual_abs_dominates(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dual_abs_dominates(rng, rec):
     zero = DualNumber()
-    for _ in range(cases):
+    for _ in range(rec.cases):
         q = _dual(rng)
         if q >= zero:
             rec.check(abs(q) == q)
         else:
             rec.check(abs(q) > q)
-    return rec
 
 
-def _suite_dual_abs_sqrt_of_square(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_abs_sqrt_of_square(rng, rec):
+    for _ in range(rec.cases):
         q = _appreciable_dual(rng)
-        diff = _dual_diff(abs(q), (q**2).sqrt())
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(_diff(abs(q), (q**2).sqrt()))
 
 
-def _suite_dual_abs_multiplicative(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_abs_multiplicative(rng, rec):
+    for _ in range(rec.cases):
         p, q = _dual(rng), _dual(rng)
-        lhs, rhs = abs(p * q), abs(p) * abs(q)
-        rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec
+        rec.agree(abs(p * q), abs(p) * abs(q))
 
 
-def _suite_dual_triangle(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_triangle(rng, rec):
+    for _ in range(rec.cases):
         p, q = _dual(rng), _dual(rng)
-        defect = le_defect(abs(p + q), abs(p) + abs(q))
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(le_defect(abs(p + q), abs(p) + abs(q)))
 
 
-def _suite_dual_inverse_roundtrip(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dual_inverse_roundtrip(rng, rec):
     one = DualNumber(1.0)
-    for _ in range(cases):
+    for _ in range(rec.cases):
         while True:
             q = _appreciable_dual(rng)
             if abs(q.std) >= 1e-3:  # keep the roundtrip well conditioned
                 break
-        diff = _dual_diff(q * q.inverse(), one)
-        rec.check(diff <= 1e-9, diff)
-        back = q.inverse().inverse()
-        rec.check(_dual_close(back, q), _dual_diff(back, q))
-    return rec
+        rec.within(_diff(q * q.inverse(), one), 1e-9)
+        rec.agree(q.inverse().inverse(), q)
 
 
-def _suite_dual_sqrt_roundtrip(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dual_sqrt_roundtrip(rng, rec):
+    for _ in range(rec.cases):
         q = abs(_appreciable_dual(rng))
         root = q.sqrt()
-        rec.check(_dual_close(root * root, q), _dual_diff(root * root, q))
-    return rec
+        rec.agree(root * root, q)
 
 
-def _suite_dual_pow_repeated_mul(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dual_pow_repeated_mul(rng, rec):
+    for index in range(rec.cases):
         q = _dual(rng)
         k = 2 + index % 4
         acc = q
         for _ in range(k - 1):
             acc = acc * q
-        rec.check(_dual_close(q**k, acc), _dual_diff(q**k, acc))
-    return rec
+        rec.agree(q**k, acc)
 
 
-def _suite_dual_no_root_witness(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dual_no_root_witness(rng, rec):
     report = no_root_witness()
     rec.check(report.value_at_zero == DualNumber(0.0, -1.0))
     rec.check(report.sign_at_zero is Ordering.LESS)
@@ -367,113 +340,86 @@ def _suite_dual_no_root_witness(rng, cases):
     rec.check(report.sign_at_one is Ordering.GREATER)
     rec.check(not report.root_exists)
     rec.check(report.interval.contains(DualNumber()) and report.interval.contains(DualNumber(1.0)))
-    for _ in range(cases):
+    for _ in range(rec.cases):
         x = DualNumber(rng.uniform(0.0, 1.0), _real(rng))
         rec.check(not (x * x - EPSILON).is_zero)
-    return rec
 
 
 # -- quaternion suites --------------------------------------------------------
 
-def _suite_quat_conjugate_fixes_norm(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_conjugate_fixes_norm(rng, rec):
+    for _ in range(rec.cases):
         q = _quat(rng)
-        diff = abs(q.conjugate().norm() - q.norm())
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(abs(q.conjugate().norm() - q.norm()))
 
 
-def _suite_quat_self_product_is_norm_squared(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_self_product_is_norm_squared(rng, rec):
+    for _ in range(rec.cases):
         q = _quat(rng)
         n2 = q.norm() ** 2
         for product in (q * q.conjugate(), q.conjugate() * q):
-            resid = max(product.imaginary_magnitude(), abs(product.w - n2))
-            rec.check(resid <= EQ_TOL, resid)
-    return rec
+            rec.within(max(product.imaginary_magnitude(), abs(product.w - n2)))
 
 
-def _suite_quat_norm_zero_iff_zero(rng, cases):
-    rec = _Recorder(cases)
-    rec.check(Quaternion().norm() == 0.0)
-    for _ in range(cases):
+def _suite_quat_norm_zero_iff_zero(rng, rec):
+    rec.holds(Quaternion().norm())
+    for _ in range(rec.cases):
         q = _quat(rng)
         rec.check((q.norm() == 0.0) == q.is_zero)
-    return rec
 
 
-def _suite_quat_norm_triangle(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_norm_triangle(rng, rec):
+    for _ in range(rec.cases):
         p, q = _quat(rng), _quat(rng)
-        defect = max(0.0, (p + q).norm() - (p.norm() + q.norm()) - ORDER_SLACK)
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(max(0.0, (p + q).norm() - (p.norm() + q.norm()) - ORDER_SLACK))
 
 
-def _suite_quat_norm_multiplicative(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_norm_multiplicative(rng, rec):
+    for _ in range(rec.cases):
         p, q = _quat(rng), _quat(rng)
-        lhs, rhs = (p * q).norm(), p.norm() * q.norm()
-        rec.check(close(lhs, rhs), abs(lhs - rhs))
-    return rec
+        rec.agree((p * q).norm(), p.norm() * q.norm())
 
 
-def _suite_quat_conjugate_antihomomorphism(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_conjugate_antihomomorphism(rng, rec):
+    for _ in range(rec.cases):
         p, q = _quat(rng), _quat(rng)
-        diff = _quat_diff((p * q).conjugate(), q.conjugate() * p.conjugate())
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(_diff((p * q).conjugate(), q.conjugate() * p.conjugate()))
 
 
-def _suite_quat_mixed_sum_forms(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_mixed_sum_forms(rng, rec):
+    for _ in range(rec.cases):
         p, q = _quat(rng), _quat(rng)
         two_dot = 2.0 * p.dot(q)
         left = p * q.conjugate() + q * p.conjugate()
         right = p.conjugate() * q + q.conjugate() * p
-        resid = max(
+        rec.within(max(
             left.imaginary_magnitude(),
             right.imaginary_magnitude(),
             abs(left.w - two_dot),
             abs(right.w - two_dot),
-        )
-        rec.check(resid <= EQ_TOL, resid)
+        ))
         rec.check(mixed_sum(p, q) == two_dot)
-    return rec
 
 
-def _suite_quat_product_associative(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_quat_product_associative(rng, rec):
+    for _ in range(rec.cases):
         p, q, r = _quat(rng), _quat(rng), _quat(rng)
-        lhs, rhs = (p * q) * r, p * (q * r)
-        rec.check(_quat_close(lhs, rhs), _quat_diff(lhs, rhs))
-    return rec
+        rec.agree((p * q) * r, p * (q * r))
 
 
-def _suite_quat_inverse_roundtrip(rng, cases):
-    rec = _Recorder(cases)
+def _suite_quat_inverse_roundtrip(rng, rec):
     one = Quaternion(1.0)
-    for _ in range(cases):
+    for _ in range(rec.cases):
         while True:
             q = _quat(rng)
             if q.norm() >= 0.5:
                 break
         for product in (q * q.inverse(), q.inverse() * q):
-            diff = _quat_diff(product, one)
-            rec.check(diff <= EQ_TOL, diff)
-    return rec
+            rec.within(_diff(product, one))
 
 
-def _suite_quat_noncommutativity_witness(rng, cases):
-    rec = _Recorder(1)
+def _suite_quat_noncommutativity_witness(rng, rec):
+    rec.cases = 1  # one fixed witness, whatever the case count
     i, j, k = Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)
     rec.check(i * j == k)
     rec.check(j * i == -k)
@@ -482,129 +428,94 @@ def _suite_quat_noncommutativity_witness(rng, cases):
     rec.check(k * i == j and i * k == -j)
     rec.check(i * i == Quaternion(-1) and j * j == Quaternion(-1) and k * k == Quaternion(-1))
     rec.check((i * j) * k == Quaternion(-1))
-    return rec
 
 
 # -- dual quaternion suites ----------------------------------------------------
 
-def _suite_dq_self_conjugate_product_commutes(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dq_self_conjugate_product_commutes(rng, rec):
+    for index in range(rec.cases):
         q = _dquat(rng, "AI"[index % 2])
-        diff = _dq_diff(q * q.conjugate(), q.conjugate() * q)
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(_diff(q * q.conjugate(), q.conjugate() * q))
 
 
-def _suite_dq_conjugate_fixes_magnitude(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dq_conjugate_fixes_magnitude(rng, rec):
+    for index in range(rec.cases):
         q = _dquat(rng, "AI"[index % 2])
-        diff = _dual_diff(q.magnitude(), q.conjugate().magnitude())
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(_diff(q.magnitude(), q.conjugate().magnitude()))
 
 
-def _suite_dq_magnitude_nonneg_definite(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dq_magnitude_nonneg_definite(rng, rec):
     zero = DualNumber()
     rec.check(DualQuaternion().magnitude().is_zero)
-    for index in range(cases):
+    for index in range(rec.cases):
         q = _dquat(rng, "AI"[index % 2])
         if q.is_zero:
             rec.check(q.magnitude().is_zero)
         else:
             rec.check(q.magnitude() > zero)
-    return rec
 
 
-def _suite_dq_magnitude_multiplicative(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dq_magnitude_multiplicative(rng, rec):
+    for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
-        lhs, rhs = (p * q).magnitude(), p.magnitude() * q.magnitude()
-        rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec
+        rec.agree((p * q).magnitude(), p.magnitude() * q.magnitude())
 
 
-def _suite_dq_magnitude_triangle(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_dq_magnitude_triangle(rng, rec):
+    for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
-        defect = le_defect((p + q).magnitude(), p.magnitude() + q.magnitude())
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(le_defect((p + q).magnitude(), p.magnitude() + q.magnitude()))
 
 
-def _suite_dq_sqrt_route_agrees(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dq_sqrt_route_agrees(rng, rec):
+    for _ in range(rec.cases):
         q = _dquat(rng, "A")
-        diff = _dual_diff(q.magnitude_via_sqrt(), q.magnitude())
-        rec.check(diff <= EQ_TOL, diff)
-    return rec
+        rec.within(_diff(q.magnitude_via_sqrt(), q.magnitude()))
 
 
-def _suite_dq_inverse_roundtrip(rng, cases):
-    rec = _Recorder(cases)
+def _suite_dq_inverse_roundtrip(rng, rec):
     one = DualQuaternion.from_real(1.0)
-    for _ in range(cases):
+    for _ in range(rec.cases):
         # Standard part of norm 1..10 keeps the inverse well conditioned.
         std = rng.uniform(1.0, 10.0) * _unit_quat(rng)
         q = DualQuaternion(std, _quat(rng))
         for product in (q * q.inverse(), q.inverse() * q):
-            diff = _dq_diff(product, one)
-            rec.check(diff <= 1e-9, diff)
-        back = q.inverse().inverse()
-        rec.check(_dq_close(back, q), _dq_diff(back, q))
-    return rec
+            rec.within(_diff(product, one), 1e-9)
+        rec.agree(q.inverse().inverse(), q)
 
 
-def _suite_dq_embedding_consistent(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_dq_embedding_consistent(rng, rec):
+    for _ in range(rec.cases):
         d1, d2 = _dual(rng), _dual(rng)
         q = _quat(rng)
         lifted = DualQuaternion.from_dual(d1)
-        rec.check(_dual_diff(lifted.magnitude(), abs(d1)) <= EQ_TOL)
-        product_diff = _dq_diff(
-            lifted * DualQuaternion.from_dual(d2),
-            DualQuaternion.from_dual(d1 * d2),
-        )
-        rec.check(product_diff <= EQ_TOL, product_diff)
+        rec.within(_diff(lifted.magnitude(), abs(d1)))
+        rec.within(_diff(lifted * DualQuaternion.from_dual(d2), DualQuaternion.from_dual(d1 * d2)))
         rec.check(DualQuaternion.from_quaternion(q).magnitude() == DualNumber(q.norm()))
-    return rec
 
 
 # -- vector suites --------------------------------------------------------------
 
-def _suite_vec_embedding_isometry(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_vec_embedding_isometry(rng, rec):
+    for _ in range(rec.cases):
         quats = tuple(_quat(rng) for _ in range(rng.randint(1, 8)))
         vector = DQVector.from_quaternions(quats)
         norm = vector.norm2()
-        resid = max(abs(norm.std - math.hypot(*embed_real(quats))), abs(norm.inf))
-        rec.check(resid <= EQ_TOL, resid)
-    return rec
+        rec.within(max(abs(norm.std - math.hypot(*embed_real(quats))), abs(norm.inf)))
 
 
-def _suite_vec_inner_conjugate_symmetry(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_vec_inner_conjugate_symmetry(rng, rec):
+    for _ in range(rec.cases):
         n = rng.randint(1, 8)
         x, y = _vector(rng, n), _vector(rng, n)
-        lhs, rhs = x.inner(y).conjugate(), y.inner(x)
-        rec.check(_dq_close(lhs, rhs), _dq_diff(lhs, rhs))
-    return rec
+        rec.agree(x.inner(y).conjugate(), y.inner(x))
 
 
-def _suite_vec_norms_definite(rng, cases):
-    rec = _Recorder(cases)
+def _suite_vec_norms_definite(rng, rec):
     zero = DualNumber()
-    for index in range(cases):
+    for index in range(rec.cases):
         profile = ("general", "infinitesimal", "zero")[index % 3]
         n = rng.randint(1, 8)
         if profile == "zero":
@@ -617,12 +528,10 @@ def _suite_vec_norms_definite(rng, cases):
         rec.check(v.norm1() > zero)
         rec.check(v.norm_inf() > zero)
         rec.check(v.norm2() > zero)
-    return rec
 
 
-def _suite_vec_norms_homogeneous(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_vec_norms_homogeneous(rng, rec):
+    for index in range(rec.cases):
         x = _vector(rng)
         stratum = index % 5
         if stratum == 0:
@@ -638,14 +547,11 @@ def _suite_vec_norms_homogeneous(rng, cases):
         scaled = scalar * x
         factor = scalar.magnitude()
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            lhs, rhs = norm(scaled), factor * norm(x)
-            rec.check(_dual_close(lhs, rhs), _dual_diff(lhs, rhs))
-    return rec
+            rec.agree(norm(scaled), factor * norm(x))
 
 
-def _suite_vec_norms_triangle(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_vec_norms_triangle(rng, rec):
+    for index in range(rec.cases):
         variant = index % 6
         n = rng.randint(1, 8)
         if variant == 0:
@@ -665,42 +571,32 @@ def _suite_vec_norms_triangle(rng, cases):
             y = DQVector(tuple(DualQuaternion(t * e.std, _quat(rng)) for e in x))
         total = x + y
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            defect = le_defect(norm(total), norm(x) + norm(y))
-            rec.check(defect == 0.0, defect)
-    return rec
+            rec.holds(le_defect(norm(total), norm(x) + norm(y)))
 
 
-def _suite_vec_norm_chain(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_vec_norm_chain(rng, rec):
+    for index in range(rec.cases):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = _vector(rng, None, profile)
         n1, n2, ninf = v.norm1(), v.norm2(), v.norm_inf()
-        low = le_defect(ninf, n2)
-        high = le_defect(n2, n1)
-        rec.check(low == 0.0, low)
-        rec.check(high == 0.0, high)
-    return rec
+        rec.holds(le_defect(ninf, n2))
+        rec.holds(le_defect(n2, n1))
 
 
-def _suite_vec_norm2_closed_form(rng, cases):
-    rec = _Recorder(cases)
-    for _ in range(cases):
+def _suite_vec_norm2_closed_form(rng, rec):
+    for _ in range(rec.cases):
         v = _vector_with_appreciable(rng)
-        direct, closed = v.norm2(), v.norm2_closed_form()
-        rec.check(_dual_close(direct, closed), _dual_diff(direct, closed))
+        closed = v.norm2_closed_form()
+        rec.agree(v.norm2(), closed)
         bound = DualNumber(
             math.hypot(*embed_real(v.std_part())),
             math.hypot(*embed_real(v.inf_part())),
         )
-        defect = le_defect(closed, bound)
-        rec.check(defect == 0.0, defect)
-    return rec
+        rec.holds(le_defect(closed, bound))
 
 
-def _suite_vec_unit_checks(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_vec_unit_checks(rng, rec):
+    for index in range(rec.cases):
         u = _unit_vector(rng, rng.randint(1, 8))
         verdict = u.unit_check(1e-9)
         rec.check(verdict.passed, max(verdict.gram_residual, verdict.norm_residual))
@@ -711,12 +607,10 @@ def _suite_vec_unit_checks(rng, cases):
             # mixed-sum defect in the infinitesimal part
             bad = DQVector(tuple(DualQuaternion(e.std, e.inf + 0.01 * e.std) for e in u))
         rec.check(not bad.unit_check(1e-9).passed)
-    return rec
 
 
-def _suite_vec_orthonormal_basis(rng, cases):
-    rec = _Recorder(cases)
-    for index in range(cases):
+def _suite_vec_orthonormal_basis(rng, rec):
+    for index in range(rec.cases):
         n = rng.randint(1, 4)
         positions = rng.sample(range(n), n)
         vectors = []
@@ -731,7 +625,6 @@ def _suite_vec_orthonormal_basis(rng, cases):
         rec.check(verdict.passed, max(max(row) for row in verdict.residuals))
         bad = [1.01 * vectors[0]] + vectors[1:]
         rec.check(not basis_check(bad, 1e-9).passed)
-    return rec
 
 
 # -- registry ---------------------------------------------------------------
@@ -752,4 +645,9 @@ def run_all(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> list[SuiteR
     if cases < 1:
         raise ValueError("cases must be at least 1")
     rng = random.Random(seed)
-    return [suite(rng, cases).result(name) for name, suite in _SUITES]
+    results = []
+    for name, suite in _SUITES:
+        rec = _Recorder(cases)
+        suite(rng, rec)
+        results.append(rec.result(name))
+    return results

@@ -147,6 +147,9 @@ def test_check_unit_accepts_scalar_and_vector_only():
 def test_bad_flag_values_exit_2():
     for argv in (
         ["check-unit", "--tol", "-1", str(DATA / "scalar_unit.dq")],
+        ["check-unit", "--tol", "inf", str(DATA / "scalar_drift.dq")],
+        ["check-unit", "--tol", "1e999", str(DATA / "scalar_drift.dq")],
+        ["check-orthonormal", "--tol", "nan", str(DATA / "basis_pass.dq")],
         ["selfcheck", "--cases", "0"],
         ["selfcheck", "--seed", "-3"],
         ["selfcheck", "--seed", str(2**64)],

@@ -183,6 +183,10 @@ RAISE_SITES = [
     ("basis[\r\n\tvec[ dq{ std: 1, inf: 0 } ],\r\n\tvec[\t]\r\n]", EmptyVectorError,
      "empty vector at line 3, column 5", 3, 5),
     ("\r\n\t\r\n\tbasis[ ]", EmptyVectorError, "empty basis at line 3, column 7", 3, 7),
+    # decimal digits other than ASCII 0-9: an Arabic-Indic three, and a
+    # full-width seven after an ASCII one
+    (_VEC_PREFIX + "dq{ std: \u0663, inf: 0 } ]", ParseError, "unexpected character '\u0663'", 3, 11),
+    (_VEC_PREFIX + "dq{ std: 1, inf: 7\uff17 } ]", ParseError, "unexpected character '\uff17'", 3, 20),
 ]
 
 

@@ -95,6 +95,51 @@ def test_vector_norms_evaluate_the_magnitude_rule_directly():
         assert "magnitude_parts" in names, f"DQVector.{name} does not use magnitude_parts"
 
 
+def _is_tolerance_or_zero_test(verdict: ast.expr) -> bool:
+    """``x <= tol`` (or ``<``) against a number or a ``*TOL`` name, or ``x == 0.0``."""
+    if not isinstance(verdict, ast.Compare) or len(verdict.ops) != 1:
+        return False
+    op, right = verdict.ops[0], verdict.comparators[0]
+    if isinstance(op, (ast.LtE, ast.Lt)):
+        return (isinstance(right, ast.Constant) and isinstance(right.value, (int, float))) or (
+            isinstance(right, ast.Name) and right.id.lower().endswith("tol")
+        )
+    return isinstance(op, ast.Eq) and any(
+        isinstance(side, ast.Constant) and side.value == 0.0 for side in (verdict.left, right)
+    )
+
+
+def test_selfcheck_records_only_through_run_all_and_the_check_kinds():
+    # run_all makes every recorder, and a suite turns a tolerance or an order
+    # defect into a verdict only through rec.within and rec.holds, which hold
+    # the one rule for each.
+    tree = ast.parse((PACKAGE / "selfcheck.py").read_text(encoding="utf-8"))
+
+    def recorder_calls(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Recorder"
+        ]
+
+    (run_all,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run_all")
+    assert len(recorder_calls(run_all)) == 1
+    assert len(recorder_calls(tree)) == 1, [ast.unparse(node) for node in recorder_calls(tree)]
+
+    checks = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "check"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "rec"
+    ]
+    assert checks, "no rec.check call found"
+    bad = [ast.unparse(node) for node in checks if node.args and _is_tolerance_or_zero_test(node.args[0])]
+    assert bad == []
+
+
 def test_cold_start_imports_no_record_or_typing_machinery():
     # The records are plain Value classes and annotations stay unevaluated,
     # so ``dualq`` never loads dataclasses (with the inspect, ast, dis and
