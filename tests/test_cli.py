@@ -49,6 +49,11 @@ GOLDEN_JOBS = [
     ("orthonormal_pass.txt", ["check-orthonormal", "basis_pass.dq"], 0),
     ("orthonormal_fail.txt", ["check-orthonormal", "basis_fail.dq"], 1),
     ("selfcheck_small.txt", ["selfcheck", "--seed", "7", "--cases", "25"], 0),
+    ("magnitude_infinitesimal.json", ["magnitude", "--format", "json", "scalar_infinitesimal.dq"], 0),
+    ("norms_infinitesimal.json", ["norms", "--format", "json", "vector_infinitesimal.dq"], 0),
+    ("unit_scalar_fail.json", ["check-unit", "--format", "json", "scalar_drift.dq"], 1),
+    ("orthonormal_fail.json", ["check-orthonormal", "--format", "json", "basis_fail.dq"], 1),
+    ("selfcheck_small.json", ["selfcheck", "--seed", "7", "--cases", "25", "--format", "json"], 0),
 ]
 
 
@@ -61,7 +66,7 @@ def test_golden_output(golden_name, argv, want_code):
     assert out == (GOLDEN / golden_name).read_text()
 
 
-@pytest.mark.parametrize("golden_name", ["magnitude_worked.json", "norms_embed.json", "unit_vector_pass.json"])
+@pytest.mark.parametrize("golden_name", [job[0] for job in GOLDEN_JOBS if job[0].endswith(".json")])
 def test_json_outputs_round_trip(golden_name):
     text = (GOLDEN / golden_name).read_text()
     payload = json.loads(text)
