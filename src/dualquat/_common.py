@@ -14,6 +14,8 @@ REALNESS_GUARD = 1e-12
 CLOSE_REL = 1e-9   # relative tolerance for two routes to the same value
 CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
 
+UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks
+
 
 class Value:
     """Base of the immutable values and result records.

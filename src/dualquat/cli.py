@@ -5,6 +5,9 @@ runs magnitude, norm, unit, and orthonormality computations, and emits a
 deterministic report in either human-readable text or JSON.  Exit status:
 0 when every pass flag is true, 1 when a check fails, 2 on parse or usage
 errors.
+
+Each command states its report once, as an ordered list of
+``(label, key, value)`` fields, and :class:`Report` alone formats them.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ import math
 import sys
 from collections.abc import Sequence
 
-from ._common import CLOSE_ABS, close
+from ._common import CLOSE_ABS, UNIT_TOL, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
 from .dual import DualNumber, le_defect
 from .errors import DualQuatError, KindMismatchError
 from .vectors import basis_check
-
-DEFAULT_TOL = 1e-9
 
 
 def _tol_arg(text: str) -> float:
@@ -62,224 +63,172 @@ def _read_source(source: str) -> tuple[str, str]:
         return handle.read(), source
 
 
-def _require_kind(doc: InputDocument, allowed: tuple[str, ...], command: str) -> None:
-    if doc.kind not in allowed:
-        wanted = " or ".join(allowed)
-        raise KindMismatchError(f"{command} expects a {wanted} document, got {doc.kind}")
-
-
 def _dual_json(value: DualNumber) -> dict:
+    # json.dumps calls this for the one value type it cannot serialize itself.
     return {"std": value.std, "inf": value.inf}
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 class Report:
-    """Ordered report: same computed values feed both output formats."""
+    """A command's ordered ``(label, key, value)`` fields, as text or as JSON.
 
-    def __init__(self, command: str, inputs: dict, results: dict, passed: bool, text_lines: list[str]):
+    A field with a label is a ``label: value`` text line, and a field with a
+    key is an entry of the JSON ``results``.  Dual numbers print with
+    ``str`` and serialize as ``{"std", "inf"}``; a flag prints as ``ok`` or
+    ``violated``; a matrix (a tuple of rows) prints one ``row i:`` line per
+    row.  A value that does not apply is ``None``: it prints as the text of
+    the ``note`` field and is ``null`` in JSON.
+    """
+
+    def __init__(self, command: str, inputs: dict, fields: list[tuple], passed: bool):
         self.command = command
         self.inputs = inputs
-        self.results = results
+        self.fields = fields
         self.passed = passed
-        self.text_lines = text_lines
 
     def to_text(self) -> str:
+        note = next((value for _, key, value in self.fields if key == "note"), None)
         lines = [f"command: {self.command}"]
-        lines.extend(self.text_lines)
-        lines.append(f"pass: {_yesno(self.passed)}")
+        for label, _, value in self.fields:
+            if label is None:
+                continue
+            if isinstance(value, tuple):
+                lines.append(f"{label}:")
+                lines.extend(f"  row {i}: {' '.join(map(repr, row))}" for i, row in enumerate(value))
+                continue
+            if value is None:
+                value = note
+            elif isinstance(value, bool):
+                value = "ok" if value else "violated"
+            lines.append(f"{label}: {value}")
+        lines.append(f"pass: {'yes' if self.passed else 'no'}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
             "command": self.command,
             "inputs": self.inputs,
-            "results": self.results,
+            "results": {key: value for _, key, value in self.fields if key is not None},
             "pass": self.passed,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, default=_dual_json) + "\n"
 
 
-def _cmd_magnitude(doc: InputDocument) -> Report:
-    _require_kind(doc, (SCALAR,), "magnitude")
+# Each document command maps a document and the parsed arguments to its pass
+# flag and its fields; ``main`` adds the echoed input in front.
+
+def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
     q = doc.payload
     magnitude = q.magnitude()
-    echo = render_document(doc)
-    lines = [f"input: {echo}", f"magnitude: {magnitude}"]
+    via_sqrt = difference = note = None
+    passed = True
     if q.is_appreciable:
         via_sqrt = q.magnitude_via_sqrt()
         difference = max(abs(via_sqrt.std - magnitude.std), abs(via_sqrt.inf - magnitude.inf))
         passed = difference <= CLOSE_ABS * max(1.0, magnitude.std)
-        note = None
-        lines.append(f"magnitude via sqrt(qq*): {via_sqrt}")
-        lines.append(f"route difference: {difference!r}")
-        results = {
-            "magnitude": _dual_json(magnitude),
-            "magnitude_via_sqrt": _dual_json(via_sqrt),
-            "route_difference": difference,
-            "note": note,
-        }
     else:
         note = "not applicable (infinitesimal)"
-        lines.append(f"magnitude via sqrt(qq*): {note}")
-        lines.append(f"route difference: {note}")
-        passed = True
-        results = {
-            "magnitude": _dual_json(magnitude),
-            "magnitude_via_sqrt": None,
-            "route_difference": None,
-            "note": note,
-        }
-    return Report("magnitude", {"kind": doc.kind, "document": echo}, results, passed, lines)
+    return passed, [
+        ("magnitude", "magnitude", magnitude),
+        ("magnitude via sqrt(qq*)", "magnitude_via_sqrt", via_sqrt),
+        ("route difference", "route_difference", difference),
+        (None, "note", note),
+    ]
 
 
-def _cmd_norms(doc: InputDocument) -> Report:
-    _require_kind(doc, (VECTOR,), "norms")
+def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
     vector = doc.payload
     norm1 = vector.norm1()
     norm_inf = vector.norm_inf()
     norm_inf_index = vector.norm_inf_index()
     norm2 = vector.norm2()
     chain_ok = le_defect(norm_inf, norm2) == 0.0 and le_defect(norm2, norm1) == 0.0
-    echo = render_document(doc)
-    lines = [
-        f"input: {echo}",
-        f"norm1: {norm1}",
-        f"norm_inf: {norm_inf}",
-        f"norm_inf attained at index: {norm_inf_index}",
-        f"norm2: {norm2}",
-    ]
+    closed = residual = note = None
+    agree = True
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()
         residual = max(abs(closed.std - norm2.std), abs(closed.inf - norm2.inf))
         agree = close(closed.std, norm2.std) and close(closed.inf, norm2.inf)
-        note = None
-        lines.append(f"norm2 closed form: {closed}")
-        lines.append(f"closed form residual: {residual!r}")
-        closed_json = _dual_json(closed)
     else:
-        closed = None
-        residual = None
-        agree = True
         note = "not applicable (no appreciable entry)"
-        lines.append(f"norm2 closed form: {note}")
-        lines.append(f"closed form residual: {note}")
-        closed_json = None
-    lines.append(f"norm chain (inf <= 2 <= 1): {'ok' if chain_ok else 'violated'}")
-    passed = chain_ok and agree
-    results = {
-        "norm1": _dual_json(norm1),
-        "norm_inf": _dual_json(norm_inf),
-        "norm_inf_index": norm_inf_index,
-        "norm2": _dual_json(norm2),
-        "norm2_closed_form": closed_json,
-        "closed_form_residual": residual,
-        "note": note,
-        "chain_ok": chain_ok,
-    }
-    return Report("norms", {"kind": doc.kind, "document": echo}, results, passed, lines)
+    return chain_ok and agree, [
+        ("norm1", "norm1", norm1),
+        ("norm_inf", "norm_inf", norm_inf),
+        ("norm_inf attained at index", "norm_inf_index", norm_inf_index),
+        ("norm2", "norm2", norm2),
+        ("norm2 closed form", "norm2_closed_form", closed),
+        ("closed form residual", "closed_form_residual", residual),
+        (None, "note", note),
+        ("norm chain (inf <= 2 <= 1)", "chain_ok", chain_ok),
+    ]
 
 
-def _cmd_check_unit(doc: InputDocument, tol: float) -> Report:
-    _require_kind(doc, (SCALAR, VECTOR), "check-unit")
-    echo = render_document(doc)
-    lines = [f"input: {echo}", f"kind: {doc.kind}"]
+def _check_unit(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+    verdict = doc.payload.unit_check(args.tol)
     if doc.kind == SCALAR:
-        verdict = doc.payload.unit_check(tol)
-        lines.append(f"norm residual: {verdict.norm_residual!r}")
-        lines.append(f"mixed-sum residual: {verdict.mixed_residual!r}")
-        results = {
-            "norm_residual": verdict.norm_residual,
-            "mixed_residual": verdict.mixed_residual,
-            "tolerance": tol,
-        }
+        residuals = [
+            ("norm residual", "norm_residual", verdict.norm_residual),
+            ("mixed-sum residual", "mixed_residual", verdict.mixed_residual),
+        ]
     else:
-        verdict = doc.payload.unit_check(tol)
-        lines.append(f"gram residual: {verdict.gram_residual!r}")
-        lines.append(f"norm residual: {verdict.norm_residual!r}")
-        results = {
-            "gram_residual": verdict.gram_residual,
-            "norm_residual": verdict.norm_residual,
-            "tolerance": tol,
-        }
-    lines.append(f"tolerance: {tol!r}")
-    return Report(
-        "check-unit",
-        {"kind": doc.kind, "document": echo},
-        results,
-        verdict.passed,
-        lines,
-    )
+        residuals = [
+            ("gram residual", "gram_residual", verdict.gram_residual),
+            ("norm residual", "norm_residual", verdict.norm_residual),
+        ]
+    return verdict.passed, [("kind", None, doc.kind), *residuals, ("tolerance", "tolerance", args.tol)]
 
 
-def _cmd_check_orthonormal(doc: InputDocument, tol: float) -> Report:
-    _require_kind(doc, (BASIS,), "check-orthonormal")
-    verdict = basis_check(doc.payload, tol)
-    size = len(verdict.residuals)
-    max_residual = max(max(row) for row in verdict.residuals)
-    echo = render_document(doc)
-    lines = [f"input: {echo}", f"size: {size}", "residuals:"]
-    for index, row in enumerate(verdict.residuals):
-        rendered = " ".join(repr(value) for value in row)
-        lines.append(f"  row {index}: {rendered}")
-    lines.append(f"max residual: {max_residual!r}")
-    lines.append(f"tolerance: {tol!r}")
-    results = {
-        "size": size,
-        "residuals": [list(row) for row in verdict.residuals],
-        "max_residual": max_residual,
-        "tolerance": tol,
-    }
-    return Report(
-        "check-orthonormal",
-        {"kind": doc.kind, "document": echo},
-        results,
-        verdict.passed,
-        lines,
-    )
+def _check_orthonormal(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+    verdict = basis_check(doc.payload, args.tol)
+    return verdict.passed, [
+        ("size", "size", len(verdict.residuals)),
+        ("residuals", "residuals", verdict.residuals),
+        ("max residual", "max_residual", max(max(row) for row in verdict.residuals)),
+        ("tolerance", "tolerance", args.tol),
+    ]
 
 
-def _cmd_selfcheck(seed: int | None, cases: int | None) -> Report:
+def _selfcheck(args: argparse.Namespace) -> tuple[dict, bool, list[tuple]]:
     # Imported here so that the other commands do not pay for loading it.
     from . import selfcheck
 
-    if seed is None:
-        seed = selfcheck.DEFAULT_SEED
-    if cases is None:
-        cases = selfcheck.DEFAULT_CASES
+    seed = selfcheck.DEFAULT_SEED if args.seed is None else args.seed
+    cases = selfcheck.DEFAULT_CASES if args.cases is None else args.cases
     results = selfcheck.run_all(seed=seed, cases=cases)
-    passed_count = sum(1 for r in results if r.passed)
-    lines = [f"seed: {seed}", f"cases: {cases}"]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"suite {r.name}: {status} cases={r.cases} failures={r.failures} worst={r.worst_residual!r}"
-        )
-    lines.append(f"suites passed: {passed_count}/{len(results)}")
-    suites_json = [
-        {
-            "name": r.name,
-            "cases": r.cases,
-            "failures": r.failures,
-            "worst_residual": r.worst_residual,
-            "passed": r.passed,
-        }
+    passed = sum(r.passed for r in results)
+    suites = [
+        {"name": r.name, "cases": r.cases, "failures": r.failures, "worst_residual": r.worst_residual, "passed": r.passed}
         for r in results
     ]
-    report_results = {
-        "suites": suites_json,
-        "passed": passed_count,
-        "total": len(results),
-    }
-    return Report(
-        "selfcheck",
-        {"seed": seed, "cases": cases},
-        report_results,
-        passed_count == len(results),
-        lines,
-    )
+    return {"seed": seed, "cases": cases}, passed == len(results), [
+        ("seed", None, seed),
+        ("cases", None, cases),
+        *(
+            (f"suite {r.name}", None, f"{'PASS' if r.passed else 'FAIL'} cases={r.cases} failures={r.failures} worst={r.worst_residual!r}")
+            for r in results
+        ),
+        ("suites passed", None, f"{passed}/{len(results)}"),
+        (None, "suites", suites),
+        (None, "passed", passed),
+        (None, "total", len(results)),
+    ]
+
+
+_TOL = ("--tol", _tol_arg, UNIT_TOL, "residual tolerance")
+
+# Command -> (help, options before --format, document kinds it reads, fields).
+# A command that reads no document takes no source and builds its own inputs.
+_COMMANDS = {
+    "magnitude": ("magnitude of a dual quaternion, with the sqrt cross-check", (), (SCALAR,), _magnitude),
+    "norms": ("1, infinity, and 2 norms of a vector, with the chain check", (), (VECTOR,), _norms),
+    "check-unit": ("unit check for a scalar or a vector", (_TOL,), (SCALAR, VECTOR), _check_unit),
+    "check-orthonormal": ("orthonormality check for a basis", (_TOL,), (BASIS,), _check_orthonormal),
+    "selfcheck": (
+        "run the randomized property suites",
+        (("--seed", _seed_arg, None, "generator seed"), ("--cases", _cases_arg, None, "cases per suite")),
+        (),
+        _selfcheck,
+    ),
+}
 
 
 # Built once per process: ``parse_args`` fills a fresh namespace on every
@@ -291,44 +240,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dual quaternion magnitude, norm, and unit checks with a built-in property selfcheck.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
-
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("source", help="input document path, or - for standard input")
-
-    p_mag = sub.add_parser("magnitude", help="magnitude of a dual quaternion, with the sqrt cross-check")
-    add_format(p_mag)
-    add_source(p_mag)
-
-    p_norms = sub.add_parser("norms", help="1, infinity, and 2 norms of a vector, with the chain check")
-    add_format(p_norms)
-    add_source(p_norms)
-
-    p_unit = sub.add_parser("check-unit", help="unit check for a scalar or a vector")
-    p_unit.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="residual tolerance")
-    add_format(p_unit)
-    add_source(p_unit)
-
-    p_basis = sub.add_parser("check-orthonormal", help="orthonormality check for a basis")
-    p_basis.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="residual tolerance")
-    add_format(p_basis)
-    add_source(p_basis)
-
-    p_self = sub.add_parser("selfcheck", help="run the randomized property suites")
-    p_self.add_argument("--seed", type=_seed_arg, help="generator seed")
-    p_self.add_argument("--cases", type=_cases_arg, help="cases per suite")
-    add_format(p_self)
-
+    for name, (help_text, options, kinds, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kind, default, option_help in options:
+            command.add_argument(flag, type=kind, default=default, help=option_help)
+        command.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+        if kinds:
+            command.add_argument("source", help="input document path, or - for standard input")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _, _, kinds, fields = _COMMANDS[args.command]
     try:
-        if args.command == "selfcheck":
-            report = _cmd_selfcheck(args.seed, args.cases)
+        if not kinds:
+            inputs, passed, report_fields = fields(args)
         else:
             try:
                 text, label = _read_source(args.source)
@@ -340,17 +267,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             except DualQuatError as exc:
                 print(f"dualq: error: {label}: {exc}", file=sys.stderr)
                 return 2
-            if args.command == "magnitude":
-                report = _cmd_magnitude(doc)
-            elif args.command == "norms":
-                report = _cmd_norms(doc)
-            elif args.command == "check-unit":
-                report = _cmd_check_unit(doc, args.tol)
-            else:
-                report = _cmd_check_orthonormal(doc, args.tol)
+            if doc.kind not in kinds:
+                wanted = " or ".join(kinds)
+                raise KindMismatchError(f"{args.command} expects a {wanted} document, got {doc.kind}")
+            passed, report_fields = fields(doc, args)
+            echo = render_document(doc)
+            inputs = {"kind": doc.kind, "document": echo}
+            report_fields = [("input", None, echo), *report_fields]
     except DualQuatError as exc:
         print(f"dualq: error: {exc}", file=sys.stderr)
         return 2
-    output = report.to_json() if args.format == "json" else report.to_text()
-    sys.stdout.write(output)
-    return 0 if report.passed else 1
+    report = Report(args.command, inputs, report_fields, passed)
+    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
+    return 0 if passed else 1

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, Value, real_operand
+from ._common import REALNESS_GUARD, UNIT_TOL, Value, real_operand
 from .dual import DualNumber
-from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
+from .errors import ConsistencyError, NonFiniteError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion
 
 __all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts"]
@@ -136,24 +136,28 @@ class DualQuaternion(Value):
                 )
         return DualNumber(product.std.w, product.inf.w).sqrt()
 
-    def unit_check(self, tol: float = 1e-9) -> UnitCheck:
+    def unit_check(self, tol: float = UNIT_TOL) -> UnitCheck:
         """Test whether this is a unit dual quaternion.
 
         The characterization is exact in exact arithmetic: unit standard
         part and vanishing mixed sum.  Both residuals are reported and
-        compared against ``tol``.
+        compared against ``tol``.  The mixed residual is ``|2 std.inf|``;
+        when that overflows it is recomputed from scaled parts, and a
+        residual beyond the double range raises ``NonFiniteError``.
         """
         if tol < 0.0:
             raise ValueError("tolerance must be nonnegative")
         norm_residual = abs(self.std.norm() - 1.0)
         mixed_residual = abs(2.0 * self.std.dot(self.inf))
+        if not math.isfinite(mixed_residual):
+            mixed_residual = _scaled_mixed_residual(self.std, self.inf)
         return UnitCheck(
             passed=norm_residual <= tol and mixed_residual <= tol,
             norm_residual=norm_residual,
             mixed_residual=mixed_residual,
         )
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
+    def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return self.unit_check(tol).passed
 
     def __str__(self) -> str:
@@ -177,6 +181,26 @@ def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
         return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
     n = math.hypot(w, x, y, z)
     return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
+
+
+def _scaled_mixed_residual(std: Quaternion, inf: Quaternion) -> float:
+    """``|2 std.inf|`` for parts whose plain residual overflowed.
+
+    Since it overflowed, neither part is zero.  Each part is divided
+    by a power of two at its largest component, which is exact but for the
+    underflow of negligible components, so every scaled product is below 1
+    and no ``inf - inf`` can form.
+    """
+    std_exp = math.frexp(max(map(abs, std.components())))[1]
+    inf_exp = math.frexp(max(map(abs, inf.components())))[1]
+    scaled = sum(
+        math.ldexp(a, -std_exp) * math.ldexp(b, -inf_exp)
+        for a, b in zip(std.components(), inf.components())
+    )
+    try:
+        return math.ldexp(abs(2.0 * scaled), std_exp + inf_exp)
+    except OverflowError:
+        raise NonFiniteError(f"the mixed-sum residual of {DualQuaternion(std, inf)} overflows") from None
 
 
 class UnitCheck(Value):

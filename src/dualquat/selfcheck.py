@@ -26,7 +26,7 @@ import math
 import random
 from operator import sub
 
-from ._common import Value, close
+from ._common import UNIT_TOL, Value, close
 from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, le_defect, no_root_witness
 from .dualquaternion import DualQuaternion
 from .quaternion import Quaternion, mixed_sum
@@ -598,7 +598,7 @@ def _suite_vec_norm2_closed_form(rng, rec):
 def _suite_vec_unit_checks(rng, rec):
     for index in range(rec.cases):
         u = _unit_vector(rng, rng.randint(1, 8))
-        verdict = u.unit_check(1e-9)
+        verdict = u.unit_check(UNIT_TOL)
         rec.check(verdict.passed, max(verdict.gram_residual, verdict.norm_residual))
         if index % 2 == 0:
             # scale defect in the standard part
@@ -606,7 +606,7 @@ def _suite_vec_unit_checks(rng, rec):
         else:
             # mixed-sum defect in the infinitesimal part
             bad = DQVector(tuple(DualQuaternion(e.std, e.inf + 0.01 * e.std) for e in u))
-        rec.check(not bad.unit_check(1e-9).passed)
+        rec.check(not bad.unit_check(UNIT_TOL).passed)
 
 
 def _suite_vec_orthonormal_basis(rng, rec):
@@ -621,10 +621,10 @@ def _suite_vec_orthonormal_basis(rng, rec):
             else:
                 entries[positions[row]] = _unit_dquat(rng)
             vectors.append(DQVector(tuple(entries)))
-        verdict = basis_check(vectors, 1e-9)
+        verdict = basis_check(vectors, UNIT_TOL)
         rec.check(verdict.passed, max(max(row) for row in verdict.residuals))
         bad = [1.01 * vectors[0]] + vectors[1:]
-        rec.check(not basis_check(bad, 1e-9).passed)
+        rec.check(not basis_check(bad, UNIT_TOL).passed)
 
 
 # -- registry ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from ._common import Value
+from ._common import UNIT_TOL, Value
 from .dual import DualNumber
 from .dualquaternion import DualQuaternion, _coerce, magnitude_parts
 from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
@@ -254,7 +254,7 @@ class DQVector(Value):
         std_norm = _euclidean(std_flat)
         return DualNumber(std_norm, _dot(std_flat, inf_flat) / std_norm)
 
-    def unit_check(self, tol: float = 1e-9) -> VectorUnitCheck:
+    def unit_check(self, tol: float = UNIT_TOL) -> VectorUnitCheck:
         """Test ``x.inner(x) == 1`` and, equivalently, ``norm2(x) == 1``.
 
         Both residuals are reported; the check passes only when both are
@@ -272,7 +272,7 @@ class DQVector(Value):
             norm_residual=norm_residual,
         )
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
+    def is_unit(self, tol: float = UNIT_TOL) -> bool:
         return self.unit_check(tol).passed
 
     def __str__(self) -> str:
@@ -302,7 +302,7 @@ class BasisCheck(Value):
         return self.passed
 
 
-def basis_check(vectors: Sequence[DQVector], tol: float = 1e-9) -> BasisCheck:
+def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisCheck:
     """Test whether ``vectors`` form an orthonormal basis.
 
     Needs exactly ``n`` vectors of length ``n``.  Entry ``[i][j]`` of the

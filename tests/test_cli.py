@@ -19,6 +19,11 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _reject_constant(name):
+    """``parse_constant`` hook: NaN, Infinity and -Infinity are not JSON."""
+    raise AssertionError(f"report contains the non-JSON token {name}")
+
+
 def run(argv, stdin_text=None):
     """Invoke main() in process, returning (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -209,6 +214,25 @@ def test_overflowing_norm_exits_2(tmp_path):
     assert err.startswith("dualq: error: ") and err.count("\n") == 1
 
 
+def test_overflowing_mixed_sum_is_recomputed_scaled():
+    # std.inf is 1e400 - 1e400 in floats, a NaN unscaled; exactly it is 0.
+    doc = "dq{ std: 1e200 + 1e200i + 0j + 0k, inf: 1e200 - 1e200i + 0j + 0k }"
+    code, out, err = run(["check-unit", "--format", "json", "-"], stdin_text=doc)
+    assert code == 1
+    assert err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["results"]["mixed_residual"] == 0.0
+
+
+def test_mixed_sum_beyond_the_double_range_exits_2():
+    # 2 |std.inf| is about 1.6e488, beyond the largest double.
+    doc = "dq{ std: 0 + 0i - 8.829512e243j + 0k, inf: 0 + 0i - 8.829512e243j + 0k }"
+    for output_format in ("text", "json"):
+        code, out, err = run(["check-unit", "--format", output_format, "-"], stdin_text=doc)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dualq: error: ") and "overflows" in err
+
+
 def test_huge_infinitesimal_magnitude_has_no_traceback(tmp_path):
     # (std + std inf) squared overflows, while q * q.conjugate() does not.
     doc = tmp_path / "huge_inf.dq"
@@ -268,7 +292,7 @@ def test_cli_never_shows_a_traceback(case, output_format):
     else:
         assert err == ""
         if output_format == "json":
-            assert json.loads(out)["pass"] is (code == 0)
+            assert json.loads(out, parse_constant=_reject_constant)["pass"] is (code == 0)
         else:
             assert out.endswith("pass: yes\n" if code == 0 else "pass: no\n")
 
@@ -295,3 +319,34 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "magnitude_unit.txt").read_text()
+
+
+def test_report_renders_each_field_once_for_both_formats():
+    from dualquat import DualNumber
+    from dualquat.cli import Report
+
+    fields = [
+        ("input", None, "doc"),
+        ("magnitude", "magnitude", DualNumber(1.0, 0.5)),
+        ("route", "route", None),
+        (None, "note", "not applicable (why)"),
+        ("chain", "chain_ok", False),
+        ("residuals", "residuals", ((0.0, 1e-17), (2.5, 0.0))),
+    ]
+    report = Report("demo", {"kind": "scalar"}, fields, False)
+    assert report.to_text() == (
+        "command: demo\ninput: doc\nmagnitude: 1.0+0.5e\nroute: not applicable (why)\n"
+        "chain: violated\nresiduals:\n  row 0: 0.0 1e-17\n  row 1: 2.5 0.0\npass: no\n"
+    )
+    assert json.loads(report.to_json()) == {
+        "command": "demo",
+        "inputs": {"kind": "scalar"},
+        "results": {
+            "magnitude": {"std": 1.0, "inf": 0.5},
+            "route": None,
+            "note": "not applicable (why)",
+            "chain_ok": False,
+            "residuals": [[0.0, 1e-17], [2.5, 0.0]],
+        },
+        "pass": False,
+    }

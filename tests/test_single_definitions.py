@@ -13,13 +13,14 @@ import dualquat
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
-# test, the real-scalar operand rule, the quaternion product rule and the
-# dual-quaternion magnitude rule.
+# test, the default unit tolerance, the real-scalar operand rule, the
+# quaternion product rule and the dual-quaternion magnitude rule.
 SHARED_RULES = (
     "REALNESS_GUARD",
     "ORDER_SLACK",
     "le_defect",
     "close",
+    "UNIT_TOL",
     "real_operand",
     "product",
     "magnitude_parts",
