@@ -138,8 +138,8 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
     vector = doc.payload
     norm1 = vector.norm1()
-    norm_inf = vector.norm_inf()
     norm_inf_index = vector.norm_inf_index()
+    norm_inf = vector[norm_inf_index].magnitude()  # what norm_inf() evaluates
     norm2 = vector.norm2()
     chain_ok = le_defect(norm_inf, norm2) == 0.0 and le_defect(norm2, norm1) == 0.0
     closed = residual = note = None
@@ -259,7 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             try:
                 text, label = _read_source(args.source)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"dualq: error: cannot read input: {exc}", file=sys.stderr)
                 return 2
             try:

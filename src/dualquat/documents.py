@@ -16,6 +16,10 @@ vertical tab, NUL and non-ASCII digits among them, is rejected with its
 line and column.  A line ends at LF, and every other character, tab
 included, is one column.
 
+A well-formed document is read one dual-quaternion literal per pattern
+match; the token parser defines the grammar, reads every other text, and
+reports every error.
+
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
 payload exactly.
@@ -23,6 +27,7 @@ payload exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -214,9 +219,110 @@ class _Parser:
         return doc
 
 
+# -- literal matcher --------------------------------------------------------
+
+# A well-formed document is read one dual-quaternion literal per pattern
+# match.  The matcher gives up at the first thing it does not recognize and
+# the token parser reads the text again, so the parser alone defines the
+# grammar and reports every error.  No character that may follow a number
+# here can extend it, so the numbers matched are the lexer's tokens; and no
+# two whitespace runs can meet in a match, so a failing match backtracks
+# over each whitespace run once.
+_WS = "[ \t\r\n]*"
+
+
+@functools.cache
+def _literal_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The literal, opener and mark patterns, compiled on first use, not at import."""
+    term = rf"{_WS}([+-]){_WS}({_NUMBER}){_WS}"
+    quaternion = rf"{_WS}(?:([+-]){_WS})?({_NUMBER})(?:{term}i{term}j{term}k)?{_WS}"
+    mark = rf"{_WS}(?:([,\]]){_WS})?"  # group 17 of a literal
+    literal = rf"{_WS}dq{_WS}\{{{_WS}std{_WS}:{quaternion},{_WS}inf{_WS}:{quaternion}\}}{mark}"
+    return re.compile(literal), re.compile(rf"{_WS}(vec|basis){_WS}\["), re.compile(mark)
+
+
+def _reals(groups: tuple) -> tuple[float, ...]:
+    """w, x, y, z from one quaternion's sign and number groups, or w alone.
+
+    ``float("-" + number)`` is ``-float(number)``, the parser's value, since
+    decimal conversion rounds correctly and so symmetrically.
+    """
+    if groups[3]:
+        return (
+            float(groups[0] + groups[1]), float(groups[2] + groups[3]),
+            float(groups[4] + groups[5]), float(groups[6] + groups[7]),
+        )
+    return (float(groups[0] + groups[1]),)
+
+
+def _dual_quaternions(literals: list[tuple]) -> tuple[DualQuaternion, ...] | None:
+    """The values of matched literals, or None if a real overflows."""
+    values = []
+    for groups in literals:
+        std, inf = _reals(groups[0:8]), _reals(groups[8:16])
+        if not all(map(math.isfinite, std + inf)):
+            return None
+        values.append(DualQuaternion(Quaternion(*std), Quaternion(*inf)))
+    return tuple(values)
+
+
+def _match_literals(text: str, pos: int, literal: re.Pattern) -> tuple[list[tuple], int, str | None] | None:
+    """The groups of the literals from ``pos`` on while a ',' follows each, the
+    offset after the last one and its mark, and that mark (None if absent)."""
+    literals = []
+    while True:
+        m = literal.match(text, pos)
+        if m is None:
+            return None
+        literals.append(m.groups(""))  # an absent sign or term reads as ""
+        if m[17] != ",":
+            return literals, m.end(), m[17]
+        pos = m.end()
+
+
+def _match_document(text: str) -> InputDocument | None:
+    """The document ``text`` spells if the patterns read all of it, else None.
+
+    Values are built only once the whole text has matched.
+    """
+    literal, opener, mark = _literal_patterns()
+    head = opener.match(text)
+    if head is None:
+        read = _match_literals(text, 0, literal)
+        if read is None or len(read[0]) != 1 or read[2] is not None or read[1] != len(text):
+            return None
+        values = _dual_quaternions(read[0])
+        return None if values is None else InputDocument(SCALAR, values[0])
+    kind, runs = head[1], []  # the literals of each vector
+    if kind == "vec":
+        read = _match_literals(text, head.end(), literal)
+        if read is None or read[2] != "]" or read[1] != len(text):
+            return None
+        runs.append(read[0])
+    else:
+        pos, separator = head.end(), ","
+        while separator == ",":
+            head = opener.match(text, pos)
+            read = None if head is None or head[1] != "vec" else _match_literals(text, head.end(), literal)
+            if read is None or read[2] != "]":
+                return None
+            runs.append(read[0])
+            m = mark.match(text, read[1])
+            pos, separator = m.end(), m[1]
+        if separator != "]" or pos != len(text):
+            return None
+    entries = [_dual_quaternions(literals) for literals in runs]
+    if None in entries:
+        return None
+    if kind == "vec":
+        return InputDocument(VECTOR, DQVector(entries[0]))
+    return InputDocument(BASIS, tuple(map(DQVector, entries)))
+
+
 def parse_document(text: str) -> InputDocument:
     """Parse one document.  Raises ParseError with the failing position."""
-    return _Parser(text).document()
+    doc = _match_document(text)
+    return doc if doc is not None else _Parser(text).document()
 
 
 # -- renderer ---------------------------------------------------------------

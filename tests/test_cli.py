@@ -139,6 +139,16 @@ def test_missing_file_exits_2():
     assert "cannot read input" in err
 
 
+def test_input_that_is_not_utf8_exits_2(tmp_path):
+    doc = tmp_path / "latin1.dq"
+    doc.write_bytes(b"dq{ std: 1, inf: 0 }\xff")
+    code, out, err = run(["magnitude", str(doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dualq: error: cannot read input: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_kind_mismatch_exits_2():
     code, _, err = run(["norms", str(DATA / "scalar_unit.dq")])
     assert code == 2

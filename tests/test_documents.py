@@ -1,20 +1,25 @@
 """Document grammar: parsing, rendering, round-trips, and error locations."""
 
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualquat import DualQuaternion, NonFiniteError, ParseError, Quaternion
 from dualquat.documents import (
     BASIS,
     SCALAR,
     VECTOR,
+    _match_document,
+    _Parser,
     parse_document,
     render_document,
     render_quaternion,
 )
-from dualquat.errors import EmptyVectorError
+from dualquat.errors import DualQuatError, EmptyVectorError
+
+DATA = Path(__file__).parent / "data"
 
 
 def parse(text):
@@ -231,10 +236,10 @@ def _quaternion_tokens(draw):
 
 
 @st.composite
-def _dq_tokens(draw):
+def _dq_tokens(draw, quaternions=_quaternion_tokens()):
     return [
-        "dq", "{", "std", ":", *draw(_quaternion_tokens()), ",",
-        "inf", ":", *draw(_quaternion_tokens()), "}",
+        "dq", "{", "std", ":", *draw(quaternions), ",",
+        "inf", ":", *draw(quaternions), "}",
     ]
 
 
@@ -245,12 +250,16 @@ def _listed(head, items):
     return tokens + ["]"]
 
 
-_vec_tokens = st.lists(_dq_tokens(), min_size=1, max_size=3).map(lambda dqs: _listed("vec", dqs))
-_document_tokens = st.one_of(
-    _dq_tokens(),
-    _vec_tokens,
-    st.lists(_vec_tokens, min_size=1, max_size=3).map(lambda vecs: _listed("basis", vecs)),
-)
+def _documents_of(dq_tokens):
+    vec_tokens = st.lists(dq_tokens, min_size=1, max_size=3).map(lambda dqs: _listed("vec", dqs))
+    return st.one_of(
+        dq_tokens,
+        vec_tokens,
+        st.lists(vec_tokens, min_size=1, max_size=3).map(lambda vecs: _listed("basis", vecs)),
+    )
+
+
+_document_tokens = _documents_of(_dq_tokens())
 _whitespace_runs = st.text(alphabet=" \t\r\n", max_size=4)
 
 
@@ -281,3 +290,78 @@ def test_trailing_garbage_rejected():
 def test_unknown_head_rejected():
     with pytest.raises(ParseError):
         parse("matrix[ dq{std: 1, inf: 0} ]")
+
+
+# -- the literal matcher against the token parser ------------------------------
+
+_real_texts = st.one_of(
+    st.from_regex(r"(?:[0-9]{1,3}(?:\.[0-9]{0,3})?|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "00", "5e-324", "2e-324", "1.7976931348623157e308", "1.7976931348623158e308"]),
+)
+
+
+@st.composite
+def _signed_quaternion_tokens(draw):
+    # The empty sign joins its whitespace run to the one before it.
+    tokens = [draw(st.sampled_from(["", "+", "-"])), draw(_real_texts)]
+    if draw(st.booleans()):
+        return tokens
+    for unit in "ijk":
+        tokens += [draw(st.sampled_from("+-")), draw(_real_texts), unit]
+    return tokens
+
+
+_signed_document_tokens = _documents_of(_dq_tokens(_signed_quaternion_tokens()))
+_edit_tokens = st.sampled_from([
+    "dq", "vec", "basis", "std", "inf", "{", "}", "[", "]", ",", ":", "+", "-",
+    "i", "j", "k", "e", "0", ".5", "1.8e308", "1e999", "Infinity", "x", "@", "é", "\f", "\v", "\xa0",
+])
+
+
+def _spaced(tokens, gaps):
+    return "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[len(tokens)]
+
+
+def _outcome(read, text):
+    try:
+        return repr(read(text))
+    except DualQuatError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_signed_document_tokens, st.data())
+def test_parse_document_reads_every_text_as_the_token_parser_does(tokens, data):
+    # The text itself, every one-token deletion, insertion and replacement,
+    # each list under the other head, the text twice with a comma between,
+    # and 1-4 random edits, each spaced by the same whitespace runs.
+    n = len(tokens)
+    gaps = data.draw(st.lists(_whitespace_runs, min_size=2 * n + 2, max_size=2 * n + 2))
+    inserts = data.draw(st.lists(_edit_tokens, min_size=n + 1, max_size=n + 1))
+    edited = list(tokens)
+    for _ in range(data.draw(st.integers(1, 4))):
+        index = data.draw(st.integers(0, len(edited)))
+        removed = data.draw(st.integers(0, 1))
+        edited[index:index + removed] = data.draw(st.lists(_edit_tokens, max_size=1))
+    variants = [tokens, edited, [*tokens, ",", *tokens]]
+    variants += [tokens[:i] + tokens[i + 1:] for i in range(n)]
+    variants += [tokens[:i] + [inserts[i]] + tokens[i:] for i in range(n + 1)]
+    variants += [tokens[:i] + [inserts[i]] + tokens[i + 1:] for i in range(n)]
+    swapped = {"vec": "basis", "basis": "vec"}
+    variants += [tokens[:i] + [swapped[t]] + tokens[i + 1:] for i, t in enumerate(tokens) if t in swapped]
+    for variant in variants:
+        text = _spaced(variant, gaps)
+        expected = _outcome(lambda t: _Parser(t).document(), text)
+        assert _outcome(parse_document, text) == expected
+        # The matcher declines exactly the texts that the parser rejects.
+        assert (_match_document(text) is None) == (not isinstance(expected, str))
+
+
+def test_literal_matcher_reads_every_well_formed_data_file():
+    for path in sorted(DATA.glob("*.dq")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "broken.dq":
+            assert _match_document(text) is None
+        else:
+            assert repr(_match_document(text)) == repr(_Parser(text).document()), path.name

@@ -160,6 +160,23 @@ def test_cold_start_imports_no_record_or_typing_machinery():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_cold_start_leaves_the_literal_patterns_uncompiled():
+    # Compiling them takes about 2 ms, which only a parse should pay: not
+    # ``import dualquat.cli``, and so not ``dualq selfcheck``.
+    script = (
+        "import dualquat.cli\n"
+        "from dualquat import documents\n"
+        "print(documents._literal_patterns.cache_info().currsize)\n"
+        "documents.parse_document('dq{ std: 1, inf: 0 }')\n"
+        "print(documents._literal_patterns.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines() == ["0", "1"]
+
+
 def _functions_outside_functions(body, prefix=()):
     """Qualified names of the defs reachable from a module: at module level or in classes."""
     for node in body:
