@@ -71,6 +71,20 @@ def finite(value: float, label: str) -> float:
     return out + 0.0
 
 
+def all_finite(w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> bool:
+    """Whether every one of up to four floats is finite, in one test.
+
+    ``v - v`` is 0.0 for a finite float and NaN for an infinity or a NaN, so
+    the sum is 0.0 exactly when all are finite; it cannot overflow.  The
+    constructors of ``Quaternion`` and ``DualNumber`` and their trusted
+    counterparts ``_quaternion`` and ``_dual_number`` inline this test on
+    their fields.  They store an all-finite float ``v`` as ``v + 0.0``, which
+    is what ``finite`` returns for it, and take ``finite`` per field
+    otherwise, for its coercion and its error text.
+    """
+    return (w - w) + (x - x) + (y - y) + (z - z) == 0.0
+
+
 def real_operand(value: object) -> float | None:
     """The float a real-scalar operand stands for, or None if it is not one.
 

@@ -57,10 +57,17 @@ def _cases_arg(text: str) -> int:
 
 
 def _read_source(source: str) -> tuple[str, str]:
+    """The text of a document and its label.
+
+    Standard input and files are read as bytes and decoded by one rule:
+    strict UTF-8, with CRLF and lone CR line ends read as LF.
+    """
     if source == "-":
-        return sys.stdin.read(), "<stdin>"
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read(), source
+        data, label = sys.stdin.buffer.read(), "<stdin>"
+    else:
+        with open(source, "rb") as handle:
+            data, label = handle.read(), source
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), label
 
 
 def _dual_json(value: DualNumber) -> dict:

@@ -83,8 +83,13 @@ class DualNumber(Value):
     __match_args__ = __slots__
 
     def __init__(self, std: float = 0.0, inf: float = 0.0):
-        _set_std(self, finite(std, "standard part"))
-        _set_inf(self, finite(inf, "infinitesimal part"))
+        # all_finite, inlined here and in _dual_number: a call costs as much as the test.
+        if std.__class__ is inf.__class__ is float and (std - std) + (inf - inf) == 0.0:
+            _set_std(self, std + 0.0)
+            _set_inf(self, inf + 0.0)
+        else:
+            _set_std(self, finite(std, "standard part"))
+            _set_inf(self, finite(inf, "infinitesimal part"))
 
     @property
     def is_appreciable(self) -> bool:
@@ -104,12 +109,12 @@ class DualNumber(Value):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return DualNumber(self.std + other.std, self.inf + other.inf)
+        return _dual_number(self.std + other.std, self.inf + other.inf)
 
     __radd__ = __add__
 
     def __neg__(self) -> DualNumber:
-        return DualNumber(-self.std, -self.inf)
+        return _dual_number(-self.std, -self.inf)
 
     def __sub__(self, other: DualNumber | float) -> DualNumber:
         other = _coerce(other)
@@ -128,7 +133,7 @@ class DualNumber(Value):
         if other is None:
             return NotImplemented
         # The e*e cross term vanishes.
-        return DualNumber(
+        return _dual_number(
             self.std * other.std,
             self.std * other.inf + self.inf * other.std,
         )
@@ -145,7 +150,7 @@ class DualNumber(Value):
             inf = exponent * self.std ** (exponent - 1) * self.inf
         except OverflowError:
             raise NonFiniteError(f"a power of {self} overflows") from None
-        return DualNumber(std, inf)
+        return _dual_number(std, inf)
 
     def inverse(self) -> DualNumber:
         """Multiplicative inverse; defined only for appreciable values."""
@@ -154,7 +159,7 @@ class DualNumber(Value):
         # Scale by 1/std before squaring, so that std*std cannot under- or
         # overflow where the infinitesimal part of the result is representable.
         inv = 1.0 / self.std
-        return DualNumber(inv, -self.inf * inv * inv)
+        return _dual_number(inv, -self.inf * inv * inv)
 
     def __truediv__(self, other: DualNumber | float) -> DualNumber:
         other = _coerce(other)
@@ -181,19 +186,19 @@ class DualNumber(Value):
             raise NegativeArgumentError("square root of a negative dual number")
         if self.std == 0.0:
             if self.inf == 0.0:
-                return DualNumber(0.0, 0.0)
+                return _dual_number(0.0, 0.0)
             raise NotRepresentableError(
                 "a positive infinitesimal has no dual-number square root"
             )
         root = math.sqrt(self.std)
-        return DualNumber(root, self.inf / (2.0 * root))
+        return _dual_number(root, self.inf / (2.0 * root))
 
     def __abs__(self) -> DualNumber:
         # For an appreciable value the standard part fixes the sign of the
         # whole number; for an infinitesimal one only the inf part matters.
         if self.std != 0.0:
-            return DualNumber(abs(self.std), sgn(self.std) * self.inf)
-        return DualNumber(0.0, abs(self.inf))
+            return _dual_number(abs(self.std), sgn(self.std) * self.inf)
+        return _dual_number(0.0, abs(self.inf))
 
     # -- order --------------------------------------------------------
 
@@ -234,6 +239,22 @@ class DualNumber(Value):
 
 _set_std = DualNumber.std.__set__
 _set_inf = DualNumber.inf.__set__
+_new = object.__new__
+
+
+def _dual_number(std: float, inf: float) -> DualNumber:
+    """``DualNumber(std, inf)`` for floats that a kernel computed.
+
+    Skips the public constructor's coercion, but not its finiteness test: a
+    non-finite part goes through the public constructor, which raises the
+    same ``NonFiniteError`` with the same text.
+    """
+    if (std - std) + (inf - inf) != 0.0:
+        return DualNumber(std, inf)  # raises
+    d = _new(DualNumber)
+    _set_std(d, std + 0.0)
+    _set_inf(d, inf + 0.0)
+    return d
 
 
 def _coerce(value: object) -> DualNumber | None:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 from ._common import REALNESS_GUARD, UNIT_TOL, Value, real_operand
-from .dual import DualNumber
+from .dual import DualNumber, _dual_number
 from .errors import ConsistencyError, NonFiniteError, NotAppreciableError, NotInvertibleError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _scaled
 
 __all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts"]
 
@@ -84,9 +84,13 @@ class DualQuaternion(Value):
         return other + (-self)
 
     def __mul__(self, other) -> DualQuaternion:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, DualQuaternion):
+            real = real_operand(other)
+            if real is not None:
+                return _scaled_dual_quaternion(self, real)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         # e*e kills the inf*inf term; order matters in each product.
         return DualQuaternion(
             self.std * other.std,
@@ -94,6 +98,9 @@ class DualQuaternion(Value):
         )
 
     def __rmul__(self, other) -> DualQuaternion:
+        real = real_operand(other)
+        if real is not None:
+            return _scaled_dual_quaternion(self, real)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -110,7 +117,7 @@ class DualQuaternion(Value):
         return DualQuaternion(std_inv, -(std_inv * self.inf * std_inv))
 
     def magnitude(self) -> DualNumber:
-        return DualNumber(*magnitude_parts(self.std, self.inf))
+        return _dual_number(*magnitude_parts(self.std, self.inf))
 
     def magnitude_via_sqrt(self) -> DualNumber:
         """Magnitude computed as ``sqrt(q * q.conjugate())``.
@@ -166,6 +173,11 @@ class DualQuaternion(Value):
 
 _set_std = DualQuaternion.std.__set__
 _set_inf = DualQuaternion.inf.__set__
+
+
+def _scaled_dual_quaternion(value: DualQuaternion, real: float) -> DualQuaternion:
+    """``value`` times a real: each part as ``_scaled`` computes it."""
+    return DualQuaternion(_scaled(value.std, real), _scaled(value.inf, real))
 
 
 def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:

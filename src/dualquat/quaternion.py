@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, Value, finite, real_operand
+from ._common import REALNESS_GUARD, Value, all_finite, finite, real_operand
 from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum", "product"]
@@ -24,10 +24,20 @@ class Quaternion(Value):
     __match_args__ = __slots__
 
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        _set_w(self, finite(w, "w component"))
-        _set_x(self, finite(x, "x component"))
-        _set_y(self, finite(y, "y component"))
-        _set_z(self, finite(z, "z component"))
+        # all_finite, inlined here and in _quaternion: a call costs as much as the test.
+        if (
+            w.__class__ is x.__class__ is y.__class__ is z.__class__ is float
+            and (w - w) + (x - x) + (y - y) + (z - z) == 0.0
+        ):
+            _set_w(self, w + 0.0)
+            _set_x(self, x + 0.0)
+            _set_y(self, y + 0.0)
+            _set_z(self, z + 0.0)
+        else:
+            _set_w(self, finite(w, "w component"))
+            _set_x(self, finite(x, "x component"))
+            _set_y(self, finite(y, "y component"))
+            _set_z(self, finite(z, "z component"))
 
     @property
     def is_zero(self) -> bool:
@@ -40,14 +50,14 @@ class Quaternion(Value):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(
+        return _quaternion(
             self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> Quaternion:
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __sub__(self, other: Quaternion | float) -> Quaternion:
         other = _coerce(other)
@@ -62,21 +72,20 @@ class Quaternion(Value):
         return other + (-self)
 
     def __mul__(self, other: Quaternion | float) -> Quaternion:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(
-            *product(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
-        )
+        if isinstance(other, Quaternion):
+            return _quaternion(
+                *product(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
+            )
+        return self.__rmul__(other)  # a real commutes with every quaternion
 
-    def __rmul__(self, other: Quaternion | float) -> Quaternion:
-        other = _coerce(other)
-        if other is None:
+    def __rmul__(self, other: float) -> Quaternion:
+        real = real_operand(other)
+        if real is None:
             return NotImplemented
-        return other * self
+        return _scaled(self, real)
 
     def conjugate(self) -> Quaternion:
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _quaternion(self.w, -self.x, -self.y, -self.z)
 
     def dot(self, other: Quaternion) -> float:
         """Componentwise dot product of the two 4-tuples."""
@@ -93,7 +102,7 @@ class Quaternion(Value):
         if self.is_zero:
             raise NotInvertibleError("the zero quaternion has no inverse")
         n2 = self.norm_squared()
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def imaginary_magnitude(self) -> float:
         """Largest absolute imaginary component; zero iff the value is real."""
@@ -111,6 +120,37 @@ _set_w = Quaternion.w.__set__
 _set_x = Quaternion.x.__set__
 _set_y = Quaternion.y.__set__
 _set_z = Quaternion.z.__set__
+_new = object.__new__
+
+
+def _quaternion(w: float, x: float, y: float, z: float) -> Quaternion:
+    """``Quaternion(w, x, y, z)`` for floats that a kernel computed.
+
+    Skips the public constructor's coercion, but not its finiteness test: a
+    non-finite field goes through the public constructor, which raises the
+    same ``NonFiniteError`` with the same text.
+    """
+    if (w - w) + (x - x) + (y - y) + (z - z) != 0.0:
+        return Quaternion(w, x, y, z)  # raises
+    q = _new(Quaternion)
+    _set_w(q, w + 0.0)
+    _set_x(q, x + 0.0)
+    _set_y(q, y + 0.0)
+    _set_z(q, z + 0.0)
+    return q
+
+
+def _scaled(q: Quaternion, real: float) -> Quaternion:
+    """``q`` times a real, which commutes with every quaternion.
+
+    The Hamilton product with the embedded ``Quaternion(real)``, from either
+    side, adds only signed zeros to these four products, so after ``-0.0``
+    is normalized it is bit-identical, overflow included.  A non-finite
+    real raises as embedding it does.
+    """
+    if not all_finite(real):
+        Quaternion(real)  # raises
+    return _quaternion(q.w * real, q.x * real, q.y * real, q.z * real)
 
 
 def product(

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from ._common import UNIT_TOL, Value
-from .dual import DualNumber
-from .dualquaternion import DualQuaternion, _coerce, magnitude_parts
+from ._common import UNIT_TOL, Value, real_operand
+from .dual import DualNumber, _dual_number
+from .dualquaternion import DualQuaternion, _coerce, _scaled_dual_quaternion, magnitude_parts
 from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
-from .quaternion import Quaternion, product
+from .quaternion import Quaternion, _quaternion, product
 
 __all__ = [
     "DQVector",
@@ -105,7 +105,7 @@ def _inner_parts(left: Sequence[_Row], right: Sequence[_Row]) -> _Row:
 
 def _dual_quaternion(parts: _Row) -> DualQuaternion:
     sw, sx, sy, sz, iw, ix, iy, iz = parts
-    return DualQuaternion(Quaternion(sw, sx, sy, sz), Quaternion(iw, ix, iy, iz))
+    return DualQuaternion(_quaternion(sw, sx, sy, sz), _quaternion(iw, ix, iy, iz))
 
 
 def _identity_defect(parts: _Row, target: float) -> float:
@@ -177,6 +177,9 @@ class DQVector(Value):
         return DQVector(tuple(-e for e in self.entries))
 
     def __rmul__(self, scalar) -> DQVector:
+        real = real_operand(scalar)
+        if real is not None:
+            return DQVector(tuple(_scaled_dual_quaternion(e, real) for e in self.entries))
         scalar = _coerce(scalar)
         if scalar is None:
             return NotImplemented
@@ -207,7 +210,7 @@ class DQVector(Value):
             n, m = magnitude_parts(e.std, e.inf)
             std += n
             inf += m
-        return DualNumber(std, inf)
+        return _dual_number(std, inf)
 
     def norm_inf(self) -> DualNumber:
         return self.entries[self.norm_inf_index()].magnitude()
@@ -225,7 +228,7 @@ class DQVector(Value):
 
     def norm2(self) -> DualNumber:
         if not self.has_appreciable_entry:
-            return DualNumber(0.0, _euclidean(embed_real(self.inf_part())))
+            return _dual_number(0.0, _euclidean(embed_real(self.inf_part())))
         std = inf = 0.0
         for e in self.entries:
             n, m = magnitude_parts(e.std, e.inf)
@@ -237,7 +240,7 @@ class DQVector(Value):
             except OverflowError:
                 raise NonFiniteError(f"a power of {DualNumber(n, m)} overflows") from None
             inf += 2.0 * n * m
-        return DualNumber(std, inf).sqrt()
+        return _dual_number(std, inf).sqrt()
 
     def norm2_closed_form(self) -> DualNumber:
         """2-norm from the flattened embeddings, in one step.

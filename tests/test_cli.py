@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,11 +26,17 @@ def _reject_constant(name):
 
 
 def run(argv, stdin_text=None):
-    """Invoke main() in process, returning (exit_code, stdout, stderr)."""
+    """Invoke main() in process, returning (exit_code, stdout, stderr).
+
+    ``stdin_text`` is a str, which standard input carries as UTF-8, or the
+    raw bytes.  Like the real stream under a UTF-8 or C locale, the stand-in
+    decodes with surrogateescape and has a ``.buffer``.
+    """
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode("utf-8")
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -69,6 +76,53 @@ def test_golden_output(golden_name, argv, want_code):
     assert code == want_code
     assert err == ""
     assert out == (GOLDEN / golden_name).read_text()
+
+
+def _other_interpreters():
+    """One pyenv-installed CPython per version, other than this one's, that meets requires-python."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = {}
+    for path in sorted(root.glob("3.*/bin/python")):
+        version = tuple(map(int, re.match(r"(\d+)\.(\d+)", path.parents[1].name).groups()))
+        if (3, 10) <= version != sys.version_info[:2]:
+            found.setdefault(version, str(path))
+    return [pytest.param(path, id="python%d.%d" % version) for version, path in sorted(found.items())] or [
+        pytest.param(None, id="none", marks=pytest.mark.skip(reason="no other interpreter installed"))
+    ]
+
+
+# Runs argv lists through main() in one process and prints [code, stdout] pairs as JSON.
+_RUN_JOBS = """
+import contextlib, io, json, sys
+from dualquat.cli import main
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("python", _other_interpreters())
+def test_goldens_under_other_interpreters(python):
+    # Float formatting, v + 0.0 and inf - inf must behave alike on every
+    # supported version.  Only the package source is on the path.
+    src = str(Path(dualquat.__file__).resolve().parents[1])
+    jobs = [[str(DATA / a) if a.endswith(".dq") else a for a in argv] for _, argv, _ in GOLDEN_JOBS]
+    proc = subprocess.run(
+        [python, "-c", _RUN_JOBS],
+        input=json.dumps(jobs),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    results = json.loads(proc.stdout)
+    for (golden_name, _, want_code), (code, out) in zip(GOLDEN_JOBS, results, strict=True):
+        assert (golden_name, code) == (golden_name, want_code)
+        assert out.encode("utf-8") == (GOLDEN / golden_name).read_bytes(), golden_name
 
 
 @pytest.mark.parametrize("golden_name", [job[0] for job in GOLDEN_JOBS if job[0].endswith(".json")])
@@ -147,6 +201,37 @@ def test_input_that_is_not_utf8_exits_2(tmp_path):
     assert out == ""
     assert err.startswith("dualq: error: cannot read input: ") and err.count("\n") == 1
     assert "can't decode byte 0xff" in err
+
+
+NOT_UTF8 = b"dq{ std: 1, inf: 0 }\xff"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_both_sources_decode_by_one_rule(tmp_path, source):
+    # The same bytes give the same error from a file and from standard input.
+    doc = tmp_path / "latin1.dq"
+    doc.write_bytes(NOT_UTF8)
+    if source == "file":
+        code, out, err = run(["magnitude", str(doc)])
+    else:
+        code, out, err = run(["magnitude", "-"], stdin_text=NOT_UTF8)
+    assert (code, out) == (2, "")
+    assert err == (
+        "dualq: error: cannot read input: 'utf-8' codec can't decode byte 0xff "
+        "in position 20: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_both_sources_read_crlf_and_cr_line_ends_as_lf(tmp_path, source):
+    # The error position counts lines as it would with LF line ends.
+    data = b"dq{\r\n std: 1,\r inf: ? }"
+    doc = tmp_path / "crlf.dq"
+    doc.write_bytes(data)
+    argv = ["magnitude", str(doc) if source == "file" else "-"]
+    code, out, err = run(argv, stdin_text=data if source == "stdin" else None)
+    assert (code, out) == (2, "")
+    assert "line 3, column 7" in err
 
 
 def test_kind_mismatch_exits_2():

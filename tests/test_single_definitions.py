@@ -14,7 +14,9 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
 # test, the default unit tolerance, the real-scalar operand rule, the
-# quaternion product rule and the dual-quaternion magnitude rule.
+# quaternion product rule, the dual-quaternion magnitude rule, the per-field
+# and all-fields finiteness tests, the trusted constructors of kernel results
+# and the product with a real.
 SHARED_RULES = (
     "REALNESS_GUARD",
     "ORDER_SLACK",
@@ -24,7 +26,23 @@ SHARED_RULES = (
     "real_operand",
     "product",
     "magnitude_parts",
+    "finite",
+    "all_finite",
+    "_quaternion",
+    "_dual_number",
+    "_scaled",
 )
+
+# The defs that write out the all_finite test ``(v - v) + ... == 0.0``: the
+# rule itself and the two value types' public and trusted constructors,
+# which inline it because a call costs as much as the test.
+ALL_FINITE_INLINED = {
+    "_common.all_finite",
+    "quaternion.Quaternion.__init__",
+    "quaternion._quaternion",
+    "dual.DualNumber.__init__",
+    "dual._dual_number",
+}
 
 # Modules on the production paths, which must not run the cross-checked
 # reference form ``mixed_sum``.
@@ -63,6 +81,42 @@ def test_shared_rules_are_defined_once_and_cli_keeps_out_of_selfcheck():
         and node.value.id == "selfcheck"
     }
     assert used == {"run_all", "DEFAULT_SEED", "DEFAULT_CASES"}
+
+
+def _is_all_finite_test(node: ast.AST) -> bool:
+    """``(a - a) + (b - b) + ... == 0.0`` or ``!= 0.0``, over any names."""
+    if not (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value == 0.0
+    ):
+        return False
+    terms, pending = [], [node.left]
+    while pending:
+        term = pending.pop()
+        if isinstance(term, ast.BinOp) and isinstance(term.op, ast.Add):
+            pending += [term.left, term.right]
+        else:
+            terms.append(term)
+    return all(
+        isinstance(t, ast.BinOp) and isinstance(t.op, ast.Sub) and ast.dump(t.left) == ast.dump(t.right)
+        for t in terms
+    )
+
+
+def test_all_finite_is_written_out_only_in_the_constructors():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for qualname in _functions_outside_functions(body):
+            node = body
+            for name in qualname:
+                node = next(n for n in node if getattr(n, "name", None) == name).body
+            if any(_is_all_finite_test(n) for stmt in node for n in ast.walk(stmt)):
+                found.add(".".join((path.stem, *qualname)))
+    assert found == ALL_FINITE_INLINED
 
 
 def test_production_modules_keep_off_the_mixed_sum_cross_check():
