@@ -64,12 +64,12 @@ class DualQuaternion(Value):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return DualQuaternion(self.std + other.std, self.inf + other.inf)
+        return _dual_quaternion(self.std + other.std, self.inf + other.inf)
 
     __radd__ = __add__
 
     def __neg__(self) -> DualQuaternion:
-        return DualQuaternion(-self.std, -self.inf)
+        return _dual_quaternion(-self.std, -self.inf)
 
     def __sub__(self, other) -> DualQuaternion:
         other = _coerce(other)
@@ -92,7 +92,7 @@ class DualQuaternion(Value):
             if other is None:
                 return NotImplemented
         # e*e kills the inf*inf term; order matters in each product.
-        return DualQuaternion(
+        return _dual_quaternion(
             self.std * other.std,
             self.inf * other.std + self.std * other.inf,
         )
@@ -107,14 +107,14 @@ class DualQuaternion(Value):
         return other * self
 
     def conjugate(self) -> DualQuaternion:
-        return DualQuaternion(self.std.conjugate(), self.inf.conjugate())
+        return _dual_quaternion(self.std.conjugate(), self.inf.conjugate())
 
     def inverse(self) -> DualQuaternion:
         """Two-sided inverse; exists exactly for appreciable values."""
         if not self.is_appreciable:
             raise NotInvertibleError("infinitesimal dual quaternions have no inverse")
         std_inv = self.std.inverse()
-        return DualQuaternion(std_inv, -(std_inv * self.inf * std_inv))
+        return _dual_quaternion(std_inv, -(std_inv * self.inf * std_inv))
 
     def magnitude(self) -> DualNumber:
         return _dual_number(*magnitude_parts(self.std, self.inf))
@@ -173,11 +173,24 @@ class DualQuaternion(Value):
 
 _set_std = DualQuaternion.std.__set__
 _set_inf = DualQuaternion.inf.__set__
+_new = object.__new__
+
+
+def _dual_quaternion(std: Quaternion, inf: Quaternion) -> DualQuaternion:
+    """``DualQuaternion(std, inf)`` for parts that a kernel computed.
+
+    Skips the public constructor's type checks: the callers pass the
+    ``Quaternion`` results of quaternion operators or constructors.
+    """
+    value = _new(DualQuaternion)
+    _set_std(value, std)
+    _set_inf(value, inf)
+    return value
 
 
 def _scaled_dual_quaternion(value: DualQuaternion, real: float) -> DualQuaternion:
     """``value`` times a real: each part as ``_scaled`` computes it."""
-    return DualQuaternion(_scaled(value.std, real), _scaled(value.inf, real))
+    return _dual_quaternion(_scaled(value.std, real), _scaled(value.inf, real))
 
 
 def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:

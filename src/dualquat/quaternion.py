@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._common import REALNESS_GUARD, Value, all_finite, finite, real_operand
-from .errors import ConsistencyError, NotInvertibleError
+from .errors import ConsistencyError, NonFiniteError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum", "product"]
 
@@ -98,11 +98,26 @@ class Quaternion(Value):
         return self.dot(self)
 
     def inverse(self) -> Quaternion:
-        """Multiplicative inverse, ``conjugate / norm**2``."""
+        """Multiplicative inverse, ``conjugate / norm**2``.
+
+        When the squared norm overflows or falls below the normal range, the
+        formula is evaluated on the components times ``2**k``, the power of
+        two that brings the largest into [0.5, 1), and its result is scaled
+        by ``2**k`` again.  An inverse beyond the double range raises
+        ``NonFiniteError``.
+        """
         if self.is_zero:
             raise NotInvertibleError("the zero quaternion has no inverse")
         n2 = self.norm_squared()
-        return _quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        if 2.2250738585072014e-308 <= n2 <= 1.7976931348623157e308:  # a normal double
+            return _quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        k = -math.frexp(max(map(abs, self.components())))[1]
+        w, x, y, z = [math.ldexp(c, k) for c in self.components()]
+        n2 = w * w + x * x + y * y + z * z
+        try:
+            return _quaternion(*[math.ldexp(c / n2, k) for c in (w, -x, -y, -z)])
+        except OverflowError:
+            raise NonFiniteError(f"the inverse of {self} overflows") from None
 
     def imaginary_magnitude(self) -> float:
         """Largest absolute imaginary component; zero iff the value is real."""
@@ -158,9 +173,11 @@ def product(
 ) -> tuple[float, float, float, float]:
     """The Hamilton product ``a * b`` of two quaternions given as components.
 
-    The one definition of the product rule: ``Quaternion.__mul__`` and the
-    fused loops that must round exactly as it does both evaluate it here.
-    No component is checked, so an overflow comes back as an infinity.
+    The one definition of the product rule, which ``Quaternion.__mul__``
+    evaluates.  The vector inner-product kernel writes it out with the
+    conjugation of its left factor folded into the signs, and must round as
+    ``product(conjugate(a), b)`` does.  No component is checked, so an
+    overflow comes back as an infinity.
     """
     return (
         aw * bw - ax * bx - ay * by - az * bz,

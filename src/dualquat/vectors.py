@@ -25,9 +25,9 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from ._common import UNIT_TOL, Value, real_operand
 from .dual import DualNumber, _dual_number
-from .dualquaternion import DualQuaternion, _coerce, _scaled_dual_quaternion, magnitude_parts
+from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts
 from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
-from .quaternion import Quaternion, _quaternion, product
+from .quaternion import Quaternion, _quaternion
 
 __all__ = [
     "DQVector",
@@ -57,58 +57,50 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-# The inner product in plain floats.  Each entry becomes one row of its eight
-# components, standard part first; a left argument's rows are conjugated.
-# Summing conj(a) b over paired rows with the same products and the same
-# left-to-right additions as the DualQuaternion operators rounds identically.
-# Signs of zero may differ on the way, but the constructor normalizes them,
-# and an overflow stays infinite or NaN through the additions that follow, so
-# the final finite check raises exactly when an operator would.
+# The inner product in plain floats.  The kernel reads the 16 components of
+# each pair of entries and accumulates the 8 components of conj(a) b with the
+# Hamilton product written out and the conjugation folded into its signs:
+# (-p) q == -(p q) and p - (-q) == p + q hold exactly in IEEE arithmetic, so
+# with the same products and the same left-to-right additions the sums round
+# as the DualQuaternion operators do.  Signs of zero may differ on the way,
+# but the final constructor normalizes them, and an overflow stays infinite
+# or NaN through the additions that follow, so the final finite check raises
+# exactly when an operator would.
 
-_Row = tuple[float, float, float, float, float, float, float, float]
-
-
-def _conjugate_rows(vector: DQVector) -> list[_Row]:
-    rows = []
-    for e in vector.entries:
-        s, f = e.std, e.inf
-        rows.append((s.w, -s.x, -s.y, -s.z, f.w, -f.x, -f.y, -f.z))
-    return rows
+_Parts = tuple[float, float, float, float, float, float, float, float]
 
 
-def _rows(vector: DQVector) -> list[_Row]:
-    rows = []
-    for e in vector.entries:
-        s, f = e.std, e.inf
-        rows.append((s.w, s.x, s.y, s.z, f.w, f.x, f.y, f.z))
-    return rows
+def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]) -> _Parts:
+    """The components of ``sum(conj(a) * b)`` over two vectors' paired entries, unchecked.
 
-
-def _inner_parts(left: Sequence[_Row], right: Sequence[_Row]) -> _Row:
-    """The components of ``sum(conj(a) * b)``, unchecked, from conjugated and plain rows."""
+    The standard part sums conj(a.std) b.std; per entry, the infinitesimal
+    part adds conj(a.inf) b.std + conj(a.std) b.inf as one term.
+    """
     sw = sx = sy = sz = iw = ix = iy = iz = 0.0
-    for (aw, ax, ay, az, fw, fx, fy, fz), (bw, bx, by, bz, gw, gx, gy, gz) in zip(left, right):
-        # std part conj(a.std) b.std; inf part conj(a.inf) b.std + conj(a.std) b.inf
-        pw, px, py, pz = product(aw, ax, ay, az, bw, bx, by, bz)
-        qw, qx, qy, qz = product(fw, fx, fy, fz, bw, bx, by, bz)
-        rw, rx, ry, rz = product(aw, ax, ay, az, gw, gx, gy, gz)
-        sw += pw
-        sx += px
-        sy += py
-        sz += pz
-        iw += qw + rw
-        ix += qx + rx
-        iy += qy + ry
-        iz += qz + rz
+    for a, b in zip(left, right):
+        p, f = a.std, a.inf
+        q, g = b.std, b.inf
+        aw, ax, ay, az = p.w, p.x, p.y, p.z
+        fw, fx, fy, fz = f.w, f.x, f.y, f.z
+        bw, bx, by, bz = q.w, q.x, q.y, q.z
+        gw, gx, gy, gz = g.w, g.x, g.y, g.z
+        sw += aw * bw + ax * bx + ay * by + az * bz
+        sx += aw * bx - ax * bw - ay * bz + az * by
+        sy += aw * by + ax * bz - ay * bw - az * bx
+        sz += aw * bz - ax * by + ay * bx - az * bw
+        iw += (fw * bw + fx * bx + fy * by + fz * bz) + (aw * gw + ax * gx + ay * gy + az * gz)
+        ix += (fw * bx - fx * bw - fy * bz + fz * by) + (aw * gx - ax * gw - ay * gz + az * gy)
+        iy += (fw * by + fx * bz - fy * bw - fz * bx) + (aw * gy + ax * gz - ay * gw - az * gx)
+        iz += (fw * bz - fx * by + fy * bx - fz * bw) + (aw * gz - ax * gy + ay * gx - az * gw)
     return sw, sx, sy, sz, iw, ix, iy, iz
 
 
-def _dual_quaternion(parts: _Row) -> DualQuaternion:
+def _inner_result(parts: _Parts) -> DualQuaternion:
     sw, sx, sy, sz, iw, ix, iy, iz = parts
-    return DualQuaternion(_quaternion(sw, sx, sy, sz), _quaternion(iw, ix, iy, iz))
+    return _dual_quaternion(_quaternion(sw, sx, sy, sz), _quaternion(iw, ix, iy, iz))
 
 
-def _identity_defect(parts: _Row, target: float) -> float:
+def _identity_defect(parts: _Parts, target: float) -> float:
     """Largest componentwise deviation of an inner product from the real ``target``.
 
     Rounds as ``max`` over the components of ``inner - target`` does.
@@ -193,7 +185,7 @@ class DQVector(Value):
             raise LengthMismatchError(
                 f"inner product of lengths {len(self)} and {len(other)}"
             )
-        return _dual_quaternion(_inner_parts(_conjugate_rows(self), _rows(other)))
+        return _inner_result(_inner_parts(self.entries, other.entries))
 
     # -- norms ----------------------------------------------------------
 
@@ -323,16 +315,15 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
             raise LengthMismatchError(
                 f"basis of {n} vectors needs every vector of length {n}, got {len(v)}"
             )
-    left = [_conjugate_rows(v) for v in vectors]
-    right = [_rows(v) for v in vectors]
+    entries = [v.entries for v in vectors]
     rows: list[tuple[float, ...]] = []
     passed = True
     for i in range(n):
         row: list[float] = []
         for j in range(n):
-            parts = _inner_parts(left[i], right[j])
+            parts = _inner_parts(entries[i], entries[j])
             if not all(map(math.isfinite, parts)):
-                _dual_quaternion(parts)  # raises NonFiniteError as inner() does
+                _inner_result(parts)  # raises NonFiniteError as inner() does
             residual = _identity_defect(parts, 1.0 if i == j else 0.0)
             row.append(residual)
             if residual > tol:

@@ -114,6 +114,12 @@ def test_inverse_requires_appreciable():
         DualQuaternion(Quaternion(), I).inverse()
 
 
+def test_inverse_beyond_the_double_range_raises_non_finite():
+    # The standard part inverts to 1e170; the exact infinitesimal part, -1e340, overflows.
+    with pytest.raises(NonFiniteError):
+        DualQuaternion(Quaternion(1e-170), Quaternion(1)).inverse()
+
+
 def test_inverse_roundtrip():
     rng = random.Random(13)
     one = DualQuaternion.from_real(1.0)

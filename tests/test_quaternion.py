@@ -67,6 +67,19 @@ def test_inverse_oracle_and_error():
         Quaternion().inverse()
 
 
+def test_inverse_across_the_double_range():
+    # The squared norms 1e-340 and 1e400 are not representable, and 1e-320 is
+    # subnormal, with three significant digits; the inverses are normal.
+    assert Quaternion(1e-170).inverse() == Quaternion(1e170)
+    assert Quaternion(1e-160).inverse() == Quaternion(1e160)
+    assert Quaternion(1e200).inverse() == Quaternion(1e-200)
+    got = Quaternion(0, 1e300, 0, -1e300).inverse().components()
+    assert all(math.isclose(a, b, rel_tol=1e-15) for a, b in zip(got, (0.0, -5e-301, 0.0, 5e-301)))
+    # The inverse of a subnormal lies beyond the double range.
+    with pytest.raises(NonFiniteError, match="inverse of 5e-324"):
+        Quaternion(5e-324).inverse()
+
+
 @given(quats)
 def test_self_conjugate_product_is_norm_squared(q):
     s = q * q.conjugate()

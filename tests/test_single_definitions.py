@@ -14,9 +14,10 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
 # test, the default unit tolerance, the real-scalar operand rule, the
-# quaternion product rule, the dual-quaternion magnitude rule, the per-field
-# and all-fields finiteness tests, the trusted constructors of kernel results
-# and the product with a real.
+# quaternion product rule (written out once more, with conjugation folded in,
+# by the inner-product kernel; see PRODUCT_WRITTEN_OUT), the dual-quaternion
+# magnitude rule, the per-field and all-fields finiteness tests, the trusted
+# constructors of kernel results and the product with a real.
 SHARED_RULES = (
     "REALNESS_GUARD",
     "ORDER_SLACK",
@@ -30,6 +31,7 @@ SHARED_RULES = (
     "all_finite",
     "_quaternion",
     "_dual_number",
+    "_dual_quaternion",
     "_scaled",
 )
 
@@ -42,6 +44,14 @@ ALL_FINITE_INLINED = {
     "quaternion._quaternion",
     "dual.DualNumber.__init__",
     "dual._dual_number",
+}
+
+# The defs that write out the Hamilton product, 16 products of two names
+# each: the rule itself and the vector inner-product kernel, which evaluates
+# conj(a) b three times per entry pair without a call or a conjugated copy.
+PRODUCT_WRITTEN_OUT = {
+    "quaternion.product",
+    "vectors._inner_parts",
 }
 
 # Modules on the production paths, which must not run the cross-checked
@@ -110,13 +120,30 @@ def test_all_finite_is_written_out_only_in_the_constructors():
     found = set()
     for path in PACKAGE.glob("*.py"):
         body = ast.parse(path.read_text(encoding="utf-8")).body
-        for qualname in _functions_outside_functions(body):
-            node = body
-            for name in qualname:
-                node = next(n for n in node if getattr(n, "name", None) == name).body
-            if any(_is_all_finite_test(n) for stmt in node for n in ast.walk(stmt)):
+        for qualname, node in _functions_outside_functions(body):
+            if any(_is_all_finite_test(n) for stmt in node.body for n in ast.walk(stmt)):
                 found.add(".".join((path.stem, *qualname)))
     assert found == ALL_FINITE_INLINED
+
+
+def _name_products(node: ast.AST) -> int:
+    return sum(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mult)
+        and isinstance(n.left, ast.Name)
+        and isinstance(n.right, ast.Name)
+        for n in ast.walk(node)
+    )
+
+
+def test_product_rule_is_written_out_only_in_the_rule_and_the_inner_kernel():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for qualname, node in _functions_outside_functions(body):
+            if _name_products(node) >= 16:
+                found.add(".".join((path.stem, *qualname)))
+    assert found == PRODUCT_WRITTEN_OUT
 
 
 def test_production_modules_keep_off_the_mixed_sum_cross_check():
@@ -232,10 +259,10 @@ def test_cold_start_leaves_the_literal_patterns_uncompiled():
 
 
 def _functions_outside_functions(body, prefix=()):
-    """Qualified names of the defs reachable from a module: at module level or in classes."""
+    """The defs reachable from a module, at module level or in classes, with their qualified names."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield prefix + (node.name,)
+            yield prefix + (node.name,), node
         elif isinstance(node, ast.ClassDef):
             yield from _functions_outside_functions(node.body, prefix + (node.name,))
 
@@ -247,7 +274,7 @@ def test_every_annotation_resolves():
     checked = 0
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"dualquat.{path.stem}")
-        for qualname in _functions_outside_functions(ast.parse(path.read_text(encoding="utf-8")).body):
+        for qualname, _ in _functions_outside_functions(ast.parse(path.read_text(encoding="utf-8")).body):
             owner = module
             for name in qualname[:-1]:
                 owner = getattr(owner, name)

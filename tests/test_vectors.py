@@ -144,8 +144,30 @@ def reference_inner(x, y):
     )
 
 
+# Explicit cases of the folded kernel: conj(a) b forms inf - inf (as
+# 1e308*1e308 + (1e308*-1e308) and, in the operators, 1e308*1e308 -
+# (-1e308*-1e308)), so both sides raise; -0.0 given for the left argument's
+# imaginary components, among zero products of both signs, where the folded
+# signs and the operators' conjugate reach zeros of opposite sign on the way;
+# and one object on both sides.
+FOLDED_INF_MINUS_INF = (
+    DQVector((DualQuaternion(Quaternion(1e308, 1e308)), DualQuaternion())),
+    DQVector((DualQuaternion(Quaternion(1e308, -1e308)), DualQuaternion())),
+)
+NEGATIVE_ZERO_LEFT = (
+    DQVector((DualQuaternion(Quaternion(-1.5, -0.0, -0.0, -0.0), Quaternion(-0.0, -0.0, -0.0, -0.0)),)),
+    DQVector((DualQuaternion(Quaternion(-0.0, 2.0, -0.0, 3.0), Quaternion(0.0, -0.0, 1e-320, -0.0)),)),
+)
+SAME_OBJECT = DQVector(
+    (DualQuaternion(Quaternion(0.1, -0.2, 0.3, -0.4), Quaternion(1e-300, 0.5, -7.0, 1e200)),)
+)
+
+
 @settings(max_examples=400)
 @given(vector_pairs)
+@example(FOLDED_INF_MINUS_INF)
+@example(NEGATIVE_ZERO_LEFT)
+@example((SAME_OBJECT, SAME_OBJECT))
 def test_inner_rounds_exactly_as_the_operators(pair):
     x, y = pair
     try:
@@ -271,6 +293,9 @@ def test_norms_and_unit_check_round_exactly_as_the_operators(x):
 
 @settings(max_examples=300)
 @given(wide_bases)
+@example(list(FOLDED_INF_MINUS_INF))
+@example([NEGATIVE_ZERO_LEFT[0]])
+@example([SAME_OBJECT])
 def test_basis_check_rounds_exactly_as_the_operators(vectors):
     assert outcome(basis_check, vectors) == outcome(reference_basis_check, vectors)
 
