@@ -127,21 +127,42 @@ class DualQuaternion(Value):
         imaginary components before taking the square root.  Only defined
         for appreciable values; the square root of an infinitesimal square
         magnitude is not representable.
+
+        The route runs on ``std 2**-k + inf 2**-m e``, where ``2**-k`` and
+        ``2**-m`` are the powers of two that bring the largest component of
+        each part into [0.5, 1), so the square neither overflows nor
+        underflows; the root's parts are scaled by ``2**k`` and ``2**m``
+        again.  The magnitude's standard part scales with ``std`` alone and
+        its infinitesimal part with ``inf`` alone, and scaling by a power of
+        two is exact in the normal range, so there the result is the
+        unscaled route's.  A magnitude beyond the double range raises
+        ``NonFiniteError``.
         """
         if not self.is_appreciable:
             raise NotAppreciableError(
                 "sqrt route to the magnitude needs an appreciable value"
             )
-        product = self * self.conjugate()
-        # The residue may reach REALNESS_GUARD * scale**2; dividing it by one
-        # factor of the scale keeps a huge scale from overflowing that bound.
-        scale = max(1.0, self.std.norm() + self.inf.norm())
+        # 2**-k stays a double: below 2**-1022 the largest component is
+        # brought up only to [2**-52, 0.5), which squares to a normal double.
+        # A zero infinitesimal part has exponent 0 and is left as it is.
+        k, m = [max(math.frexp(max(map(abs, part.components())))[1], -1022) for part in (self.std, self.inf)]
+        scaled = _dual_quaternion(
+            _scaled(self.std, math.ldexp(1.0, -k)), _scaled(self.inf, math.ldexp(1.0, -m))
+        )
+        product = scaled * scaled.conjugate()
+        # The residue may reach REALNESS_GUARD * scale**2, with the scale at
+        # most 4 for the scaled value.
+        scale = max(1.0, scaled.std.norm() + scaled.inf.norm())
         for part in (product.std, product.inf):
             if part.imaginary_magnitude() / scale > REALNESS_GUARD * scale:
                 raise ConsistencyError(
                     f"q * q.conjugate() is not real: got {part} in {product}"
                 )
-        return DualNumber(product.std.w, product.inf.w).sqrt()
+        root = DualNumber(product.std.w, product.inf.w).sqrt()
+        try:
+            return _dual_number(math.ldexp(root.std, k), math.ldexp(root.inf, m))
+        except OverflowError:
+            raise NonFiniteError(f"the magnitude of {self} overflows") from None
 
     def unit_check(self, tol: float = UNIT_TOL) -> UnitCheck:
         """Test whether this is a unit dual quaternion.

@@ -174,10 +174,12 @@ def product(
     """The Hamilton product ``a * b`` of two quaternions given as components.
 
     The one definition of the product rule, which ``Quaternion.__mul__``
-    evaluates.  The vector inner-product kernel writes it out with the
-    conjugation of its left factor folded into the signs, and must round as
-    ``product(conjugate(a), b)`` does.  No component is checked, so an
-    overflow comes back as an infinity.
+    evaluates.  Two vector kernels write it out with the conjugation of the
+    left factor folded into the signs, and must round as
+    ``product(conjugate(a), b)`` does: the inner-product kernel, and the Gram
+    kernel of the unit and basis checks, which evaluates each product that
+    ``conj(a) b`` and ``conj(b) a`` share once.  No component is checked, so
+    an overflow comes back as an infinity.
     """
     return (
         aw * bw - ax * bx - ay * by - az * bz,

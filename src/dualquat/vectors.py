@@ -57,8 +57,8 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return total
 
 
-# The inner product in plain floats.  The kernel reads the 16 components of
-# each pair of entries and accumulates the 8 components of conj(a) b with the
+# The inner product in plain floats.  The kernels read the 16 components of
+# each pair of entries and accumulate the 8 components of conj(a) b with the
 # Hamilton product written out and the conjugation folded into its signs:
 # (-p) q == -(p q) and p - (-q) == p + q hold exactly in IEEE arithmetic, so
 # with the same products and the same left-to-right additions the sums round
@@ -66,6 +66,11 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # but the final constructor normalizes them, and an overflow stays infinite
 # or NaN through the additions that follow, so the final finite check raises
 # exactly when an operator would.
+#
+# _inner_parts evaluates one product.  _gram_parts evaluates all the products
+# x_i . x_j of a list of vectors and shares the floating-point products that
+# they have in common, which is exact because x * y == y * x in IEEE
+# arithmetic; every sum still adds its own terms in the order above.
 
 _Parts = tuple[float, float, float, float, float, float, float, float]
 
@@ -93,6 +98,115 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
         iy += (fw * by + fx * bz - fy * bw - fz * bx) + (aw * gy + ax * gz - ay * gw - az * gx)
         iz += (fw * bz - fx * by + fy * bx - fz * bw) + (aw * gz - ax * gy + ay * gx - az * gw)
     return sw, sx, sy, sz, iw, ix, iy, iz
+
+
+def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
+    """The components of ``_inner_parts(rows[i], rows[j])`` for every ``i, j``, unchecked.
+
+    Each floating-point product is evaluated once.  Since ``x * y == y * x``
+    exactly, a shared product is the same float in every sum that uses it,
+    and each sum adds its terms in the order of ``_inner_parts``, so every
+    result is bit-identical to it.  There are two forms:
+
+    * the self form, for ``i == j``, where for each entry ``p + f e`` the
+      sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat their
+      products.  The standard w part
+      is a sum of squares, and the infinitesimal w part is ``d + d`` with
+      ``d`` the dot product of ``f`` and ``p``.  The standard y and z parts
+      share 2 distinct products and the infinitesimal x, y and z parts 4;
+      their sums round, so they are evaluated.  The standard x part
+      ``((t - t) - s) + s`` is exactly ``+0.0``: it is NaN only when ``t``
+      or ``s`` overflows, and then a square in the standard w part overflows
+      too, so the finite check still raises on w.
+    * the pair form, for ``i < j``: ``x_i . x_j`` and ``x_j . x_i`` use the
+      same 48 products of each entry pair and differ only in their
+      additions, each direction in its own operator order.  Their w parts
+      add the same terms, in an order that differs at most in the operands
+      of one addition, so they are equal and computed once.
+    """
+    # Two names per assignment at most: CPython builds and unpacks a tuple to
+    # assign more at once, which costs about a tenth of this kernel.
+    n = len(rows)
+    gram = [[None] * n for _ in range(n)]
+    for i, left in enumerate(rows):
+        sw = sy = sz = iw = ix = iy = iz = 0.0
+        for a in left:
+            p, f = a.std, a.inf
+            aw, ax = p.w, p.x
+            ay, az = p.y, p.z
+            fw, fx = f.w, f.x
+            fy, fz = f.y, f.z
+            sw += aw * aw + ax * ax + ay * ay + az * az
+            u, v = aw * ay, ax * az
+            sy += u + v - u - v
+            u, v = aw * az, ax * ay
+            sz += u - v + v - u
+            d = fw * aw + fx * ax + fy * ay + fz * az
+            iw += d + d
+            t1, t2 = fw * ax, fx * aw
+            t3, t4 = fy * az, fz * ay
+            ix += (t1 - t2 - t3 + t4) + (t2 - t1 - t4 + t3)
+            t1, t2 = fw * ay, fx * az
+            t3, t4 = fy * aw, fz * ax
+            iy += (t1 + t2 - t3 - t4) + (t3 + t4 - t1 - t2)
+            t1, t2 = fw * az, fx * ay
+            t3, t4 = fy * ax, fz * aw
+            iz += (t1 - t2 + t3 - t4) + (t4 - t3 + t2 - t1)
+        gram[i][i] = (sw, 0.0, sy, sz, iw, ix, iy, iz)
+        for j in range(i + 1, n):
+            # s*, i*: x_i . x_j; r*, k*: x_j . x_i.
+            sw = sx = sy = sz = iw = ix = iy = iz = 0.0
+            rx = ry = rz = kx = ky = kz = 0.0
+            for a, b in zip(left, rows[j]):
+                p, f = a.std, a.inf
+                q, g = b.std, b.inf
+                aw, ax = p.w, p.x
+                ay, az = p.y, p.z
+                fw, fx = f.w, f.x
+                fy, fz = f.y, f.z
+                bw, bx = q.w, q.x
+                by, bz = q.y, q.z
+                gw, gx = g.w, g.x
+                gy, gz = g.y, g.z
+                sw += aw * bw + ax * bx + ay * by + az * bz
+                t1, t2 = aw * bx, ax * bw
+                t3, t4 = ay * bz, az * by
+                sx += t1 - t2 - t3 + t4
+                rx += t2 - t1 - t4 + t3
+                t1, t2 = aw * by, ax * bz
+                t3, t4 = ay * bw, az * bx
+                sy += t1 + t2 - t3 - t4
+                ry += t3 + t4 - t1 - t2
+                t1, t2 = aw * bz, ax * by
+                t3, t4 = ay * bx, az * bw
+                sz += t1 - t2 + t3 - t4
+                rz += t4 - t3 + t2 - t1
+                # t*: products of f and q, u*: of p and g.  x_i . x_j adds
+                # conj(f) q + conj(p) g, and x_j . x_i adds conj(g) p + conj(q) f.
+                d = fw * bw + fx * bx + fy * by + fz * bz
+                e = aw * gw + ax * gx + ay * gy + az * gz
+                iw += d + e
+                t1, t2 = fw * bx, fx * bw
+                t3, t4 = fy * bz, fz * by
+                u1, u2 = aw * gx, ax * gw
+                u3, u4 = ay * gz, az * gy
+                ix += (t1 - t2 - t3 + t4) + (u1 - u2 - u3 + u4)
+                kx += (u2 - u1 - u4 + u3) + (t2 - t1 - t4 + t3)
+                t1, t2 = fw * by, fx * bz
+                t3, t4 = fy * bw, fz * bx
+                u1, u2 = aw * gy, ax * gz
+                u3, u4 = ay * gw, az * gx
+                iy += (t1 + t2 - t3 - t4) + (u1 + u2 - u3 - u4)
+                ky += (u3 + u4 - u1 - u2) + (t3 + t4 - t1 - t2)
+                t1, t2 = fw * bz, fx * by
+                t3, t4 = fy * bx, fz * bw
+                u1, u2 = aw * gz, ax * gy
+                u3, u4 = ay * gx, az * gw
+                iz += (t1 - t2 + t3 - t4) + (u1 - u2 + u3 - u4)
+                kz += (u4 - u3 + u2 - u1) + (t4 - t3 + t2 - t1)
+            gram[i][j] = (sw, sx, sy, sz, iw, ix, iy, iz)
+            gram[j][i] = (sw, rx, ry, rz, iw, kx, ky, kz)
+    return gram
 
 
 def _inner_result(parts: _Parts) -> DualQuaternion:
@@ -257,8 +371,10 @@ class DQVector(Value):
         """
         if tol < 0.0:
             raise ValueError("tolerance must be nonnegative")
-        gram = self.inner(self)
-        gram_residual = _identity_defect(gram.std.components() + gram.inf.components(), 1.0)
+        ((gram,),) = _gram_parts((self.entries,))
+        if not all(map(math.isfinite, gram)):
+            _inner_result(gram)  # raises NonFiniteError as inner() does
+        gram_residual = _identity_defect(gram, 1.0)
         n2 = self.norm2()
         norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
         return VectorUnitCheck(
@@ -315,13 +431,13 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
             raise LengthMismatchError(
                 f"basis of {n} vectors needs every vector of length {n}, got {len(v)}"
             )
-    entries = [v.entries for v in vectors]
+    gram = _gram_parts([v.entries for v in vectors])
     rows: list[tuple[float, ...]] = []
     passed = True
     for i in range(n):
         row: list[float] = []
         for j in range(n):
-            parts = _inner_parts(entries[i], entries[j])
+            parts = gram[i][j]
             if not all(map(math.isfinite, parts)):
                 _inner_result(parts)  # raises NonFiniteError as inner() does
             residual = _identity_defect(parts, 1.0 if i == j else 0.0)

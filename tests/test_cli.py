@@ -338,6 +338,23 @@ def test_huge_infinitesimal_magnitude_has_no_traceback(tmp_path):
     assert "magnitude: 1.0+1e+200e\n" in out
 
 
+@pytest.mark.parametrize(
+    "doc, magnitude",
+    [
+        ("dq{ std: 1e-170, inf: 0 }", "1e-170+0.0e"),
+        ("dq{ std: 1e200, inf: 0 }", "1e+200+0.0e"),
+        ("dq{ std: 1e-170, inf: 1 }", "1e-170+1.0e"),
+    ],
+)
+def test_magnitude_routes_agree_across_the_double_range(doc, magnitude):
+    # The sqrt route used to square unscaled: it returned 0.0 for 1e-170 (a
+    # false pass), and exited 2 for the other two.
+    code, out, err = run(["magnitude", "-"], stdin_text=doc)
+    assert (code, err) == (0, "")
+    assert f"magnitude: {magnitude}\nmagnitude via sqrt(qq*): {magnitude}\n" in out
+    assert "route difference: 0.0\npass: yes\n" in out
+
+
 # Components m * 10**e, written out as text, with e from the subnormals to
 # beyond the top of the double range, and signed zeros.
 magnitude_texts = st.one_of(

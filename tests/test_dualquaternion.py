@@ -190,6 +190,25 @@ def test_magnitude_via_sqrt_agrees():
         assert abs(direct.inf - via.inf) <= 1e-12 * max(1.0, abs(direct.inf))
 
 
+@pytest.mark.parametrize(
+    "std, inf",
+    [
+        (1e-170, 0.0),  # the unscaled square underflowed to 0.0
+        (1e200, 0.0),  # the unscaled square overflowed
+        (1e-170, 1.0),  # the unscaled square left a positive infinitesimal
+        (1e-300, 1e10),  # the infinitesimal part is scaled by its own power of two
+    ],
+)
+def test_magnitude_via_sqrt_across_the_double_range(std, inf):
+    q = DualQuaternion(Quaternion(std), Quaternion(inf))
+    assert q.magnitude_via_sqrt() == q.magnitude() == DualNumber(std, inf)
+
+
+def test_magnitude_via_sqrt_beyond_the_double_range_raises_non_finite():
+    with pytest.raises(NonFiniteError, match="overflows"):
+        DualQuaternion(Quaternion(1.7e308, 1.7e308)).magnitude_via_sqrt()
+
+
 def test_magnitude_via_sqrt_needs_appreciable():
     with pytest.raises(NotAppreciableError):
         DualQuaternion(Quaternion(), I).magnitude_via_sqrt()

@@ -14,8 +14,8 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
 # test, the default unit tolerance, the real-scalar operand rule, the
-# quaternion product rule (written out once more, with conjugation folded in,
-# by the inner-product kernel; see PRODUCT_WRITTEN_OUT), the dual-quaternion
+# quaternion product rule (written out again, with conjugation folded in, by
+# the inner-product kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion
 # magnitude rule, the per-field and all-fields finiteness tests, the trusted
 # constructors of kernel results and the product with a real.
 SHARED_RULES = (
@@ -47,11 +47,14 @@ ALL_FINITE_INLINED = {
 }
 
 # The defs that write out the Hamilton product, 16 products of two names
-# each: the rule itself and the vector inner-product kernel, which evaluates
-# conj(a) b three times per entry pair without a call or a conjugated copy.
+# each: the rule itself, the vector inner-product kernel, which evaluates
+# conj(a) b three times per entry pair without a call or a conjugated copy,
+# and the Gram kernel of unit_check and basis_check, which evaluates the same
+# terms for every pair of vectors with each shared product once.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",
+    "vectors._gram_parts",
 }
 
 # Modules on the production paths, which must not run the cross-checked

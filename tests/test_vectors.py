@@ -22,6 +22,7 @@ from dualquat import (
     basis_check,
     embed_real,
 )
+from dualquat.vectors import _gram_parts, _inner_result
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -220,6 +221,34 @@ OVERFLOWING_RUNNER_UP = DQVector(
     (DualQuaternion(Quaternion(1.7e308)), DualQuaternion(Quaternion(1e308), Quaternion(10.0)))
 )
 
+# Explicit cases of the Gram kernel's self form: a square that overflows, where
+# the operators' standard x part is inf - inf, a NaN, and the kernel's is 0.0,
+# but both raise on the infinite w part first; and an entry whose standard y
+# part rounds to 1.1e-15 rather than 0.0, and the same entry scaled to unit
+# norm, whose y part (-7.9e-18) is then the whole of the Gram residual.
+OVERFLOWING_SQUARE = DQVector((DualQuaternion(Quaternion(1e200, 1e200)),))
+ROUNDING_CROSS_TERMS = DQVector((DualQuaternion(Quaternion(3.0, 0.1, 7.0, 0.3)),))
+UNIT_ROUNDING_CROSS_TERMS = DQVector(
+    (DualQuaternion(Quaternion(*[c / math.sqrt(58.1) for c in (3.0, 0.1, 7.0, 0.3)])),)
+)
+
+
+def _unit_row(n, k, entry=DualQuaternion(Quaternion(1.0))):
+    return DQVector(tuple(entry if i == k else DualQuaternion() for i in range(n)))
+
+
+# A basis of 5 vectors in which two pairs overflow in the pair form, with
+# different messages: x_0 . x_2 is inf + -inf in the standard w part, a NaN,
+# and x_0 . x_4 is inf; the diagonals of x_2 and x_4 overflow too, later in
+# row-major order.
+TWO_OVERFLOWING_PAIRS = [
+    _unit_row(5, 0, DualQuaternion(Quaternion(1e100, 1e100))),
+    _unit_row(5, 1),
+    _unit_row(5, 0, DualQuaternion(Quaternion(1e250, -1e250))),
+    _unit_row(5, 3),
+    _unit_row(5, 0, DualQuaternion(Quaternion(1e250, 1e250))),
+]
+
 
 def outcome(compute, *args):
     """The ``repr`` of the result, or the class of the DualQuatError raised."""
@@ -286,6 +315,9 @@ FUSED_AND_REFERENCE = (
 @given(wide_vectors)
 @example(OVERFLOWING_INFINITESIMAL)
 @example(OVERFLOWING_RUNNER_UP)
+@example(OVERFLOWING_SQUARE)
+@example(ROUNDING_CROSS_TERMS)
+@example(UNIT_ROUNDING_CROSS_TERMS)
 def test_norms_and_unit_check_round_exactly_as_the_operators(x):
     for fused, reference in FUSED_AND_REFERENCE:
         assert outcome(fused, x) == outcome(reference, x), fused.__name__
@@ -296,8 +328,55 @@ def test_norms_and_unit_check_round_exactly_as_the_operators(x):
 @example(list(FOLDED_INF_MINUS_INF))
 @example([NEGATIVE_ZERO_LEFT[0]])
 @example([SAME_OBJECT])
+@example([OVERFLOWING_SQUARE])
+@example([ROUNDING_CROSS_TERMS])
+@example([UNIT_ROUNDING_CROSS_TERMS])
+@example(TWO_OVERFLOWING_PAIRS)
 def test_basis_check_rounds_exactly_as_the_operators(vectors):
     assert outcome(basis_check, vectors) == outcome(reference_basis_check, vectors)
+
+
+def exact_outcome(compute):
+    """The ``repr`` of the result, or the class and text of the DualQuatError raised."""
+    try:
+        return repr(compute())
+    except DualQuatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def first_error(*computations):
+    """The text of the first DualQuatError that the computations raise, in order, or None."""
+    for compute in computations:
+        try:
+            compute()
+        except DualQuatError as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(wide_bases)
+@example(TWO_OVERFLOWING_PAIRS)
+@example([OVERFLOWING_SQUARE])
+@example([ROUNDING_CROSS_TERMS])
+def test_gram_kernel_gives_every_inner_product_exactly(vectors):
+    # All eight components of every x_i . x_j, where the residuals of the
+    # checks show only the largest.
+    gram = _gram_parts([v.entries for v in vectors])
+    for i, x in enumerate(vectors):
+        for j, y in enumerate(vectors):
+            assert exact_outcome(lambda: _inner_result(gram[i][j])) == exact_outcome(lambda: x.inner(y)), (i, j)
+
+
+@settings(max_examples=200)
+@given(wide_bases)
+@example(TWO_OVERFLOWING_PAIRS)
+@example([OVERFLOWING_SQUARE])
+def test_unit_and_basis_checks_raise_the_messages_of_the_inner_products(vectors):
+    for x in vectors:
+        assert first_error(x.unit_check) == first_error(lambda: x.inner(x), x.norm2)
+    pairs = [functools.partial(x.inner, y) for x in vectors for y in vectors]  # row-major
+    assert first_error(lambda: basis_check(vectors)) == first_error(*pairs)
 
 
 def test_inner_length_mismatch():
