@@ -32,9 +32,9 @@ import math
 import re
 
 from ._common import Value
-from .dualquaternion import DualQuaternion
+from .dualquaternion import DualQuaternion, _dual_quaternion
 from .errors import EmptyVectorError, NonFiniteError, ParseError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _quaternion
 from .vectors import DQVector
 
 __all__ = [
@@ -227,7 +227,9 @@ class _Parser:
 # grammar and reports every error.  No character that may follow a number
 # here can extend it, so the numbers matched are the lexer's tokens; and no
 # two whitespace runs can meet in a match, so a failing match backtracks
-# over each whitespace run once.
+# over each whitespace run once.  Once all the text has matched, the trusted
+# constructors build the values straight from the groups; a real that
+# overflows raises NonFiniteError there, and the matcher gives up on it too.
 _WS = "[ \t\r\n]*"
 
 
@@ -241,28 +243,25 @@ def _literal_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     return re.compile(literal), re.compile(rf"{_WS}(vec|basis){_WS}\["), re.compile(mark)
 
 
-def _reals(groups: tuple) -> tuple[float, ...]:
-    """w, x, y, z from one quaternion's sign and number groups, or w alone.
+def _dual_quaternions(literals: list[tuple]) -> tuple[DualQuaternion, ...] | None:
+    """The values of matched literals, or None if a real overflows.
 
+    Groups 0-7 of a literal are the sign and number of w, x, y and z of its
+    standard part, and groups 8-15 of its infinitesimal part.  An absent
+    group reads as "0": a leading zero, which ``float`` ignores, before an
+    unsigned number, and "00", 0.0, as a single real's terms.
     ``float("-" + number)`` is ``-float(number)``, the parser's value, since
     decimal conversion rounds correctly and so symmetrically.
     """
-    if groups[3]:
-        return (
-            float(groups[0] + groups[1]), float(groups[2] + groups[3]),
-            float(groups[4] + groups[5]), float(groups[6] + groups[7]),
-        )
-    return (float(groups[0] + groups[1]),)
-
-
-def _dual_quaternions(literals: list[tuple]) -> tuple[DualQuaternion, ...] | None:
-    """The values of matched literals, or None if a real overflows."""
     values = []
-    for groups in literals:
-        std, inf = _reals(groups[0:8]), _reals(groups[8:16])
-        if not all(map(math.isfinite, std + inf)):
-            return None
-        values.append(DualQuaternion(Quaternion(*std), Quaternion(*inf)))
+    try:
+        for g in literals:
+            values.append(_dual_quaternion(
+                _quaternion(float(g[0] + g[1]), float(g[2] + g[3]), float(g[4] + g[5]), float(g[6] + g[7])),
+                _quaternion(float(g[8] + g[9]), float(g[10] + g[11]), float(g[12] + g[13]), float(g[14] + g[15])),
+            ))
+    except NonFiniteError:  # _quaternion raises it on an overflowed real
+        return None
     return tuple(values)
 
 
@@ -274,7 +273,7 @@ def _match_literals(text: str, pos: int, literal: re.Pattern) -> tuple[list[tupl
         m = literal.match(text, pos)
         if m is None:
             return None
-        literals.append(m.groups(""))  # an absent sign or term reads as ""
+        literals.append(m.groups("0"))  # an absent sign or term reads as "0"
         if m[17] != ",":
             return literals, m.end(), m[17]
         pos = m.end()
@@ -329,11 +328,10 @@ def parse_document(text: str) -> InputDocument:
 
 def render_quaternion(q: Quaternion) -> str:
     """Canonical four-term form with shortest round-trip decimals."""
-    out = [repr(q.w)]
-    for value, unit in ((q.x, "i"), (q.y, "j"), (q.z, "k")):
-        sign = "-" if value < 0.0 else "+"
-        out.append(f"{sign} {abs(value)!r}{unit}")
-    return " ".join(out)
+    return (
+        f"{q.w!r} {'-' if q.x < 0.0 else '+'} {abs(q.x)!r}i "
+        f"{'-' if q.y < 0.0 else '+'} {abs(q.y)!r}j {'-' if q.z < 0.0 else '+'} {abs(q.z)!r}k"
+    )
 
 
 def _render_scalar(value: DualQuaternion) -> str:
@@ -344,7 +342,7 @@ def _render_scalar(value: DualQuaternion) -> str:
 
 
 def _render_vector(value: DQVector) -> str:
-    return "vec[ " + ", ".join(_render_scalar(e) for e in value.entries) + " ]"
+    return "vec[ " + ", ".join([_render_scalar(e) for e in value.entries]) + " ]"
 
 
 def render_document(doc: InputDocument) -> str:
@@ -354,5 +352,5 @@ def render_document(doc: InputDocument) -> str:
     if doc.kind == VECTOR:
         return _render_vector(doc.payload)
     if doc.kind == BASIS:
-        return "basis[ " + ", ".join(_render_vector(v) for v in doc.payload) + " ]"
+        return "basis[ " + ", ".join([_render_vector(v) for v in doc.payload]) + " ]"
     raise ValueError(f"unknown document kind {doc.kind!r}")

@@ -71,6 +71,8 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # x_i . x_j of a list of vectors and shares the floating-point products that
 # they have in common, which is exact because x * y == y * x in IEEE
 # arithmetic; every sum still adds its own terms in the order above.
+# Both assign at most two names per statement: CPython builds and unpacks a
+# tuple to assign more at once, which costs about a tenth of a kernel.
 
 _Parts = tuple[float, float, float, float, float, float, float, float]
 
@@ -85,10 +87,14 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
     for a, b in zip(left, right):
         p, f = a.std, a.inf
         q, g = b.std, b.inf
-        aw, ax, ay, az = p.w, p.x, p.y, p.z
-        fw, fx, fy, fz = f.w, f.x, f.y, f.z
-        bw, bx, by, bz = q.w, q.x, q.y, q.z
-        gw, gx, gy, gz = g.w, g.x, g.y, g.z
+        aw, ax = p.w, p.x
+        ay, az = p.y, p.z
+        fw, fx = f.w, f.x
+        fy, fz = f.y, f.z
+        bw, bx = q.w, q.x
+        by, bz = q.y, q.z
+        gw, gx = g.w, g.x
+        gy, gz = g.y, g.z
         sw += aw * bw + ax * bx + ay * by + az * bz
         sx += aw * bx - ax * bw - ay * bz + az * by
         sy += aw * by + ax * bz - ay * bw - az * bx
@@ -124,8 +130,6 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
       add the same terms, in an order that differs at most in the operands
       of one addition, so they are equal and computed once.
     """
-    # Two names per assignment at most: CPython builds and unpacks a tuple to
-    # assign more at once, which costs about a tenth of this kernel.
     n = len(rows)
     gram = [[None] * n for _ in range(n)]
     for i, left in enumerate(rows):

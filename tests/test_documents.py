@@ -70,6 +70,45 @@ def test_render_quaternion_always_four_terms():
     assert render_quaternion(Quaternion(-1, 2, -3, 4)) == "-1.0 + 2.0i - 3.0j + 4.0k"
 
 
+def _raw_quaternion(w, x, y, z):
+    # Stores the components as given, -0.0 included, which every constructor
+    # would normalize to +0.0.
+    q = object.__new__(Quaternion)
+    for name, value in zip("wxyz", (w, x, y, z)):
+        getattr(Quaternion, name).__set__(q, value)
+    return q
+
+
+@pytest.mark.parametrize("q,text", [
+    (Quaternion(5e-324, -5e-324, 1e16, -1e-05), "5e-324 - 5e-324i + 1e+16j - 1e-05k"),
+    (Quaternion(-5e-324, 1e-05, -1e16, 0.1), "-5e-324 + 1e-05i - 1e+16j + 0.1k"),
+    (Quaternion(-1.7976931348623157e+308, 0.1, -0.1, 1.7976931348623157e+308),
+     "-1.7976931348623157e+308 + 0.1i - 0.1j + 1.7976931348623157e+308k"),
+    (Quaternion(-0.0, -0.0, -0.0, -0.0), "0.0 + 0.0i + 0.0j + 0.0k"),
+    (_raw_quaternion(1.0, -0.0, -0.0, -0.0), "1.0 + 0.0i + 0.0j + 0.0k"),
+])
+def test_render_quaternion_canonical_text(q, text):
+    assert render_quaternion(q) == text
+
+
+def test_render_document_canonical_text():
+    from dualquat import DQVector
+    from dualquat.documents import InputDocument
+
+    a = DualQuaternion(Quaternion(5e-324, -5e-324, 1e16, 1e-05), Quaternion(0.1))
+    b = DualQuaternion(Quaternion(-0.0, -0.0, -0.0, -0.0), Quaternion(-1.7976931348623157e+308, 0, 0, 0.1))
+    a_text = "dq{ std: 5e-324 - 5e-324i + 1e+16j + 1e-05k, inf: 0.1 + 0.0i + 0.0j + 0.0k }"
+    b_text = "dq{ std: 0.0 + 0.0i + 0.0j + 0.0k, inf: -1.7976931348623157e+308 + 0.0i + 0.0j + 0.1k }"
+    for doc, text in (
+        (InputDocument(SCALAR, a), a_text),
+        (InputDocument(VECTOR, DQVector((a, b))), f"vec[ {a_text}, {b_text} ]"),
+        (InputDocument(BASIS, (DQVector((b,)), DQVector((a, b)))),
+         f"basis[ vec[ {b_text} ], vec[ {a_text}, {b_text} ] ]"),
+    ):
+        assert render_document(doc) == text
+        assert _match_document(text) == doc
+
+
 def test_render_parse_round_trip_examples():
     for text in (
         "dq{ std: 1 + 2i + 2j + 0k, inf: 0 + 0.5i + 0j + 0k }",
@@ -120,6 +159,44 @@ def test_nonfinite_literals_rejected():
         parse("dq{ std: inf, inf: 0 }")
     with pytest.raises(NonFiniteError):
         parse("dq{ std: nan, inf: 0 }")
+
+
+# The 8 component positions of a literal with four-term parts (w, x, y and z
+# of std and of inf), and each part in the single-real form.
+_OVERFLOW_POSITIONS = [(part, index) for part in (0, 1) for index in range(4)] + [(0, None), (1, None)]
+
+
+def _overflowing_literal(part, index, sign):
+    quaternions = []
+    for p in (0, 1):
+        if index is None:
+            quaternions.append(f"{sign}1e999" if p == part else "1")
+        else:
+            terms = [f"{sign}1e999" if (p, i) == (part, index) else "+1" for i in range(4)]
+            quaternions.append(f"{terms[0]} {terms[1]}i {terms[2]}j {terms[3]}k")
+    return f"dq{{ std: {quaternions[0]}, inf: {quaternions[1]} }}"
+
+
+@pytest.mark.parametrize("part,index", _OVERFLOW_POSITIONS)
+@pytest.mark.parametrize("place", ["scalar", "last entry", "second vector"])
+def test_matcher_declines_an_overflow_in_every_position(place, part, index):
+    ok = "dq{ std: 1 + 0i + 0j + 0k, inf: 0 }"
+    for sign in ("+", "-"):
+        bad = _overflowing_literal(part, index, sign)
+        text = {
+            "scalar": bad,
+            "last entry": f"vec[ {ok},\n  {bad} ]",
+            "second vector": f"basis[ vec[ {ok}, {ok} ],\n  vec[ {ok}, {bad} ] ]",
+        }[place]
+        assert _match_document(text) is None
+        offset = text.index("1e999")
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        with pytest.raises(NonFiniteError) as err:
+            parse_document(text)
+        assert str(err.value) == f"literal '1e999' overflows the double range at line {line}, column {column}"
+        with pytest.raises(NonFiniteError) as parser_err:
+            _Parser(text).document()
+        assert str(parser_err.value) == str(err.value)
 
 
 def test_partial_quaternions_rejected():
