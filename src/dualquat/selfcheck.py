@@ -13,9 +13,10 @@ dual quaternion, which must be componentwise :func:`dualquat._common.close`
 componentwise difference as the residual.  Plain facts go through ``check``.
 A suite's worst residual shows the observed floating-point margins.
 
-Everything is driven by one ``random.Random(seed)`` consumed in a fixed
-suite order, so a run is fully determined by ``(seed, cases)``.  The suites
-are the ``_suite_<name>(rng, rec)`` functions, run in definition order.
+Every input comes from one draw object, a ``random.Random(seed)`` whose
+methods build the suites' values, consumed in a fixed suite order, so a run
+is fully determined by ``(seed, cases)``.  The suites are the
+``_suite_<name>(rng, rec)`` functions, run in definition order.
 ``run_all`` owns the recorders: one per suite, made with the case count and
 turned into that suite's result.
 """
@@ -27,9 +28,9 @@ import random
 from operator import sub
 
 from ._common import UNIT_TOL, Value, close
-from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, le_defect, no_root_witness
-from .dualquaternion import DualQuaternion
-from .quaternion import Quaternion, mixed_sum
+from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
+from .dualquaternion import DualQuaternion, _dual_quaternion
+from .quaternion import Quaternion, _quaternion, _scaled, mixed_sum
 from .vectors import DQVector, basis_check, embed_real
 
 __all__ = [
@@ -123,107 +124,105 @@ def _diff(a, b) -> float:
 
 # -- generators --------------------------------------------------------------
 
-def _real(rng: random.Random) -> float:
-    return rng.uniform(-10.0, 10.0)
+_ZERO_QUAT = Quaternion()
+_ZERO_DQUAT = DualQuaternion()
 
 
-def _dual(rng: random.Random, zero_std_rate: float = 0.2) -> DualNumber:
-    std = 0.0 if rng.random() < zero_std_rate else _real(rng)
-    return DualNumber(std, _real(rng))
+class _Draws(random.Random):
+    """``random.Random`` plus the generators of the suites' inputs: reals are
+    ``uniform(-10.0, 10.0)`` draws, and values go through the trusted constructors.
+    """
 
+    def real(self) -> float:
+        return -10.0 + 20.0 * self.random()  # Random.uniform(-10.0, 10.0), inline
 
-def _appreciable_dual(rng: random.Random) -> DualNumber:
-    while True:
-        q = _dual(rng, zero_std_rate=0.0)
-        if q.is_appreciable:
-            return q
+    def dual(self, zero_std_rate: float = 0.2) -> DualNumber:
+        draw = self.random
+        std = 0.0 if draw() < zero_std_rate else -10.0 + 20.0 * draw()
+        return _dual_number(std, -10.0 + 20.0 * draw())
 
+    def appreciable_dual(self) -> DualNumber:
+        while True:
+            q = self.dual(zero_std_rate=0.0)
+            if q.is_appreciable:
+                return q
 
-def _quat(rng: random.Random) -> Quaternion:
-    return Quaternion(_real(rng), _real(rng), _real(rng), _real(rng))
+    def quat(self) -> Quaternion:
+        draw = self.random
+        return _quaternion(-10.0 + 20.0 * draw(), -10.0 + 20.0 * draw(),
+                           -10.0 + 20.0 * draw(), -10.0 + 20.0 * draw())
 
+    def quat_nonzero(self) -> Quaternion:
+        while True:
+            q = self.quat()
+            if not q.is_zero:
+                return q
 
-def _quat_nonzero(rng: random.Random) -> Quaternion:
-    while True:
-        q = _quat(rng)
-        if not q.is_zero:
-            return q
+    def unit_quat(self) -> Quaternion:
+        while True:
+            q = self.quat()
+            n = q.norm()
+            if n >= 0.5:
+                return _scaled(q, 1.0 / n)
 
+    def dquat(self, kind: str) -> DualQuaternion:
+        # kind: "A" appreciable, "I" infinitesimal, "Z" zero
+        if kind == "A":
+            return _dual_quaternion(self.quat_nonzero(), self.quat())
+        if kind == "I":
+            return _dual_quaternion(_ZERO_QUAT, self.quat())
+        return _ZERO_DQUAT
 
-def _unit_quat(rng: random.Random) -> Quaternion:
-    while True:
-        q = _quat(rng)
-        n = q.norm()
-        if n >= 0.5:
-            return (1.0 / n) * q
+    def unit_dquat(self) -> DualQuaternion:
+        std = self.unit_quat()
+        raw = self.quat()
+        # Remove the component of the infinitesimal part along the standard
+        # part; that zeroes the mixed sum, which is the unit condition.
+        return _dual_quaternion(std, raw - _scaled(std, std.dot(raw)))
 
+    def vector(self, length: int | None = None, profile: str = "general") -> DQVector:
+        n = length if length is not None else self.randint(1, 8)
+        entries = []
+        for _ in range(n):
+            if profile == "general":
+                kind = "A" if self.random() < 0.7 else "I"
+            else:
+                kind = "I" if profile == "infinitesimal" else "A"
+            entries.append(self.dquat(kind))
+        return DQVector(tuple(entries))
 
-def _dquat(rng: random.Random, kind: str) -> DualQuaternion:
-    # kind: "A" appreciable, "I" infinitesimal, "Z" zero
-    if kind == "A":
-        return DualQuaternion(_quat_nonzero(rng), _quat(rng))
-    if kind == "I":
-        return DualQuaternion(Quaternion(), _quat(rng))
-    return DualQuaternion()
+    def vector_with_appreciable(self, length: int | None = None) -> DQVector:
+        while True:
+            v = self.vector(length, "general")
+            if v.has_appreciable_entry:
+                return v
+
+    def unit_vector(self, n: int) -> DQVector:
+        while True:
+            raw = [self.quat() for _ in range(n)]
+            scale = math.hypot(*embed_real(raw))
+            if scale >= 0.5:
+                break
+        std = [_scaled(q, 1.0 / scale) for q in raw]
+        inf = [self.quat() for _ in range(n)]
+        # Project the flattened infinitesimal part off the standard part so
+        # the inner product of the vector with itself is exactly one.
+        overlap = 0.0
+        for s, i in zip(std, inf):
+            overlap += s.dot(i)
+        return DQVector(tuple(
+            _dual_quaternion(s, i - _scaled(s, overlap)) for s, i in zip(std, inf)
+        ))
 
 
 _PAIR_STRATA = (("A", "A"), ("A", "I"), ("I", "A"), ("I", "I"))
-
-
-def _unit_dquat(rng: random.Random) -> DualQuaternion:
-    std = _unit_quat(rng)
-    raw = _quat(rng)
-    # Remove the component of the infinitesimal part along the standard
-    # part; that zeroes the mixed sum, which is the unit condition.
-    inf = raw - std.dot(raw) * std
-    return DualQuaternion(std, inf)
-
-
-def _vector(rng: random.Random, length: int | None = None, profile: str = "general") -> DQVector:
-    n = length if length is not None else rng.randint(1, 8)
-    entries = []
-    for _ in range(n):
-        if profile == "infinitesimal":
-            kind = "I"
-        elif profile == "appreciable":
-            kind = "A"
-        else:
-            kind = "A" if rng.random() < 0.7 else "I"
-        entries.append(_dquat(rng, kind))
-    return DQVector(tuple(entries))
-
-
-def _vector_with_appreciable(rng: random.Random, length: int | None = None) -> DQVector:
-    while True:
-        v = _vector(rng, length, "general")
-        if v.has_appreciable_entry:
-            return v
-
-
-def _unit_vector(rng: random.Random, n: int) -> DQVector:
-    while True:
-        raw = [_quat(rng) for _ in range(n)]
-        scale = math.hypot(*embed_real(raw))
-        if scale >= 0.5:
-            break
-    std = [(1.0 / scale) * q for q in raw]
-    inf = [_quat(rng) for _ in range(n)]
-    # Project the flattened infinitesimal part off the standard part so
-    # the inner product of the vector with itself is exactly one.
-    overlap = 0.0
-    for s, i in zip(std, inf):
-        overlap += s.dot(i)
-    entries = tuple(
-        DualQuaternion(s, i - overlap * s) for s, i in zip(std, inf)
-    )
-    return DQVector(entries)
 
 
 # -- dual number suites -------------------------------------------------------
 
 def _suite_dual_order_total(rng, rec):
     for index in range(rec.cases):
-        p, q, r = _dual(rng), _dual(rng), _dual(rng)
+        p, q, r = rng.dual(), rng.dual(), rng.dual()
         if index % 5 == 0:
             q = DualNumber(p.std, q.inf)  # force a standard-part tie
         if index % 7 == 0:
@@ -239,28 +238,28 @@ def _suite_dual_order_total(rng, rec):
 
 def _suite_dual_even_power_nonneg(rng, rec):
     for index in range(rec.cases):
-        q = _dual(rng)
+        q = rng.dual()
         k = 1 + index % 3
         rec.holds(_nonneg_defect(q ** (2 * k)))
 
 
 def _suite_dual_square_expansion_nonneg(rng, rec):
     for _ in range(rec.cases):
-        p, q = _dual(rng), _dual(rng)
+        p, q = rng.dual(), rng.dual()
         rec.holds(_nonneg_defect(p**2 + q**2 - 2 * (p * q)))
 
 
 def _suite_dual_product_of_nonnegatives(rng, rec):
     for _ in range(rec.cases):
-        p, q = abs(_dual(rng)), abs(_dual(rng))
+        p, q = abs(rng.dual()), abs(rng.dual())
         rec.holds(_nonneg_defect(p * q))
 
 
 def _suite_dual_product_of_positives(rng, rec):
     zero = DualNumber()
     for index in range(rec.cases):
-        p = abs(_appreciable_dual(rng))  # appreciable and positive
-        q = abs(_dual(rng, zero_std_rate=0.5))
+        p = abs(rng.appreciable_dual())  # appreciable and positive
+        q = abs(rng.dual(zero_std_rate=0.5))
         if q.is_zero:
             q = EPSILON
         if index % 2:
@@ -272,14 +271,14 @@ def _suite_dual_abs_zero_iff_zero(rng, rec):
     zero = DualNumber()
     rec.check(abs(zero).is_zero)
     for _ in range(rec.cases):
-        q = _dual(rng)
+        q = rng.dual()
         rec.check(abs(q).is_zero == q.is_zero)
 
 
 def _suite_dual_abs_dominates(rng, rec):
     zero = DualNumber()
     for _ in range(rec.cases):
-        q = _dual(rng)
+        q = rng.dual()
         if q >= zero:
             rec.check(abs(q) == q)
         else:
@@ -288,19 +287,19 @@ def _suite_dual_abs_dominates(rng, rec):
 
 def _suite_dual_abs_sqrt_of_square(rng, rec):
     for _ in range(rec.cases):
-        q = _appreciable_dual(rng)
+        q = rng.appreciable_dual()
         rec.within(_diff(abs(q), (q**2).sqrt()))
 
 
 def _suite_dual_abs_multiplicative(rng, rec):
     for _ in range(rec.cases):
-        p, q = _dual(rng), _dual(rng)
+        p, q = rng.dual(), rng.dual()
         rec.agree(abs(p * q), abs(p) * abs(q))
 
 
 def _suite_dual_triangle(rng, rec):
     for _ in range(rec.cases):
-        p, q = _dual(rng), _dual(rng)
+        p, q = rng.dual(), rng.dual()
         rec.holds(le_defect(abs(p + q), abs(p) + abs(q)))
 
 
@@ -308,7 +307,7 @@ def _suite_dual_inverse_roundtrip(rng, rec):
     one = DualNumber(1.0)
     for _ in range(rec.cases):
         while True:
-            q = _appreciable_dual(rng)
+            q = rng.appreciable_dual()
             if abs(q.std) >= 1e-3:  # keep the roundtrip well conditioned
                 break
         rec.within(_diff(q * q.inverse(), one), 1e-9)
@@ -317,14 +316,14 @@ def _suite_dual_inverse_roundtrip(rng, rec):
 
 def _suite_dual_sqrt_roundtrip(rng, rec):
     for _ in range(rec.cases):
-        q = abs(_appreciable_dual(rng))
+        q = abs(rng.appreciable_dual())
         root = q.sqrt()
         rec.agree(root * root, q)
 
 
 def _suite_dual_pow_repeated_mul(rng, rec):
     for index in range(rec.cases):
-        q = _dual(rng)
+        q = rng.dual()
         k = 2 + index % 4
         acc = q
         for _ in range(k - 1):
@@ -341,7 +340,7 @@ def _suite_dual_no_root_witness(rng, rec):
     rec.check(not report.root_exists)
     rec.check(report.interval.contains(DualNumber()) and report.interval.contains(DualNumber(1.0)))
     for _ in range(rec.cases):
-        x = DualNumber(rng.uniform(0.0, 1.0), _real(rng))
+        x = DualNumber(rng.uniform(0.0, 1.0), rng.real())
         rec.check(not (x * x - EPSILON).is_zero)
 
 
@@ -349,13 +348,13 @@ def _suite_dual_no_root_witness(rng, rec):
 
 def _suite_quat_conjugate_fixes_norm(rng, rec):
     for _ in range(rec.cases):
-        q = _quat(rng)
+        q = rng.quat()
         rec.within(abs(q.conjugate().norm() - q.norm()))
 
 
 def _suite_quat_self_product_is_norm_squared(rng, rec):
     for _ in range(rec.cases):
-        q = _quat(rng)
+        q = rng.quat()
         n2 = q.norm() ** 2
         for product in (q * q.conjugate(), q.conjugate() * q):
             rec.within(max(product.imaginary_magnitude(), abs(product.w - n2)))
@@ -364,31 +363,31 @@ def _suite_quat_self_product_is_norm_squared(rng, rec):
 def _suite_quat_norm_zero_iff_zero(rng, rec):
     rec.holds(Quaternion().norm())
     for _ in range(rec.cases):
-        q = _quat(rng)
+        q = rng.quat()
         rec.check((q.norm() == 0.0) == q.is_zero)
 
 
 def _suite_quat_norm_triangle(rng, rec):
     for _ in range(rec.cases):
-        p, q = _quat(rng), _quat(rng)
+        p, q = rng.quat(), rng.quat()
         rec.holds(max(0.0, (p + q).norm() - (p.norm() + q.norm()) - ORDER_SLACK))
 
 
 def _suite_quat_norm_multiplicative(rng, rec):
     for _ in range(rec.cases):
-        p, q = _quat(rng), _quat(rng)
+        p, q = rng.quat(), rng.quat()
         rec.agree((p * q).norm(), p.norm() * q.norm())
 
 
 def _suite_quat_conjugate_antihomomorphism(rng, rec):
     for _ in range(rec.cases):
-        p, q = _quat(rng), _quat(rng)
+        p, q = rng.quat(), rng.quat()
         rec.within(_diff((p * q).conjugate(), q.conjugate() * p.conjugate()))
 
 
 def _suite_quat_mixed_sum_forms(rng, rec):
     for _ in range(rec.cases):
-        p, q = _quat(rng), _quat(rng)
+        p, q = rng.quat(), rng.quat()
         two_dot = 2.0 * p.dot(q)
         left = p * q.conjugate() + q * p.conjugate()
         right = p.conjugate() * q + q.conjugate() * p
@@ -403,7 +402,7 @@ def _suite_quat_mixed_sum_forms(rng, rec):
 
 def _suite_quat_product_associative(rng, rec):
     for _ in range(rec.cases):
-        p, q, r = _quat(rng), _quat(rng), _quat(rng)
+        p, q, r = rng.quat(), rng.quat(), rng.quat()
         rec.agree((p * q) * r, p * (q * r))
 
 
@@ -411,7 +410,7 @@ def _suite_quat_inverse_roundtrip(rng, rec):
     one = Quaternion(1.0)
     for _ in range(rec.cases):
         while True:
-            q = _quat(rng)
+            q = rng.quat()
             if q.norm() >= 0.5:
                 break
         for product in (q * q.inverse(), q.inverse() * q):
@@ -434,13 +433,13 @@ def _suite_quat_noncommutativity_witness(rng, rec):
 
 def _suite_dq_self_conjugate_product_commutes(rng, rec):
     for index in range(rec.cases):
-        q = _dquat(rng, "AI"[index % 2])
+        q = rng.dquat("AI"[index % 2])
         rec.within(_diff(q * q.conjugate(), q.conjugate() * q))
 
 
 def _suite_dq_conjugate_fixes_magnitude(rng, rec):
     for index in range(rec.cases):
-        q = _dquat(rng, "AI"[index % 2])
+        q = rng.dquat("AI"[index % 2])
         rec.within(_diff(q.magnitude(), q.conjugate().magnitude()))
 
 
@@ -448,7 +447,7 @@ def _suite_dq_magnitude_nonneg_definite(rng, rec):
     zero = DualNumber()
     rec.check(DualQuaternion().magnitude().is_zero)
     for index in range(rec.cases):
-        q = _dquat(rng, "AI"[index % 2])
+        q = rng.dquat("AI"[index % 2])
         if q.is_zero:
             rec.check(q.magnitude().is_zero)
         else:
@@ -458,20 +457,20 @@ def _suite_dq_magnitude_nonneg_definite(rng, rec):
 def _suite_dq_magnitude_multiplicative(rng, rec):
     for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
-        p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
+        p, q = rng.dquat(kinds[0]), rng.dquat(kinds[1])
         rec.agree((p * q).magnitude(), p.magnitude() * q.magnitude())
 
 
 def _suite_dq_magnitude_triangle(rng, rec):
     for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
-        p, q = _dquat(rng, kinds[0]), _dquat(rng, kinds[1])
+        p, q = rng.dquat(kinds[0]), rng.dquat(kinds[1])
         rec.holds(le_defect((p + q).magnitude(), p.magnitude() + q.magnitude()))
 
 
 def _suite_dq_sqrt_route_agrees(rng, rec):
     for _ in range(rec.cases):
-        q = _dquat(rng, "A")
+        q = rng.dquat("A")
         rec.within(_diff(q.magnitude_via_sqrt(), q.magnitude()))
 
 
@@ -479,8 +478,8 @@ def _suite_dq_inverse_roundtrip(rng, rec):
     one = DualQuaternion.from_real(1.0)
     for _ in range(rec.cases):
         # Standard part of norm 1..10 keeps the inverse well conditioned.
-        std = rng.uniform(1.0, 10.0) * _unit_quat(rng)
-        q = DualQuaternion(std, _quat(rng))
+        std = rng.uniform(1.0, 10.0) * rng.unit_quat()
+        q = DualQuaternion(std, rng.quat())
         for product in (q * q.inverse(), q.inverse() * q):
             rec.within(_diff(product, one), 1e-9)
         rec.agree(q.inverse().inverse(), q)
@@ -488,8 +487,8 @@ def _suite_dq_inverse_roundtrip(rng, rec):
 
 def _suite_dq_embedding_consistent(rng, rec):
     for _ in range(rec.cases):
-        d1, d2 = _dual(rng), _dual(rng)
-        q = _quat(rng)
+        d1, d2 = rng.dual(), rng.dual()
+        q = rng.quat()
         lifted = DualQuaternion.from_dual(d1)
         rec.within(_diff(lifted.magnitude(), abs(d1)))
         rec.within(_diff(lifted * DualQuaternion.from_dual(d2), DualQuaternion.from_dual(d1 * d2)))
@@ -500,7 +499,7 @@ def _suite_dq_embedding_consistent(rng, rec):
 
 def _suite_vec_embedding_isometry(rng, rec):
     for _ in range(rec.cases):
-        quats = tuple(_quat(rng) for _ in range(rng.randint(1, 8)))
+        quats = tuple(rng.quat() for _ in range(rng.randint(1, 8)))
         vector = DQVector.from_quaternions(quats)
         norm = vector.norm2()
         rec.within(max(abs(norm.std - math.hypot(*embed_real(quats))), abs(norm.inf)))
@@ -509,7 +508,7 @@ def _suite_vec_embedding_isometry(rng, rec):
 def _suite_vec_inner_conjugate_symmetry(rng, rec):
     for _ in range(rec.cases):
         n = rng.randint(1, 8)
-        x, y = _vector(rng, n), _vector(rng, n)
+        x, y = rng.vector(n), rng.vector(n)
         rec.agree(x.inner(y).conjugate(), y.inner(x))
 
 
@@ -519,10 +518,10 @@ def _suite_vec_norms_definite(rng, rec):
         profile = ("general", "infinitesimal", "zero")[index % 3]
         n = rng.randint(1, 8)
         if profile == "zero":
-            v = DQVector(tuple(DualQuaternion() for _ in range(n)))
+            v = DQVector((_ZERO_DQUAT,) * n)
             rec.check(v.norm1().is_zero and v.norm_inf().is_zero and v.norm2().is_zero)
             continue
-        v = _vector(rng, n, profile)
+        v = rng.vector(n, profile)
         if all(e.is_zero for e in v):
             continue
         rec.check(v.norm1() > zero)
@@ -532,18 +531,18 @@ def _suite_vec_norms_definite(rng, rec):
 
 def _suite_vec_norms_homogeneous(rng, rec):
     for index in range(rec.cases):
-        x = _vector(rng)
+        x = rng.vector()
         stratum = index % 5
         if stratum == 0:
-            scalar = _dquat(rng, "A")
+            scalar = rng.dquat("A")
         elif stratum == 1:
-            scalar = _dquat(rng, "I")
+            scalar = rng.dquat("I")
         elif stratum == 2:
-            scalar = _unit_dquat(rng)
+            scalar = rng.unit_dquat()
         elif stratum == 3:
-            scalar = DualQuaternion.from_dual(_dual(rng))
+            scalar = DualQuaternion.from_dual(rng.dual())
         else:
-            scalar = DualQuaternion.from_real(_real(rng))
+            scalar = DualQuaternion.from_real(rng.real())
         scaled = scalar * x
         factor = scalar.magnitude()
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
@@ -555,20 +554,20 @@ def _suite_vec_norms_triangle(rng, rec):
         variant = index % 6
         n = rng.randint(1, 8)
         if variant == 0:
-            x, y = _vector(rng, n), _vector(rng, n)
+            x, y = rng.vector(n), rng.vector(n)
         elif variant == 1:
             # both sides infinitesimal
-            x = _vector(rng, n, "infinitesimal")
-            y = _vector(rng, n, "infinitesimal")
+            x = rng.vector(n, "infinitesimal")
+            y = rng.vector(n, "infinitesimal")
         elif variant == 2:
             # one side infinitesimal
-            x = _vector(rng, n)
-            y = _vector(rng, n, "infinitesimal")
+            x = rng.vector(n)
+            y = rng.vector(n, "infinitesimal")
         else:
             # proportional standard parts, the near-equality case
             t = (0.5, 1.0, 2.0)[variant - 3]
-            x = _vector_with_appreciable(rng, n)
-            y = DQVector(tuple(DualQuaternion(t * e.std, _quat(rng)) for e in x))
+            x = rng.vector_with_appreciable(n)
+            y = DQVector(tuple(DualQuaternion(t * e.std, rng.quat()) for e in x))
         total = x + y
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
             rec.holds(le_defect(norm(total), norm(x) + norm(y)))
@@ -577,7 +576,7 @@ def _suite_vec_norms_triangle(rng, rec):
 def _suite_vec_norm_chain(rng, rec):
     for index in range(rec.cases):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
-        v = _vector(rng, None, profile)
+        v = rng.vector(None, profile)
         n1, n2, ninf = v.norm1(), v.norm2(), v.norm_inf()
         rec.holds(le_defect(ninf, n2))
         rec.holds(le_defect(n2, n1))
@@ -585,7 +584,7 @@ def _suite_vec_norm_chain(rng, rec):
 
 def _suite_vec_norm2_closed_form(rng, rec):
     for _ in range(rec.cases):
-        v = _vector_with_appreciable(rng)
+        v = rng.vector_with_appreciable()
         closed = v.norm2_closed_form()
         rec.agree(v.norm2(), closed)
         bound = DualNumber(
@@ -597,7 +596,7 @@ def _suite_vec_norm2_closed_form(rng, rec):
 
 def _suite_vec_unit_checks(rng, rec):
     for index in range(rec.cases):
-        u = _unit_vector(rng, rng.randint(1, 8))
+        u = rng.unit_vector(rng.randint(1, 8))
         verdict = u.unit_check(UNIT_TOL)
         rec.check(verdict.passed, max(verdict.gram_residual, verdict.norm_residual))
         if index % 2 == 0:
@@ -615,11 +614,11 @@ def _suite_vec_orthonormal_basis(rng, rec):
         positions = rng.sample(range(n), n)
         vectors = []
         for row in range(n):
-            entries = [DualQuaternion() for _ in range(n)]
+            entries = [_ZERO_DQUAT] * n
             if index % 2 == 0:
-                entries[positions[row]] = DualQuaternion.from_quaternion(_unit_quat(rng))
+                entries[positions[row]] = DualQuaternion.from_quaternion(rng.unit_quat())
             else:
-                entries[positions[row]] = _unit_dquat(rng)
+                entries[positions[row]] = rng.unit_dquat()
             vectors.append(DQVector(tuple(entries)))
         verdict = basis_check(vectors, UNIT_TOL)
         rec.check(verdict.passed, max(max(row) for row in verdict.residuals))
@@ -644,7 +643,7 @@ def run_all(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> list[SuiteR
     """Run every suite with one shared generator; fully deterministic."""
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     results = []
     for name, suite in _SUITES:
         rec = _Recorder(cases)

@@ -1,0 +1,55 @@
+"""Finite, well-formed inputs that still get a wrong answer or a false error.
+
+Each test asserts the right answer and is marked ``xfail(strict=True)`` with
+the failure seen today, naming its entry under ROADMAP Open item 1 ("Still
+reproduces").  The fix for an entry removes its mark; a fix that lands
+without doing so turns the test into an unexpected pass, which fails.
+"""
+
+import pytest
+
+from dualquat import (
+    DQVector,
+    DualNumber,
+    DualQuaternion,
+    NegativeArgumentError,
+    NonFiniteError,
+    NotRepresentableError,
+    Quaternion,
+)
+
+
+def _dq(std: float, inf: float) -> DualQuaternion:
+    """``dq{ std: std, inf: inf }``: real standard and infinitesimal parts."""
+    return DualQuaternion(Quaternion(std), Quaternion(inf))
+
+
+@pytest.mark.xfail(strict=True, raises=NotRepresentableError,
+                   reason="ROADMAP item 1, norm2: the squared standard part 1e-400 underflows to 0")
+def test_norm2_of_a_tiny_standard_part_with_a_positive_infinitesimal_part():
+    assert DQVector((_dq(1e-200, 1.0),)).norm2() == DualNumber(1e-200, 1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NegativeArgumentError,
+                   reason="ROADMAP item 1, norm2 with inf: -1: the squared standard part underflows to 0")
+def test_norm2_of_a_tiny_standard_part_with_a_negative_infinitesimal_part():
+    assert DQVector((_dq(1e-200, -1.0),)).norm2() == DualNumber(1e-200, -1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NonFiniteError,
+                   reason="ROADMAP item 1, norm2 of std: 1e160: n**2 overflows above about 1.34e154")
+def test_norm2_of_a_huge_standard_part():
+    assert DQVector((_dq(1e160, 1.0),)).norm2() == DualNumber(1e160, 1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NonFiniteError,
+                   reason="ROADMAP item 1, magnitude of Quaternion(1e200) parts: std . inf overflows")
+def test_magnitude_of_huge_parts():
+    assert _dq(1e200, 1e200).magnitude() == DualNumber(1e200, 1e200)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude of std: 5e-324, inf: 1e-300: "
+                          "std . inf underflows and the infinitesimal part comes back as 0.0")
+def test_magnitude_keeps_an_infinitesimal_part_when_std_times_inf_underflows():
+    assert _dq(5e-324, 1e-300).magnitude() == DualNumber(5e-324, 1e-300)
