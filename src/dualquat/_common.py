@@ -17,6 +17,12 @@ CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
 UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a check tolerance that is not ``>= 0.0``: a negative one or NaN."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+
+
 class Value:
     """Base of the immutable values and result records.
 

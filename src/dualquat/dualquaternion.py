@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, UNIT_TOL, Value, real_operand
+from ._common import REALNESS_GUARD, UNIT_TOL, Value, check_tolerance, real_operand
 from .dual import DualNumber, _dual_number
 from .errors import ConsistencyError, NonFiniteError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, _scaled
@@ -173,8 +173,7 @@ class DualQuaternion(Value):
         when that overflows it is recomputed from scaled parts, and a
         residual beyond the double range raises ``NonFiniteError``.
         """
-        if tol < 0.0:
-            raise ValueError("tolerance must be nonnegative")
+        check_tolerance(tol)
         norm_residual = abs(self.std.norm() - 1.0)
         mixed_residual = abs(2.0 * self.std.dot(self.inf))
         if not math.isfinite(mixed_residual):

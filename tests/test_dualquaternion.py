@@ -292,8 +292,10 @@ def test_unit_check_oracles():
 
 
 def test_unit_check_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        DualQuaternion.from_real(1.0).unit_check(-1e-9)
+    for tol in (-1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            DualQuaternion.from_real(1.0).unit_check(tol)
+    assert DualQuaternion.from_real(2.0).unit_check(float("inf")).passed
 
 
 def test_is_unit_constructed_units():

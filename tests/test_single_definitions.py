@@ -13,17 +13,19 @@ import dualquat
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The realness guard, the order slack and its relaxed order, the agreement
-# test, the default unit tolerance, the real-scalar operand rule, the
-# quaternion product rule (written out again, with conjugation folded in, by
-# the inner-product kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion
-# magnitude rule, the per-field and all-fields finiteness tests, the trusted
-# constructors of kernel results and the product with a real.
+# test, the default unit tolerance and the rule that admits a tolerance, the
+# real-scalar operand rule, the quaternion product rule (written out again,
+# with conjugation folded in, by the inner-product kernels; see
+# PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the per-field and
+# all-fields finiteness tests, the trusted constructors of kernel results and
+# the product with a real.
 SHARED_RULES = (
     "REALNESS_GUARD",
     "ORDER_SLACK",
     "le_defect",
     "close",
     "UNIT_TOL",
+    "check_tolerance",
     "real_operand",
     "product",
     "magnitude_parts",

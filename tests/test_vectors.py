@@ -196,9 +196,16 @@ def entries_of(component):
 # Each vector takes all of its components from one source: the mix of the
 # inner-product test; floats of one scale only, so that three or more
 # magnitudes of one size meet in a sum and a re-associated sum rounds
-# differently; or the mix with huge values added.
+# differently; the mix with huge values added; or floats of one scale with
+# about half of the entries the zero dual quaternion, which the Gram kernel
+# skips.
 entry_sources = st.sampled_from(
-    [entries_of(components), entries_of(st.floats(-10.0, 10.0)), entries_of(st.one_of(components, huge))]
+    [
+        entries_of(components),
+        entries_of(st.floats(-10.0, 10.0)),
+        entries_of(st.one_of(components, huge)),
+        st.one_of(st.just(DualQuaternion()), entries_of(st.floats(-10.0, 10.0))),
+    ]
 )
 
 
@@ -206,9 +213,27 @@ def dq_vectors(n, entries):
     return st.lists(entries, min_size=n, max_size=n).map(tuple).map(DQVector)
 
 
+def permutation_basis(positions, entries):
+    """Row ``r`` is zero except for ``entries[r]`` at ``positions[r]``, as in the benchmark's bases."""
+    n = len(positions)
+    return [
+        DQVector(tuple(entries[r] if k == positions[r] else DualQuaternion() for k in range(n)))
+        for r in range(n)
+    ]
+
+
 wide_vectors = st.tuples(st.integers(1, 6), entry_sources).flatmap(lambda n_e: dq_vectors(*n_e))
-wide_bases = st.tuples(st.integers(1, 3), entry_sources).flatmap(
-    lambda n_e: st.lists(dq_vectors(*n_e), min_size=n_e[0], max_size=n_e[0])
+wide_bases = st.one_of(
+    st.tuples(st.integers(1, 3), entry_sources).flatmap(
+        lambda n_e: st.lists(dq_vectors(*n_e), min_size=n_e[0], max_size=n_e[0])
+    ),
+    st.integers(1, 6).flatmap(
+        lambda n: st.builds(
+            permutation_basis,
+            st.permutations(range(n)),
+            st.lists(entries_of(st.one_of(components, huge)), min_size=n, max_size=n),
+        )
+    ),
 )
 
 # An infinitesimal entry whose magnitude overflows in a vector with an
@@ -247,6 +272,32 @@ TWO_OVERFLOWING_PAIRS = [
     _unit_row(5, 0, DualQuaternion(Quaternion(1e250, -1e250))),
     _unit_row(5, 3),
     _unit_row(5, 0, DualQuaternion(Quaternion(1e250, 1e250))),
+]
+
+# Zero entries, which the Gram kernel skips: a canonical basis whose squares
+# overflow on the diagonal while no two vectors share a position; a basis with
+# an all-zero vector; and a vector that is zero but for its last entry, beside
+# two full ones whose sums round differently when their terms are reversed.
+HUGE_CANONICAL = [
+    _unit_row(3, k, DualQuaternion(Quaternion(c))) for k, c in enumerate((1.7e308, -1.7e308, 1.7e308))
+]
+ZERO_VECTOR = [_unit_row(3, 0), DQVector((DualQuaternion(),) * 3), _unit_row(3, 2)]
+LAST_ENTRY_ONLY = [
+    DQVector((
+        DualQuaternion(),
+        DualQuaternion(),
+        DualQuaternion(Quaternion(0.5, -1.5, 2.5, 0.1), Quaternion(-3.0, 0.7)),
+    )),
+    DQVector((
+        DualQuaternion(Quaternion(7.1, -2.2, -0.7, 0.4), Quaternion(2.6, 1.7, 1.1, 2.2)),
+        DualQuaternion(Quaternion(7.9, 0.1, -1.2, 4.0), Quaternion(-4.7, -3.6, 8.6, 0.4)),
+        DualQuaternion(Quaternion(0.9, -8.8, -1.5, 1.4), Quaternion(-8.6, 2.1, 2.4, -7.9)),
+    )),
+    DQVector((
+        DualQuaternion(Quaternion(2.3, -0.6, 3.2, -2.7), Quaternion(3.7, 4.3, -8.6, -7.9)),
+        DualQuaternion(Quaternion(3.2, 8.3, -4.5, -0.8), Quaternion(1.7, -3.2, -2.4, -3.4)),
+        DualQuaternion(Quaternion(-2.4, 1.7, -3.6, -2.2), Quaternion(4.9, -8.5, 1.2, 4.2)),
+    )),
 ]
 
 
@@ -332,6 +383,9 @@ def test_norms_and_unit_check_round_exactly_as_the_operators(x):
 @example([ROUNDING_CROSS_TERMS])
 @example([UNIT_ROUNDING_CROSS_TERMS])
 @example(TWO_OVERFLOWING_PAIRS)
+@example(HUGE_CANONICAL)
+@example(ZERO_VECTOR)
+@example(LAST_ENTRY_ONLY)
 def test_basis_check_rounds_exactly_as_the_operators(vectors):
     assert outcome(basis_check, vectors) == outcome(reference_basis_check, vectors)
 
@@ -359,6 +413,9 @@ def first_error(*computations):
 @example(TWO_OVERFLOWING_PAIRS)
 @example([OVERFLOWING_SQUARE])
 @example([ROUNDING_CROSS_TERMS])
+@example(HUGE_CANONICAL)
+@example(ZERO_VECTOR)
+@example(LAST_ENTRY_ONLY)
 def test_gram_kernel_gives_every_inner_product_exactly(vectors):
     # All eight components of every x_i . x_j, where the residuals of the
     # checks show only the largest.
@@ -372,11 +429,44 @@ def test_gram_kernel_gives_every_inner_product_exactly(vectors):
 @given(wide_bases)
 @example(TWO_OVERFLOWING_PAIRS)
 @example([OVERFLOWING_SQUARE])
+@example(HUGE_CANONICAL)
 def test_unit_and_basis_checks_raise_the_messages_of_the_inner_products(vectors):
     for x in vectors:
         assert first_error(x.unit_check) == first_error(lambda: x.inner(x), x.norm2)
     pairs = [functools.partial(x.inner, y) for x in vectors for y in vectors]  # row-major
     assert first_error(lambda: basis_check(vectors)) == first_error(*pairs)
+
+
+def test_basis_check_reads_only_the_nonzero_entries_of_a_permutation_basis():
+    # The tests above see results, not the work behind them, so they cannot
+    # see a skip that has been lost.  The self forms read the std and inf of
+    # every entry once, 2n**2 reads; a pair form that visits every position
+    # reads 4n more, 2n**3 in all for a dense basis.
+    reads = 0
+
+    class Counting(DualQuaternion):
+        __slots__ = ()
+
+        @property
+        def std(self):
+            nonlocal reads
+            reads += 1
+            return DualQuaternion.std.__get__(self)
+
+        @property
+        def inf(self):
+            nonlocal reads
+            reads += 1
+            return DualQuaternion.inf.__get__(self)
+
+    n = 24
+    unit, zero = Counting(Quaternion(0.6, 0.8), Quaternion(0.0, 0.0, 3.0)), Counting()
+    permutation = [DQVector(unit if k == 7 * r % n else zero for k in range(n)) for r in range(n)]
+    assert basis_check(permutation).passed
+    assert reads <= 4 * n * n
+    reads = 0
+    basis_check([DQVector([unit] * n)] * n)
+    assert reads > n**3
 
 
 def test_inner_length_mismatch():
@@ -548,8 +638,10 @@ def test_unit_vector_check_oracles():
 
 
 def test_unit_check_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        DQVector.from_quaternions((Quaternion(1),)).unit_check(-0.1)
+    for tol in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            DQVector.from_quaternions((Quaternion(1),)).unit_check(tol)
+    assert DQVector.from_quaternions((Quaternion(2),)).unit_check(float("inf")).passed
 
 
 def test_unit_iff_margin():
@@ -596,8 +688,12 @@ def test_basis_check_validates_shape():
         basis_check([e1, short], 1e-9)
     with pytest.raises(ValueError):
         basis_check([], 1e-9)
-    with pytest.raises(ValueError):
-        basis_check([e1, e1], -1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            basis_check([e1, e1], tol)
+    with pytest.raises(TypeError):
+        basis_check([e1, tuple(e1)], 1e-9)
+    assert basis_check([DQVector((dq(std=Quaternion(5)),))], float("inf")).passed
 
 
 def test_scalar_action_is_left_multiplication():
