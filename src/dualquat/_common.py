@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from .errors import NonFiniteError
 
@@ -89,6 +90,29 @@ def all_finite(w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> bool
     otherwise, for its coercion and its error text.
     """
     return (w - w) + (x - x) + (y - y) + (z - z) == 0.0
+
+
+def scale_exponent(values: Iterable[float]) -> int:
+    """The exponent ``k`` of the largest ``|v|``, as ``math.frexp`` gives it; 0 when all are zero.
+
+    The one power-of-two scaling rule for formulas that square components
+    (Blue, ACM TOMS 4(1), 1978): times ``2**-k`` the largest lies in [0.5, 1),
+    so no square overflows, and ``times_power_of_two`` scales back.  Scaling
+    by a power of two is exact unless the value leaves the normal range, so
+    wherever the unscaled formula stays inside it, the two agree bit for bit.
+    """
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def times_power_of_two(value: float, k: int, what: str, subject: object) -> float:
+    """``value * 2**k`` by ``math.ldexp``; beyond the double range, ``NonFiniteError``.
+
+    The error's text, "the {what} of {subject} overflows", is formatted only then.
+    """
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        raise NonFiniteError(f"the {what} of {subject} overflows") from None
 
 
 def real_operand(value: object) -> float | None:

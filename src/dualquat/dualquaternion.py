@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, UNIT_TOL, Value, check_tolerance, real_operand
+from ._common import REALNESS_GUARD, UNIT_TOL, Value, check_tolerance, real_operand, scale_exponent, times_power_of_two
 from .dual import DualNumber, _dual_number
-from .errors import ConsistencyError, NonFiniteError, NotAppreciableError, NotInvertibleError
+from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, _scaled
 
 __all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts"]
@@ -128,15 +128,10 @@ class DualQuaternion(Value):
         for appreciable values; the square root of an infinitesimal square
         magnitude is not representable.
 
-        The route runs on ``std 2**-k + inf 2**-m e``, where ``2**-k`` and
-        ``2**-m`` are the powers of two that bring the largest component of
-        each part into [0.5, 1), so the square neither overflows nor
-        underflows; the root's parts are scaled by ``2**k`` and ``2**m``
-        again.  The magnitude's standard part scales with ``std`` alone and
-        its infinitesimal part with ``inf`` alone, and scaling by a power of
-        two is exact in the normal range, so there the result is the
-        unscaled route's.  A magnitude beyond the double range raises
-        ``NonFiniteError``.
+        The route runs on ``std 2**-k + inf 2**-m e`` by the scaling rule of
+        ``_common.scale_exponent``, one exponent per part since each part of
+        the magnitude scales with its own, and a magnitude beyond the double
+        range raises ``NonFiniteError``.
         """
         if not self.is_appreciable:
             raise NotAppreciableError(
@@ -145,9 +140,10 @@ class DualQuaternion(Value):
         # 2**-k stays a double: below 2**-1022 the largest component is
         # brought up only to [2**-52, 0.5), which squares to a normal double.
         # A zero infinitesimal part has exponent 0 and is left as it is.
-        k, m = [max(math.frexp(max(map(abs, part.components())))[1], -1022) for part in (self.std, self.inf)]
+        k, m = [max(scale_exponent(part.components()), -1022) for part in (self.std, self.inf)]
         scaled = _dual_quaternion(
-            _scaled(self.std, math.ldexp(1.0, -k)), _scaled(self.inf, math.ldexp(1.0, -m))
+            _scaled(self.std, times_power_of_two(1.0, -k, "magnitude", self)),
+            _scaled(self.inf, times_power_of_two(1.0, -m, "magnitude", self)),
         )
         product = scaled * scaled.conjugate()
         # The residue may reach REALNESS_GUARD * scale**2, with the scale at
@@ -159,25 +155,30 @@ class DualQuaternion(Value):
                     f"q * q.conjugate() is not real: got {part} in {product}"
                 )
         root = DualNumber(product.std.w, product.inf.w).sqrt()
-        try:
-            return _dual_number(math.ldexp(root.std, k), math.ldexp(root.inf, m))
-        except OverflowError:
-            raise NonFiniteError(f"the magnitude of {self} overflows") from None
+        return _dual_number(
+            times_power_of_two(root.std, k, "magnitude", self), times_power_of_two(root.inf, m, "magnitude", self)
+        )
 
     def unit_check(self, tol: float = UNIT_TOL) -> UnitCheck:
         """Test whether this is a unit dual quaternion.
 
         The characterization is exact in exact arithmetic: unit standard
         part and vanishing mixed sum.  Both residuals are reported and
-        compared against ``tol``.  The mixed residual is ``|2 std.inf|``;
-        when that overflows it is recomputed from scaled parts, and a
-        residual beyond the double range raises ``NonFiniteError``.
+        compared against ``tol``.  The mixed residual ``|2 std.inf|`` is
+        recomputed by the scaling rule of ``_common.scale_exponent`` when it
+        overflows, and raises ``NonFiniteError`` beyond the double range.
         """
         check_tolerance(tol)
         norm_residual = abs(self.std.norm() - 1.0)
         mixed_residual = abs(2.0 * self.std.dot(self.inf))
         if not math.isfinite(mixed_residual):
-            mixed_residual = _scaled_mixed_residual(self.std, self.inf)
+            # The same dot product on parts scaled by their own exponents: as the
+            # product overflowed, both are at least -2, so each factor 2**-k is a
+            # double.  Exact but for negligible components; no scaled product reaches 1.
+            k, m = [scale_exponent(part.components()) for part in (self.std, self.inf)]
+            std = _scaled(self.std, times_power_of_two(1.0, -k, "mixed-sum residual", self))
+            inf = _scaled(self.inf, times_power_of_two(1.0, -m, "mixed-sum residual", self))
+            mixed_residual = times_power_of_two(abs(2.0 * std.dot(inf)), k + m, "mixed-sum residual", self)
         return UnitCheck(
             passed=norm_residual <= tol and mixed_residual <= tol,
             norm_residual=norm_residual,
@@ -226,26 +227,6 @@ def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
         return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
     n = math.hypot(w, x, y, z)
     return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
-
-
-def _scaled_mixed_residual(std: Quaternion, inf: Quaternion) -> float:
-    """``|2 std.inf|`` for parts whose plain residual overflowed.
-
-    Since it overflowed, neither part is zero.  Each part is divided
-    by a power of two at its largest component, which is exact but for the
-    underflow of negligible components, so every scaled product is below 1
-    and no ``inf - inf`` can form.
-    """
-    std_exp = math.frexp(max(map(abs, std.components())))[1]
-    inf_exp = math.frexp(max(map(abs, inf.components())))[1]
-    scaled = sum(
-        math.ldexp(a, -std_exp) * math.ldexp(b, -inf_exp)
-        for a, b in zip(std.components(), inf.components())
-    )
-    try:
-        return math.ldexp(abs(2.0 * scaled), std_exp + inf_exp)
-    except OverflowError:
-        raise NonFiniteError(f"the mixed-sum residual of {DualQuaternion(std, inf)} overflows") from None
 
 
 class UnitCheck(Value):

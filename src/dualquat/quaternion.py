@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, Value, all_finite, finite, real_operand
-from .errors import ConsistencyError, NonFiniteError, NotInvertibleError
+from ._common import REALNESS_GUARD, Value, all_finite, finite, real_operand, scale_exponent, times_power_of_two
+from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum", "product"]
 
@@ -100,24 +100,23 @@ class Quaternion(Value):
     def inverse(self) -> Quaternion:
         """Multiplicative inverse, ``conjugate / norm**2``.
 
-        When the squared norm overflows or falls below the normal range, the
-        formula is evaluated on the components times ``2**k``, the power of
-        two that brings the largest into [0.5, 1), and its result is scaled
-        by ``2**k`` again.  An inverse beyond the double range raises
-        ``NonFiniteError``.
+        Where the squared norm is not a normal double, it is computed by the
+        scaling rule of ``_common.scale_exponent``, and an inverse beyond the
+        double range raises ``NonFiniteError``.
         """
         if self.is_zero:
             raise NotInvertibleError("the zero quaternion has no inverse")
         n2 = self.norm_squared()
         if 2.2250738585072014e-308 <= n2 <= 1.7976931348623157e308:  # a normal double
             return _quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-        k = -math.frexp(max(map(abs, self.components())))[1]
-        w, x, y, z = [math.ldexp(c, k) for c in self.components()]
+        k = -scale_exponent(self.components())
+        w, x, y, z = [times_power_of_two(c, k, "inverse", self) for c in self.components()]
         n2 = w * w + x * x + y * y + z * z
-        try:
-            return _quaternion(*[math.ldexp(c / n2, k) for c in (w, -x, -y, -z)])
-        except OverflowError:
-            raise NonFiniteError(f"the inverse of {self} overflows") from None
+        # inverse(q 2**k) is inverse(q) 2**-k.  Four calls cost less than a comprehension.
+        return _quaternion(
+            times_power_of_two(w / n2, k, "inverse", self), times_power_of_two(-x / n2, k, "inverse", self),
+            times_power_of_two(-y / n2, k, "inverse", self), times_power_of_two(-z / n2, k, "inverse", self),
+        )
 
     def imaginary_magnitude(self) -> float:
         """Largest absolute imaginary component; zero iff the value is real."""

@@ -46,10 +46,6 @@ def embed_real(values: Iterable[Quaternion]) -> tuple[float, ...]:
     return tuple(flat)
 
 
-def _euclidean(values: Sequence[float]) -> float:
-    return math.hypot(*values)
-
-
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     total = 0.0
     for left, right in zip(a, b):
@@ -355,7 +351,7 @@ class DQVector(Value):
 
     def norm2(self) -> DualNumber:
         if not self.has_appreciable_entry:
-            return _dual_number(0.0, _euclidean(embed_real(self.inf_part())))
+            return _dual_number(0.0, math.hypot(*embed_real(self.inf_part())))
         std = inf = 0.0
         for e in self.entries:
             n, m = magnitude_parts(e.std, e.inf)
@@ -381,7 +377,7 @@ class DQVector(Value):
             )
         std_flat = embed_real(self.std_part())
         inf_flat = embed_real(self.inf_part())
-        std_norm = _euclidean(std_flat)
+        std_norm = math.hypot(*std_flat)
         return DualNumber(std_norm, _dot(std_flat, inf_flat) / std_norm)
 
     def unit_check(self, tol: float = UNIT_TOL) -> VectorUnitCheck:

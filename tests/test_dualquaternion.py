@@ -205,8 +205,9 @@ def test_magnitude_via_sqrt_across_the_double_range(std, inf):
 
 
 def test_magnitude_via_sqrt_beyond_the_double_range_raises_non_finite():
-    with pytest.raises(NonFiniteError, match="overflows"):
+    with pytest.raises(NonFiniteError) as err:
         DualQuaternion(Quaternion(1.7e308, 1.7e308)).magnitude_via_sqrt()
+    assert str(err.value) == "the magnitude of (1.7e+308+1.7e+308i+0.0j+0.0k)+(0.0+0.0i+0.0j+0.0k)e overflows"
 
 
 def test_magnitude_via_sqrt_needs_appreciable():
@@ -289,6 +290,13 @@ def test_unit_check_oracles():
     verdict = drift.unit_check(0.0)
     assert not verdict.passed
     assert verdict.norm_residual == 0.0 and verdict.mixed_residual == 2.0
+
+
+def test_unit_check_beyond_the_double_range_raises_non_finite():
+    # 2 std.inf is 2e600; the scaled recomputation overflows as well.
+    with pytest.raises(NonFiniteError) as err:
+        DualQuaternion(Quaternion(1e300), Quaternion(1e300)).unit_check()
+    assert str(err.value) == "the mixed-sum residual of (1e+300+0.0i+0.0j+0.0k)+(1e+300+0.0i+0.0j+0.0k)e overflows"
 
 
 def test_unit_check_rejects_negative_tolerance():

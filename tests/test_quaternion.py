@@ -76,8 +76,9 @@ def test_inverse_across_the_double_range():
     got = Quaternion(0, 1e300, 0, -1e300).inverse().components()
     assert all(math.isclose(a, b, rel_tol=1e-15) for a, b in zip(got, (0.0, -5e-301, 0.0, 5e-301)))
     # The inverse of a subnormal lies beyond the double range.
-    with pytest.raises(NonFiniteError, match="inverse of 5e-324"):
+    with pytest.raises(NonFiniteError) as err:
         Quaternion(5e-324).inverse()
+    assert str(err.value) == "the inverse of 5e-324+0.0i+0.0j+0.0k overflows"
 
 
 @given(quats)

@@ -17,8 +17,8 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # real-scalar operand rule, the quaternion product rule (written out again,
 # with conjugation folded in, by the inner-product kernels; see
 # PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the per-field and
-# all-fields finiteness tests, the trusted constructors of kernel results and
-# the product with a real.
+# all-fields finiteness tests, the trusted constructors of kernel results, the
+# product with a real and the power-of-two scaling rule (see SCALING_RULE).
 SHARED_RULES = (
     "REALNESS_GUARD",
     "ORDER_SLACK",
@@ -35,7 +35,14 @@ SHARED_RULES = (
     "_dual_number",
     "_dual_quaternion",
     "_scaled",
+    "scale_exponent",
+    "times_power_of_two",
 )
+
+# The one module that names math.frexp or math.ldexp: the scaling rule's.
+# The modules that scale through it map no OverflowError of their own.
+SCALING_RULE = "_common"
+SCALING_CALLERS = ("quaternion", "dualquaternion")
 
 # The defs that write out the all_finite test ``(v - v) + ... == 0.0``: the
 # rule itself and the two value types' public and trusted constructors,
@@ -149,6 +156,27 @@ def test_product_rule_is_written_out_only_in_the_rule_and_the_inner_kernel():
             if _name_products(node) >= 16:
                 found.add(".".join((path.stem, *qualname)))
     assert found == PRODUCT_WRITTEN_OUT
+
+
+def test_power_of_two_scaling_goes_through_the_one_rule():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in ("frexp", "ldexp"))
+            or (isinstance(node, ast.alias) and node.name in ("frexp", "ldexp"))
+        ]
+        assert named == [] or path.stem == SCALING_RULE, f"{path.stem} names {named}"
+        if path.stem in SCALING_CALLERS:
+            caught = [
+                ast.unparse(node.type)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler)
+                and node.type is not None
+                and any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in ast.walk(node.type))
+            ]
+            assert caught == [], f"{path.stem} catches {caught}"
 
 
 def test_production_modules_keep_off_the_mixed_sum_cross_check():
