@@ -16,9 +16,9 @@ vertical tab, NUL and non-ASCII digits among them, is rejected with its
 line and column.  A line ends at LF, and every other character, tab
 included, is one column.
 
-A well-formed document is read one dual-quaternion literal per pattern
-match; the token parser defines the grammar, reads every other text, and
-reports every error.
+A document is read by one lexer and one parser.  The lexer reads each
+well-formed dual-quaternion literal as one token; the parser defines the
+grammar and reports every error.
 
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
@@ -62,19 +62,37 @@ class InputDocument(Value):
 
 # -- lexer ----------------------------------------------------------------
 
-# The alternatives are tried in order: number, identifier, punctuation, and
-# last any other character but whitespace, which the lexer rejects.  So only
-# space, tab, CR and LF match nothing, and ``finditer`` skips exactly those.
+# The alternatives are tried in order: a whole ``dq{ std: Q, inf: Q }``
+# literal, number, identifier, punctuation, and last any other character but
+# whitespace, which the lexer rejects.  So only space, tab, CR and LF match
+# nothing, and ``finditer`` skips exactly those.  A literal token covers
+# exactly the tokens that the other alternatives would give for its text: it
+# starts where a token would, and each number, unit or keyword in it is
+# followed by whitespace or by a sign, unit or punctuation mark, none of which
+# can extend it.  Those tokens are what the parser's piecewise rules accept
+# after "dq", so the parser stays the one definition of the grammar and of
+# every error.
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_SCANNER = re.compile(
-    rf"(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[{}\[\]:,+-])|(?P<bad>[^ \t\r\n])"
-)
+_WS = "[ \t\r\n]*"
 _NON_FINITE_WORDS = frozenset({"inf", "infinity", "nan"})
 
+
+@functools.cache
+def _scanner() -> re.Pattern:
+    """The lexer's one pattern, compiled on first use, not at import."""
+    term = rf"{_WS}([+-]){_WS}({_NUMBER}){_WS}"
+    quaternion = rf"{_WS}(?:([+-]){_WS})?({_NUMBER})(?:{term}i{term}j{term}k)?{_WS}"
+    literal = rf"dq{_WS}\{{{_WS}std{_WS}:{quaternion},{_WS}inf{_WS}:{quaternion}\}}"
+    return re.compile(
+        rf"(?P<literal>{literal})|(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|(?P<punct>[{}\[\]:,+-])|(?P<bad>[^ \t\r\n])"
+    )
+
+
 # A token is (kind, text, offset) with kind "number", "ident", "punct" or
-# "end".  The end token has empty text and offset len(text).
-_Tok = tuple[str, str, int]
+# "end", or ("literal", "dq", offset, match).  The end token has empty text
+# and offset len(text).
+_Tok = tuple[str, str, int] | tuple[str, str, int, re.Match]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -83,10 +101,15 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    tokens = [(m.lastgroup, m[0], m.start()) for m in _SCANNER.finditer(text)]
-    for kind, token_text, offset in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {token_text!r}", *_position(text, offset))
+    tokens = []
+    for m in _scanner().finditer(text):
+        kind = m.lastgroup
+        if kind == "literal":
+            tokens.append((kind, "dq", m.start(), m))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
+        else:
+            tokens.append((kind, m[0], m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -97,8 +120,9 @@ _SIGNS = ("+", "-")
 
 
 class _Parser:
-    # No two kinds share a token text, and only the end token's is empty,
-    # so comparing texts is enough wherever a punctuation mark or a word is
+    # A literal token's text is its leading "dq"; apart from that no two
+    # kinds share a token text, and only the end token's is empty.  So
+    # comparing texts is enough wherever a punctuation mark or a word is
     # expected.  The parser steps past a token only once it has accepted it.
 
     def __init__(self, text: str):
@@ -106,13 +130,16 @@ class _Parser:
         self._tokens = _tokenize(text)
         self._pos = 0
 
-    def _where(self, token: _Tok) -> str:
-        line, column = _position(self._text, token[2])
+    def _where(self, offset: int) -> str:
+        line, column = _position(self._text, offset)
         return f"line {line}, column {column}"
 
     def _fail(self, message: str, token: _Tok):
         got = "end of input" if token[0] == "end" else repr(token[1])
         raise ParseError(f"{message}, got {got}", *_position(self._text, token[2]))
+
+    def _overflow(self, text: str, offset: int) -> NonFiniteError:
+        return NonFiniteError(f"literal {text!r} overflows the double range at {self._where(offset)}")
 
     def _expect(self, text: str, message: str = "") -> _Tok:
         token = self._tokens[self._pos]
@@ -125,14 +152,12 @@ class _Parser:
         token = self._tokens[self._pos]
         kind, text = token[0], token[1]
         if kind == "ident" and text.lower() in _NON_FINITE_WORDS:
-            raise NonFiniteError(f"non-finite literal {text!r} at {self._where(token)}")
+            raise NonFiniteError(f"non-finite literal {text!r} at {self._where(token[2])}")
         if kind != "number":
             self._fail("expected a number", token)
         value = float(text)
         if not math.isfinite(value):
-            raise NonFiniteError(
-                f"literal {text!r} overflows the double range at {self._where(token)}"
-            )
+            raise self._overflow(text, token[2])
         self._pos += 1
         return value
 
@@ -167,6 +192,10 @@ class _Parser:
         return Quaternion(w)
 
     def _dual_quaternion(self) -> DualQuaternion:
+        token = self._tokens[self._pos]
+        if token[0] == "literal":
+            self._pos += 1
+            return self._literal(token[3])
         self._expect("dq")
         self._expect("{")
         self._expect("std")
@@ -179,29 +208,41 @@ class _Parser:
         self._expect("}")
         return DualQuaternion(std, inf)
 
-    def _vector(self) -> DQVector:
-        self._expect("vec")
-        opener = self._expect("[")
-        if self._tokens[self._pos][1] == "]":
-            raise EmptyVectorError(f"empty vector at {self._where(opener)}")
-        entries = [self._dual_quaternion()]
-        while self._tokens[self._pos][1] == ",":
-            self._pos += 1
-            entries.append(self._dual_quaternion())
-        self._expect("]")
-        return DQVector(tuple(entries))
+    def _literal(self, m: re.Match) -> DualQuaternion:
+        """The value of a literal token, built by the trusted constructors.
 
-    def _basis(self) -> tuple[DQVector, ...]:
-        self._expect("basis")
+        Groups 2-17 of its match are the sign and number of w, x, y and z of
+        each part in turn.  An absent group reads as "0": a leading zero,
+        which ``float`` ignores, or as a single real's terms "00", 0.0.
+        ``float("-" + number)`` is ``-float(number)``, the piecewise value,
+        since decimal conversion rounds correctly and so symmetrically.
+        """
+        g = m.groups("0")
+        try:
+            return _dual_quaternion(
+                _quaternion(float(g[1] + g[2]), float(g[3] + g[4]), float(g[5] + g[6]), float(g[7] + g[8])),
+                _quaternion(float(g[9] + g[10]), float(g[11] + g[12]), float(g[13] + g[14]), float(g[15] + g[16])),
+            )
+        except NonFiniteError:  # _quaternion raises it on an overflowed real
+            for group in range(3, 18, 2):  # the numbers, in the piecewise rules' order
+                if m[group] is not None and not math.isfinite(float(m[group])):
+                    raise self._overflow(m[group], m.start(group)) from None
+
+    def _items(self, head: str, noun: str, read) -> tuple:
+        """The items of a non-empty ``head[ item, ... ]`` list, each read by ``read``."""
+        self._expect(head)
         opener = self._expect("[")
         if self._tokens[self._pos][1] == "]":
-            raise EmptyVectorError(f"empty basis at {self._where(opener)}")
-        vectors = [self._vector()]
+            raise EmptyVectorError(f"empty {noun} at {self._where(opener[2])}")
+        items = [read()]
         while self._tokens[self._pos][1] == ",":
             self._pos += 1
-            vectors.append(self._vector())
+            items.append(read())
         self._expect("]")
-        return tuple(vectors)
+        return tuple(items)
+
+    def _vector(self) -> DQVector:
+        return DQVector(self._items("vec", "vector", self._dual_quaternion))
 
     def document(self) -> InputDocument:
         head = self._tokens[self._pos][1]
@@ -210,7 +251,7 @@ class _Parser:
         elif head == "vec":
             doc = InputDocument(VECTOR, self._vector())
         elif head == "basis":
-            doc = InputDocument(BASIS, self._basis())
+            doc = InputDocument(BASIS, self._items("basis", "basis", self._vector))
         else:
             self._fail("expected 'dq', 'vec', or 'basis'", self._tokens[self._pos])
         trailing = self._tokens[self._pos]
@@ -219,109 +260,9 @@ class _Parser:
         return doc
 
 
-# -- literal matcher --------------------------------------------------------
-
-# A well-formed document is read one dual-quaternion literal per pattern
-# match.  The matcher gives up at the first thing it does not recognize and
-# the token parser reads the text again, so the parser alone defines the
-# grammar and reports every error.  No character that may follow a number
-# here can extend it, so the numbers matched are the lexer's tokens; and no
-# two whitespace runs can meet in a match, so a failing match backtracks
-# over each whitespace run once.  Once all the text has matched, the trusted
-# constructors build the values straight from the groups; a real that
-# overflows raises NonFiniteError there, and the matcher gives up on it too.
-_WS = "[ \t\r\n]*"
-
-
-@functools.cache
-def _literal_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The literal, opener and mark patterns, compiled on first use, not at import."""
-    term = rf"{_WS}([+-]){_WS}({_NUMBER}){_WS}"
-    quaternion = rf"{_WS}(?:([+-]){_WS})?({_NUMBER})(?:{term}i{term}j{term}k)?{_WS}"
-    mark = rf"{_WS}(?:([,\]]){_WS})?"  # group 17 of a literal
-    literal = rf"{_WS}dq{_WS}\{{{_WS}std{_WS}:{quaternion},{_WS}inf{_WS}:{quaternion}\}}{mark}"
-    return re.compile(literal), re.compile(rf"{_WS}(vec|basis){_WS}\["), re.compile(mark)
-
-
-def _dual_quaternions(literals: list[tuple]) -> tuple[DualQuaternion, ...] | None:
-    """The values of matched literals, or None if a real overflows.
-
-    Groups 0-7 of a literal are the sign and number of w, x, y and z of its
-    standard part, and groups 8-15 of its infinitesimal part.  An absent
-    group reads as "0": a leading zero, which ``float`` ignores, before an
-    unsigned number, and "00", 0.0, as a single real's terms.
-    ``float("-" + number)`` is ``-float(number)``, the parser's value, since
-    decimal conversion rounds correctly and so symmetrically.
-    """
-    values = []
-    try:
-        for g in literals:
-            values.append(_dual_quaternion(
-                _quaternion(float(g[0] + g[1]), float(g[2] + g[3]), float(g[4] + g[5]), float(g[6] + g[7])),
-                _quaternion(float(g[8] + g[9]), float(g[10] + g[11]), float(g[12] + g[13]), float(g[14] + g[15])),
-            ))
-    except NonFiniteError:  # _quaternion raises it on an overflowed real
-        return None
-    return tuple(values)
-
-
-def _match_literals(text: str, pos: int, literal: re.Pattern) -> tuple[list[tuple], int, str | None] | None:
-    """The groups of the literals from ``pos`` on while a ',' follows each, the
-    offset after the last one and its mark, and that mark (None if absent)."""
-    literals = []
-    while True:
-        m = literal.match(text, pos)
-        if m is None:
-            return None
-        literals.append(m.groups("0"))  # an absent sign or term reads as "0"
-        if m[17] != ",":
-            return literals, m.end(), m[17]
-        pos = m.end()
-
-
-def _match_document(text: str) -> InputDocument | None:
-    """The document ``text`` spells if the patterns read all of it, else None.
-
-    Values are built only once the whole text has matched.
-    """
-    literal, opener, mark = _literal_patterns()
-    head = opener.match(text)
-    if head is None:
-        read = _match_literals(text, 0, literal)
-        if read is None or len(read[0]) != 1 or read[2] is not None or read[1] != len(text):
-            return None
-        values = _dual_quaternions(read[0])
-        return None if values is None else InputDocument(SCALAR, values[0])
-    kind, runs = head[1], []  # the literals of each vector
-    if kind == "vec":
-        read = _match_literals(text, head.end(), literal)
-        if read is None or read[2] != "]" or read[1] != len(text):
-            return None
-        runs.append(read[0])
-    else:
-        pos, separator = head.end(), ","
-        while separator == ",":
-            head = opener.match(text, pos)
-            read = None if head is None or head[1] != "vec" else _match_literals(text, head.end(), literal)
-            if read is None or read[2] != "]":
-                return None
-            runs.append(read[0])
-            m = mark.match(text, read[1])
-            pos, separator = m.end(), m[1]
-        if separator != "]" or pos != len(text):
-            return None
-    entries = [_dual_quaternions(literals) for literals in runs]
-    if None in entries:
-        return None
-    if kind == "vec":
-        return InputDocument(VECTOR, DQVector(entries[0]))
-    return InputDocument(BASIS, tuple(map(DQVector, entries)))
-
-
 def parse_document(text: str) -> InputDocument:
     """Parse one document.  Raises ParseError with the failing position."""
-    doc = _match_document(text)
-    return doc if doc is not None else _Parser(text).document()
+    return _Parser(text).document()
 
 
 # -- renderer ---------------------------------------------------------------

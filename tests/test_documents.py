@@ -1,18 +1,20 @@
 """Document grammar: parsing, rendering, round-trips, and error locations."""
 
+import functools
 import random
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualquat import DualQuaternion, NonFiniteError, ParseError, Quaternion
+from dualquat import documents
 from dualquat.documents import (
     BASIS,
     SCALAR,
     VECTOR,
-    _match_document,
-    _Parser,
     parse_document,
     render_document,
     render_quaternion,
@@ -24,6 +26,25 @@ DATA = Path(__file__).parent / "data"
 
 def parse(text):
     return parse_document(text)
+
+
+@functools.cache
+def _piecewise_scanner(scanner=documents._scanner):
+    """The lexer's scanner without its literal alternative, which it tries first."""
+    pattern = scanner().pattern
+    piecewise = re.compile(pattern[pattern.index("(?P<number>"):])
+    assert "literal" not in piecewise.groupindex
+    return piecewise
+
+
+def _parse_piecewise(text):
+    """``parse_document`` with every literal read token by token by the parser's own rules."""
+    with mock.patch.object(documents, "_scanner", _piecewise_scanner):
+        return parse_document(text)
+
+
+def _literal_tokens(text):
+    return sum(token[0] == "literal" for token in documents._tokenize(text))
 
 
 # -- happy paths ---------------------------------------------------------------
@@ -106,7 +127,8 @@ def test_render_document_canonical_text():
          f"basis[ vec[ {b_text} ], vec[ {a_text}, {b_text} ] ]"),
     ):
         assert render_document(doc) == text
-        assert _match_document(text) == doc
+        assert parse(text) == doc
+        assert _literal_tokens(text) == text.count("dq")
 
 
 def test_render_parse_round_trip_examples():
@@ -188,15 +210,17 @@ def test_matcher_declines_an_overflow_in_every_position(place, part, index):
             "last entry": f"vec[ {ok},\n  {bad} ]",
             "second vector": f"basis[ vec[ {ok}, {ok} ],\n  vec[ {ok}, {bad} ] ]",
         }[place]
-        assert _match_document(text) is None
+        # The overflow is inside a literal token, so the literal's value
+        # build finds it, not the piecewise rules.
+        assert _literal_tokens(text) == text.count("dq")
         offset = text.index("1e999")
         line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
         with pytest.raises(NonFiniteError) as err:
             parse_document(text)
         assert str(err.value) == f"literal '1e999' overflows the double range at line {line}, column {column}"
-        with pytest.raises(NonFiniteError) as parser_err:
-            _Parser(text).document()
-        assert str(parser_err.value) == str(err.value)
+        with pytest.raises(NonFiniteError) as piecewise_err:
+            _parse_piecewise(text)
+        assert str(piecewise_err.value) == str(err.value)
 
 
 def test_partial_quaternions_rejected():
@@ -269,6 +293,16 @@ RAISE_SITES = [
     # full-width seven after an ASCII one
     (_VEC_PREFIX + "dq{ std: \u0663, inf: 0 } ]", ParseError, "unexpected character '\u0663'", 3, 11),
     (_VEC_PREFIX + "dq{ std: 1, inf: 7\uff17 } ]", ParseError, "unexpected character '\uff17'", 3, 20),
+    # a literal token where another token is expected is reported as its
+    # leading 'dq', at the literal's start
+    (_VEC_PREFIX + "dq{ std: 1, inf: 0 } dq{ std: 1, inf: 0 } ]", ParseError, "expected ']', got 'dq'", 3, 23),
+    (_VEC_PREFIX + "dq{ std: dq{ std: 1, inf: 0 }, inf: 0 } ]", ParseError, "expected a number, got 'dq'", 3, 11),
+    ("basis[\r\n\tvec[ dq{ std: 1, inf: 0 } ],\r\n\tdq{ std: 1, inf: 0 } ]", ParseError,
+     "expected 'vec', got 'dq'", 3, 2),
+    # of several overflows in one literal, the first in w, x, y, z order,
+    # standard part first
+    (_VEC_PREFIX + "dq{ std: 1 - 2e999i + 0j + 3e999k, inf: 4e999 } ]", NonFiniteError,
+     "literal '2e999' overflows the double range at line 3, column 15", 3, 15),
 ]
 
 
@@ -369,7 +403,7 @@ def test_unknown_head_rejected():
         parse("matrix[ dq{std: 1, inf: 0} ]")
 
 
-# -- the literal matcher against the token parser ------------------------------
+# -- literal tokens against the piecewise tokens --------------------------------
 
 _real_texts = st.one_of(
     st.from_regex(r"(?:[0-9]{1,3}(?:\.[0-9]{0,3})?|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,2})?", fullmatch=True),
@@ -429,16 +463,15 @@ def test_parse_document_reads_every_text_as_the_token_parser_does(tokens, data):
     variants += [tokens[:i] + [swapped[t]] + tokens[i + 1:] for i, t in enumerate(tokens) if t in swapped]
     for variant in variants:
         text = _spaced(variant, gaps)
-        expected = _outcome(lambda t: _Parser(t).document(), text)
-        assert _outcome(parse_document, text) == expected
-        # The matcher declines exactly the texts that the parser rejects.
-        assert (_match_document(text) is None) == (not isinstance(expected, str))
+        assert _outcome(parse_document, text) == _outcome(_parse_piecewise, text)
+    # Every literal of the unedited texts is read as one token.
+    for variant in variants[0], variants[2]:
+        assert _literal_tokens(_spaced(variant, gaps)) == variant.count("dq")
 
 
 def test_literal_matcher_reads_every_well_formed_data_file():
     for path in sorted(DATA.glob("*.dq")):
         text = path.read_text(encoding="utf-8")
-        if path.name == "broken.dq":
-            assert _match_document(text) is None
-        else:
-            assert repr(_match_document(text)) == repr(_Parser(text).document()), path.name
+        assert _outcome(parse_document, text) == _outcome(_parse_piecewise, text), path.name
+        if path.name != "broken.dq":
+            assert _literal_tokens(text) == text.count("dq") > 0, path.name

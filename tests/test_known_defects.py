@@ -53,3 +53,14 @@ def test_magnitude_of_huge_parts():
                           "std . inf underflows and the infinitesimal part comes back as 0.0")
 def test_magnitude_keeps_an_infinitesimal_part_when_std_times_inf_underflows():
     assert _dq(5e-324, 1e-300).magnitude() == DualNumber(5e-324, 1e-300)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_via_sqrt: scaling makes the small standard component "
+                          "subnormal, and the infinitesimal part comes back 8% off")
+def test_magnitude_via_sqrt_keeps_the_infinitesimal_part_when_scaling_makes_a_component_subnormal():
+    value = DualQuaternion(
+        Quaternion(-5.0984751092188913e-157, -6.449642815857126e165, 0.0, 0.0),
+        Quaternion(3.190147189883798e37),
+    )
+    assert value.magnitude_via_sqrt().inf == -2.5218274107177224e-285  # the exact value, rounded

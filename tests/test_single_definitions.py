@@ -275,20 +275,49 @@ def test_cold_start_imports_no_record_or_typing_machinery():
 
 
 def test_cold_start_leaves_the_literal_patterns_uncompiled():
-    # Compiling them takes about 2 ms, which only a parse should pay: not
-    # ``import dualquat.cli``, and so not ``dualq selfcheck``.
+    # The lexer's one pattern takes about 2 ms to compile, which only a parse
+    # should pay: not ``import dualquat.cli``, and so not ``dualq selfcheck``.
+    # The first parse compiles it and no other pattern.
     script = (
+        "import re, sys\n"
+        "callers, compile = [], re.compile\n"
+        "def counted(*args, **kwargs):\n"
+        "    callers.append(sys._getframe(1).f_globals['__name__'])\n"
+        "    return compile(*args, **kwargs)\n"
+        "re.compile = counted\n"
         "import dualquat.cli\n"
         "from dualquat import documents\n"
-        "print(documents._literal_patterns.cache_info().currsize)\n"
+        "print([name for name in callers if name.startswith('dualquat')])\n"
+        "callers.clear()\n"
+        "documents.parse_document('vec[ dq{ std: 1, inf: 0 }, dq{ std: 1 + 0i + 0j + 0k, inf: 0 } ]')\n"
         "documents.parse_document('dq{ std: 1, inf: 0 }')\n"
-        "print(documents._literal_patterns.cache_info().currsize)\n"
+        "print(callers)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.splitlines() == ["0", "1"]
+    assert proc.stdout.splitlines() == ["[]", "['dualquat.documents']"]
+
+
+def _document_builds(node: ast.AST) -> int:
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "InputDocument"
+        for n in ast.walk(node)
+    )
+
+
+def test_only_the_parser_builds_a_document():
+    # One reader: the token parser is the only code that turns a text into
+    # an InputDocument, so a second reading path shows up as a second builder.
+    total = in_parser = 0
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += _document_builds(tree)
+        for qualname, node in _functions_outside_functions(tree.body):
+            if path.stem == "documents" and qualname[0] == "_Parser":
+                in_parser += _document_builds(node)
+    assert in_parser == total > 0
 
 
 def _functions_outside_functions(body, prefix=()):
