@@ -72,7 +72,7 @@ def finite(value: float, label: str) -> float:
     Negative zero is normalized to +0.0 so that exact sign tests and
     rendering never have to distinguish the two zeros.
     """
-    out = float(value)
+    out = _float(value)
     if not math.isfinite(out):
         raise NonFiniteError(f"{label} must be finite, got {out!r}")
     return out + 0.0
@@ -123,7 +123,19 @@ def real_operand(value: object) -> float | None:
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    return _float(value)
+
+
+def _float(value) -> float:
+    """``float(value)``, but a number beyond the double range gives the infinity of its sign.
+
+    ``float`` raises ``OverflowError`` there; the infinity makes the callers
+    raise ``NonFiniteError`` instead, with their own texts.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def close(a: float, b: float) -> bool:

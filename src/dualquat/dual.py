@@ -5,6 +5,9 @@ A dual number is *appreciable* when its standard part is nonzero and
 *infinitesimal* otherwise; both tests are exact, never tolerance-based.
 Comparisons use the total order that ranks by standard part first and
 breaks ties on the infinitesimal part, so every pair of values is ordered.
+A real compares as its embedding ``DualNumber(real)``; NaN and the
+infinities have none, so they equal no dual number, and the order
+operators raise for them as the embedding does.
 
 Arithmetic follows from ``e*e == 0``:
 
@@ -215,10 +218,13 @@ class DualNumber(Value):
         return Ordering.GREATER
 
     def __eq__(self, other: object) -> bool:
-        coerced = _coerce(other)
-        if coerced is None:
+        if isinstance(other, DualNumber):
+            return self.std == other.std and self.inf == other.inf
+        real = real_operand(other)
+        if real is None:
             return NotImplemented
-        return self.std == coerced.std and self.inf == coerced.inf
+        # A real equals its embedding; no dual number equals a NaN or an infinity.
+        return self.std == real and self.inf == 0.0
 
     def __hash__(self) -> int:
         # Duals that equal a plain real must hash like that real.

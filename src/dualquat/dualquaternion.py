@@ -50,7 +50,7 @@ class DualQuaternion(Value):
 
     @classmethod
     def from_real(cls, value: float) -> DualQuaternion:
-        return cls(Quaternion(float(value)), Quaternion())
+        return cls(Quaternion(value), Quaternion())
 
     @property
     def is_appreciable(self) -> bool:

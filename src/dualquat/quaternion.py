@@ -175,9 +175,9 @@ def product(
     The one definition of the product rule, which ``Quaternion.__mul__``
     evaluates.  Two vector kernels write it out with the conjugation of the
     left factor folded into the signs, and must round as
-    ``product(conjugate(a), b)`` does: the inner-product kernel, and the Gram
-    kernel of the unit and basis checks, which evaluates each product that
-    ``conj(a) b`` and ``conj(b) a`` share once.  No component is checked, so
+    ``product(conjugate(a), b)`` does: the inner-product kernel, and the self
+    form of the unit and basis checks' Gram kernel, which evaluates each
+    product that repeats in ``conj(a) a`` once.  No component is checked, so
     an overflow comes back as an infinity.
     """
     return (

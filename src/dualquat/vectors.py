@@ -64,10 +64,11 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # exactly when an operator would.
 #
 # _inner_parts evaluates one product.  _gram_parts evaluates all the products
-# x_i . x_j of a list of vectors and shares the floating-point products that
-# they have in common, which is exact because x * y == y * x in IEEE
-# arithmetic; every sum still adds its own terms in the order above.  It also
-# skips the entries that are exactly zero, whose terms are all +-0.
+# x_i . x_j of a list of vectors: it writes out each x_i . x_i with the
+# floating-point products that repeat in it evaluated once, which is exact
+# because x * y == y * x in IEEE arithmetic, and every sum still adds its own
+# terms in the order above; it takes every other x_i . x_j from _inner_parts.
+# It also skips the entries that are exactly zero, whose terms are all +-0.
 # Both assign at most two names per statement: CPython builds and unpacks a
 # tuple to assign more at once, which costs about a tenth of a kernel.
 
@@ -106,34 +107,25 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
 def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
     """The components of ``_inner_parts(rows[i], rows[j])`` for every ``i, j``, unchecked.
 
-    Each floating-point product is evaluated once.  Since ``x * y == y * x``
-    exactly, a shared product is the same float in every sum that uses it,
-    and each sum adds its terms in the order of ``_inner_parts``, so every
-    result is bit-identical to it.  There are two forms:
+    Every result is bit-identical to ``_inner_parts``.  For ``i == j`` the
+    self form evaluates each floating-point product once: for each entry
+    ``p + f e`` the sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat
+    their products, and since ``x * y == y * x`` exactly, a shared product is
+    the same float in every sum that uses it.  The standard w part is a sum
+    of squares, and the infinitesimal w part is ``d + d`` with ``d`` the dot
+    product of ``f`` and ``p``.  The standard y and z parts share 2 distinct
+    products and the infinitesimal x, y and z parts 4; their sums round, so
+    they are evaluated.  The standard x part ``((t - t) - s) + s`` is exactly
+    ``+0.0``: it is NaN only when ``t`` or ``s`` overflows, and then a square
+    in the standard w part overflows too, so the finite check still raises
+    on w.  For ``i != j`` it is ``_inner_parts`` of the two rows' entries at
+    the positions where both are nonzero, in increasing order.
 
-    * the self form, for ``i == j``, where for each entry ``p + f e`` the
-      sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat their
-      products.  The standard w part
-      is a sum of squares, and the infinitesimal w part is ``d + d`` with
-      ``d`` the dot product of ``f`` and ``p``.  The standard y and z parts
-      share 2 distinct products and the infinitesimal x, y and z parts 4;
-      their sums round, so they are evaluated.  The standard x part
-      ``((t - t) - s) + s`` is exactly ``+0.0``: it is NaN only when ``t``
-      or ``s`` overflows, and then a square in the standard w part overflows
-      too, so the finite check still raises on w.
-    * the pair form, for ``i < j``: ``x_i . x_j`` and ``x_j . x_i`` use the
-      same 48 products of each entry pair and differ only in their
-      additions, each direction in its own operator order.  Their w parts
-      add the same terms, in an order that differs at most in the operands
-      of one addition, so they are equal and computed once.
-
-    Entries that are exactly zero are skipped: the self form records their
-    positions, none in a dense row, and the pair form visits only the
-    positions nonzero in both rows, in increasing order.  This is exact.
-    Every component is finite, so a product with a zero is +-0; every sum
-    starts at +0.0 and under round-to-nearest never becomes -0.0, so adding
-    +-0 leaves it unchanged, infinite or NaN included; and the other terms
-    are added in the same order.
+    Skipping the entries that are exactly zero is exact.  Every component is
+    finite, so a product with a zero is +-0; every sum starts at +0.0 and
+    under round-to-nearest never becomes -0.0, so adding +-0 leaves it
+    unchanged, infinite or NaN included; and the other terms are added in
+    the same order.
     """
     n = len(rows)
     gram = [[None] * n for _ in range(n)]
@@ -167,62 +159,18 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
             iz += (t1 - t2 + t3 - t4) + (t4 - t3 + t2 - t1)
         gram[i][i] = (sw, 0.0, sy, sz, iw, ix, iy, iz)
     supports = [set(range(n)).difference(z) for z in zeros] if n > 1 else ()
+    disjoint = (0.0,) * 8
     for i in range(n - 1):
         left, mine = rows[i], supports[i]
         for j, right in enumerate(rows[i + 1:], i + 1):
-            # s*, i*: x_i . x_j; r*, k*: x_j . x_i.
-            sw = sx = sy = sz = iw = ix = iy = iz = 0.0
-            rx = ry = rz = kx = ky = kz = 0.0
-            for k in sorted(mine & supports[j]):
-                a, b = left[k], right[k]
-                p, f = a.std, a.inf
-                q, g = b.std, b.inf
-                aw, ax = p.w, p.x
-                ay, az = p.y, p.z
-                fw, fx = f.w, f.x
-                fy, fz = f.y, f.z
-                bw, bx = q.w, q.x
-                by, bz = q.y, q.z
-                gw, gx = g.w, g.x
-                gy, gz = g.y, g.z
-                sw += aw * bw + ax * bx + ay * by + az * bz
-                t1, t2 = aw * bx, ax * bw
-                t3, t4 = ay * bz, az * by
-                sx += t1 - t2 - t3 + t4
-                rx += t2 - t1 - t4 + t3
-                t1, t2 = aw * by, ax * bz
-                t3, t4 = ay * bw, az * bx
-                sy += t1 + t2 - t3 - t4
-                ry += t3 + t4 - t1 - t2
-                t1, t2 = aw * bz, ax * by
-                t3, t4 = ay * bx, az * bw
-                sz += t1 - t2 + t3 - t4
-                rz += t4 - t3 + t2 - t1
-                # t*: products of f and q, u*: of p and g.  x_i . x_j adds
-                # conj(f) q + conj(p) g, and x_j . x_i adds conj(g) p + conj(q) f.
-                d = fw * bw + fx * bx + fy * by + fz * bz
-                e = aw * gw + ax * gx + ay * gy + az * gz
-                iw += d + e
-                t1, t2 = fw * bx, fx * bw
-                t3, t4 = fy * bz, fz * by
-                u1, u2 = aw * gx, ax * gw
-                u3, u4 = ay * gz, az * gy
-                ix += (t1 - t2 - t3 + t4) + (u1 - u2 - u3 + u4)
-                kx += (u2 - u1 - u4 + u3) + (t2 - t1 - t4 + t3)
-                t1, t2 = fw * by, fx * bz
-                t3, t4 = fy * bw, fz * bx
-                u1, u2 = aw * gy, ax * gz
-                u3, u4 = ay * gw, az * gx
-                iy += (t1 + t2 - t3 - t4) + (u1 + u2 - u3 - u4)
-                ky += (u3 + u4 - u1 - u2) + (t3 + t4 - t1 - t2)
-                t1, t2 = fw * bz, fx * by
-                t3, t4 = fy * bx, fz * bw
-                u1, u2 = aw * gz, ax * gy
-                u3, u4 = ay * gx, az * gw
-                iz += (t1 - t2 + t3 - t4) + (u1 - u2 + u3 - u4)
-                kz += (u4 - u3 + u2 - u1) + (t4 - t3 + t2 - t1)
-            gram[i][j] = (sw, sx, sy, sz, iw, ix, iy, iz)
-            gram[j][i] = (sw, rx, ry, rz, iw, kx, ky, kz)
+            common = sorted(mine & supports[j])
+            if common:
+                a = [left[k] for k in common]
+                b = [right[k] for k in common]
+                gram[i][j] = _inner_parts(a, b)
+                gram[j][i] = _inner_parts(b, a)
+            else:
+                gram[i][j] = gram[j][i] = disjoint
     return gram
 
 

@@ -119,8 +119,36 @@ def test_other_arguments_take_the_per_field_path(std, inf, want):
         assert all(type(getattr(value, name)) is float for name in value.__slots__)
 
 
-def test_oversized_int_keeps_its_error():
-    assert outcome(Quaternion, 10**400) == ("OverflowError", "int too large to convert to float")
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        DualNumber,
+        lambda r: DualNumber(0.0, r),
+        Quaternion,
+        lambda r: Quaternion(0.0, 0.0, 0.0, r),
+        DualQuaternion.from_real,
+        lambda r: DualNumber(1.0) + r,
+        lambda r: r * DualNumber(1.0),
+        lambda r: DualNumber(1.0) / r,
+        lambda r: DualNumber(1.0) <= r,
+        lambda r: Quaternion(1.0) - r,
+        lambda r: r * Quaternion(1.0),
+        lambda r: DualQuaternion.from_real(1.0) + r,
+        lambda r: DualQuaternion.from_real(1.0) * r,
+        lambda r: r * DQVector([DualQuaternion.from_real(1.0)]),
+    ],
+    ids=[
+        "DualNumber", "DualNumber-infinitesimal", "Quaternion", "Quaternion-z", "from_real",
+        "dual-add", "dual-rmul", "dual-div", "dual-order", "quaternion-sub",
+        "quaternion-rmul", "dual-quaternion-add", "dual-quaternion-mul", "vector-rmul",
+    ],
+)
+def test_oversized_int_raises_as_the_infinity_of_its_sign(build, sign):
+    # float() of an int beyond the double range raises OverflowError.
+    raised = outcome(build, sign * 10**400)
+    assert raised[0] == "NonFiniteError"
+    assert raised == outcome(build, sign * math.inf)
 
 
 # -- products with a real ---------------------------------------------------------

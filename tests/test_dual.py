@@ -67,6 +67,19 @@ def test_equality_promotes_reals():
 
 
 @pytest.mark.parametrize(
+    "real", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_no_dual_number_equals_a_real_that_does_not_embed(real):
+    # Equality answers; the order operators raise, as embedding the real does.
+    d = DualNumber(1.0)
+    assert not d == real and not real == d
+    assert d != real and real != d
+    assert d not in [real]
+    with pytest.raises(NonFiniteError):
+        d <= real
+
+
+@pytest.mark.parametrize(
     "value",
     [
         DualNumber(1.0),

@@ -58,8 +58,9 @@ ALL_FINITE_INLINED = {
 # The defs that write out the Hamilton product, 16 products of two names
 # each: the rule itself, the vector inner-product kernel, which evaluates
 # conj(a) b three times per entry pair without a call or a conjugated copy,
-# and the Gram kernel of unit_check and basis_check, which evaluates the same
-# terms for every pair of vectors with each shared product once.
+# and the Gram kernel of unit_check and basis_check, whose self form writes
+# out x . x with each repeated product once and which takes every other
+# x_i . x_j from the inner-product kernel.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",

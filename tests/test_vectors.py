@@ -262,7 +262,7 @@ def _unit_row(n, k, entry=DualQuaternion(Quaternion(1.0))):
     return DQVector(tuple(entry if i == k else DualQuaternion() for i in range(n)))
 
 
-# A basis of 5 vectors in which two pairs overflow in the pair form, with
+# A basis of 5 vectors in which two off-diagonal products overflow, with
 # different messages: x_0 . x_2 is inf + -inf in the standard w part, a NaN,
 # and x_0 . x_4 is inf; the diagonals of x_2 and x_4 overflow too, later in
 # row-major order.
@@ -440,8 +440,9 @@ def test_unit_and_basis_checks_raise_the_messages_of_the_inner_products(vectors)
 def test_basis_check_reads_only_the_nonzero_entries_of_a_permutation_basis():
     # The tests above see results, not the work behind them, so they cannot
     # see a skip that has been lost.  The self forms read the std and inf of
-    # every entry once, 2n**2 reads; a pair form that visits every position
-    # reads 4n more, 2n**3 in all for a dense basis.
+    # every entry once, 2n**2 reads; every other pair of vectors reads them
+    # again at each position where both are nonzero, 8 reads for its two
+    # inner products, about 4n**3 in all for a dense basis.
     reads = 0
 
     class Counting(DualQuaternion):
@@ -464,6 +465,11 @@ def test_basis_check_reads_only_the_nonzero_entries_of_a_permutation_basis():
     permutation = [DQVector(unit if k == 7 * r % n else zero for k in range(n)) for r in range(n)]
     assert basis_check(permutation).passed
     assert reads <= 4 * n * n
+    # Rows r and r + 1 of a bidiagonal basis share position r + 1.
+    bidiagonal = [DQVector(unit if k in (r, r + 1) else zero for k in range(n)) for r in range(n)]
+    reads = 0
+    basis_check(bidiagonal)
+    assert reads <= 2 * n * n + 8 * (n - 1)
     reads = 0
     basis_check([DQVector([unit] * n)] * n)
     assert reads > n**3
