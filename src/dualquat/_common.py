@@ -1,4 +1,11 @@
-"""Internal helpers shared by the value types."""
+"""Internal helpers shared by the value types, and the one rounding-error rule.
+
+``close`` is Higham's forward-error model (*Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., §3.1): a value computed with ``k``
+roundings lies within ``γ_k·scale`` of its exact value, ``γ_k = k·u/(1 − k·u)``,
+where ``scale`` sums the absolute terms behind it.  A dual value has one
+scale per part, since its two parts scale independently.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +14,21 @@ from collections.abc import Iterable
 
 from .errors import NonFiniteError
 
-# Imaginary residue allowed in products that are real in exact arithmetic,
-# scaled by the operand magnitudes.  Exceeding it means a broken product,
-# not floating-point noise.
-REALNESS_GUARD = 1e-12
-
-CLOSE_REL = 1e-9   # relative tolerance for two routes to the same value
-CLOSE_ABS = 1e-12  # absolute floor under the relative tolerance
-
-UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks
+u = 2.0**-53  # unit roundoff of IEEE double precision
+UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks: not a rounding bound
 
 
 def check_tolerance(tol: float) -> None:
-    """Reject a check tolerance that is not ``>= 0.0``: a negative one or NaN."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+    """Reject a check tolerance that is not finite and ``>= 0.0``: a negative one, an infinity or NaN."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
+def close(a: float, b: float, scale: float, k: int) -> bool:
+    """Whether ``|a − b| <= γ_k·scale + k·5e-324``: each rounding may also underflow by 5e-324.
+
+    Values within ``γ_i·scale`` and ``γ_j·scale`` of one exact value are close at ``k = i + j``."""
+    return abs(a - b) <= k * u / (1.0 - k * u) * scale + k * 5e-324
 
 
 class Value:
@@ -136,8 +143,3 @@ def _float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def close(a: float, b: float) -> bool:
-    """Whether two computed routes to one value agree within the tolerances."""
-    return abs(a - b) <= max(CLOSE_ABS, CLOSE_REL * max(abs(a), abs(b)))

@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from collections.abc import Sequence
 
-from ._common import CLOSE_ABS, UNIT_TOL, close
+from ._common import UNIT_TOL, check_tolerance, close
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
 from .dual import DualNumber, le_defect
 from .errors import DualQuatError, KindMismatchError
-from .vectors import basis_check
+from .dualquaternion import magnitude_scale
+from .vectors import basis_check, norm_scales
 
 
 def _tol_arg(text: str) -> float:
@@ -31,7 +31,9 @@ def _tol_arg(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
-    if not 0.0 <= value < math.inf:
+    try:
+        check_tolerance(value)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
     return value
 
@@ -124,6 +126,8 @@ class Report:
 # flag and its fields; ``main`` adds the echoed input in front.
 
 def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+    """The magnitude by both routes, ``close`` at k = 16 part by part: against ``magnitude_scale``,
+    ``magnitude()`` is within γ_2 and γ_7 of the exact parts, ``magnitude_via_sqrt()`` γ_3 and γ_9."""
     q = doc.payload
     magnitude = q.magnitude()
     via_sqrt = difference = note = None
@@ -131,7 +135,8 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
     if q.is_appreciable:
         via_sqrt = q.magnitude_via_sqrt()
         difference = max(abs(via_sqrt.std - magnitude.std), abs(via_sqrt.inf - magnitude.inf))
-        passed = difference <= CLOSE_ABS * max(1.0, magnitude.std)
+        std, inf = magnitude_scale(q.std, q.inf)
+        passed = close(via_sqrt.std, magnitude.std, std, 16) and close(via_sqrt.inf, magnitude.inf, inf, 16)
     else:
         note = "not applicable (infinitesimal)"
     return passed, [
@@ -143,18 +148,27 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 
 
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+    """The norms, the chain ``norm_inf <= norm2 <= norm1`` and the closed-form 2-norm.  Against
+    ``norm_scales``, for n entries: ``norm2()`` (n squared magnitudes added, a root) is within
+    γ_(n+4) and γ_(2n+14) of the exact parts, and the closed form (a ``hypot``; 4n products added, a
+    division) within γ_2 and γ_(4n+3), so they are close at k = 6n + 17.  With ``norm_inf`` within γ_2
+    and γ_7 and ``norm1`` within γ_(n+1) and γ_(n+6), the chain holds at k = 3n + 20.
+    """
     vector = doc.payload
     norm1 = vector.norm1()
     norm_inf_index = vector.norm_inf_index()
     norm_inf = vector[norm_inf_index].magnitude()  # what norm_inf() evaluates
     norm2 = vector.norm2()
-    chain_ok = le_defect(norm_inf, norm2) == 0.0 and le_defect(norm2, norm1) == 0.0
+    chain_scale, (std_scale, inf_scale) = norm_scales(vector)
+    k = 3 * len(vector) + 20
+    chain_ok = le_defect(norm_inf, norm2, chain_scale, k) == 0.0 and le_defect(norm2, norm1, chain_scale, k) == 0.0
     closed = residual = note = None
     agree = True
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()
         residual = max(abs(closed.std - norm2.std), abs(closed.inf - norm2.inf))
-        agree = close(closed.std, norm2.std) and close(closed.inf, norm2.inf)
+        k = 6 * len(vector) + 17
+        agree = close(closed.std, norm2.std, std_scale, k) and close(closed.inf, norm2.inf, inf_scale, k)
     else:
         note = "not applicable (no appreciable entry)"
     return chain_ok and agree, [

@@ -27,7 +27,7 @@ import enum
 import math
 import operator
 
-from ._common import Value, finite, real_operand
+from ._common import Value, close, finite, real_operand
 from .errors import (
     NegativeArgumentError,
     NonFiniteError,
@@ -41,14 +41,10 @@ __all__ = [
     "DualInterval",
     "NoRootReport",
     "EPSILON",
-    "ORDER_SLACK",
     "sgn",
     "le_defect",
     "no_root_witness",
 ]
-
-ORDER_SLACK = 1e-12  # slack on the deciding component of an order check
-
 
 def sgn(value: float) -> float:
     """Sign of a real number: -1.0, 0.0, or 1.0."""
@@ -273,16 +269,14 @@ def _coerce(value: object) -> DualNumber | None:
 EPSILON = DualNumber(0.0, 1.0)
 
 
-def le_defect(a: DualNumber, b: DualNumber) -> float:
-    """How much ``a <= b`` fails by, 0.0 when it holds within ``ORDER_SLACK``.
+def le_defect(a: DualNumber, b: DualNumber, scale: tuple[float, float], k: int) -> float:
+    """How much ``a <= b`` fails by; 0.0 when it holds within the rounding bound.
 
-    Standard parts within the slack count as tied; the comparison then
-    falls to the infinitesimal parts with the same slack.
-    """
-    delta = a.std - b.std
-    if abs(delta) > ORDER_SLACK:
-        return max(0.0, delta)
-    return max(0.0, a.inf - b.inf - ORDER_SLACK)
+    Standard parts ``close`` at ``k`` and ``scale[0]`` tie, and the comparison then
+    falls to the infinitesimal parts, judged by the same rule at ``scale[1]``."""
+    if not close(a.std, b.std, scale[0], k):
+        return max(0.0, a.std - b.std)
+    return 0.0 if close(a.inf, b.inf, scale[1], k) else max(0.0, a.inf - b.inf)
 
 
 class DualInterval(Value):
@@ -317,19 +311,9 @@ class DualInterval(Value):
         candidate = _coerce(value)
         if candidate is None:
             raise TypeError("interval membership needs a DualNumber or real")
-        if self.lower is not None:
-            if self.lower_closed:
-                if candidate < self.lower:
-                    return False
-            elif candidate <= self.lower:
-                return False
-        if self.upper is not None:
-            if self.upper_closed:
-                if candidate > self.upper:
-                    return False
-            elif candidate >= self.upper:
-                return False
-        return True
+        if self.lower is not None and (candidate < self.lower if self.lower_closed else candidate <= self.lower):
+            return False
+        return self.upper is None or (candidate <= self.upper if self.upper_closed else candidate < self.upper)
 
     def __contains__(self, value: DualNumber | float) -> bool:
         return self.contains(value)

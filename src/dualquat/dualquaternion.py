@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, UNIT_TOL, Value, check_tolerance, real_operand, scale_exponent, times_power_of_two
+from ._common import UNIT_TOL, Value, check_tolerance, close, real_operand, scale_exponent, times_power_of_two
 from .dual import DualNumber, _dual_number
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, _scaled
 
-__all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts"]
+__all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts", "magnitude_scale"]
 
 
 class DualQuaternion(Value):
@@ -131,12 +131,11 @@ class DualQuaternion(Value):
         The route runs on ``std 2**-k + inf 2**-m e`` by the scaling rule of
         ``_common.scale_exponent``, one exponent per part since each part of
         the magnitude scales with its own, and a magnitude beyond the double
-        range raises ``NonFiniteError``.
+        range raises ``NonFiniteError``.  The parts are within γ_3 and γ_9 of ``magnitude_scale``:
+        4 squares added, a root; two sums of 4 products added, a division.
         """
         if not self.is_appreciable:
-            raise NotAppreciableError(
-                "sqrt route to the magnitude needs an appreciable value"
-            )
+            raise NotAppreciableError("sqrt route to the magnitude needs an appreciable value")
         # 2**-k stays a double: below 2**-1022 the largest component is
         # brought up only to [2**-52, 0.5), which squares to a normal double.
         # A zero infinitesimal part has exponent 0 and is left as it is.
@@ -146,14 +145,11 @@ class DualQuaternion(Value):
             _scaled(self.inf, times_power_of_two(1.0, -m, "magnitude", self)),
         )
         product = scaled * scaled.conjugate()
-        # The residue may reach REALNESS_GUARD * scale**2, with the scale at
-        # most 4 for the scaled value.
-        scale = max(1.0, scaled.std.norm() + scaled.inf.norm())
+        # An imaginary part adds two sums of 4 products that cancel: within γ_5 of 2|std||inf| <= scale**2.
+        scale = scaled.std.norm() + scaled.inf.norm()
         for part in (product.std, product.inf):
-            if part.imaginary_magnitude() / scale > REALNESS_GUARD * scale:
-                raise ConsistencyError(
-                    f"q * q.conjugate() is not real: got {part} in {product}"
-                )
+            if not close(part.imaginary_magnitude(), 0.0, scale * scale, 5):
+                raise ConsistencyError(f"q * q.conjugate() is not real: got {part} in {product}")
         root = DualNumber(product.std.w, product.inf.w).sqrt()
         return _dual_number(
             times_power_of_two(root.std, k, "magnitude", self), times_power_of_two(root.inf, m, "magnitude", self)
@@ -221,12 +217,21 @@ def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
     and the vector norms, which must round exactly as it does, both evaluate
     it here.  The dot product is ``Quaternion.dot``'s, left to right.  No
     part is checked, so an overflow comes back as an infinity or a NaN.
+    The parts are within γ_2 and γ_7 of ``magnitude_scale``: one ``hypot``; 4 products added, divided.
     """
     w, x, y, z = std.w, std.x, std.y, std.z
     if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
         return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
     n = math.hypot(w, x, y, z)
     return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
+
+
+def magnitude_scale(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
+    """The scales of the magnitude's parts for ``close``: ``magnitude_parts`` of the absolute components."""
+    n = math.hypot(std.w, std.x, std.y, std.z)
+    if n == 0.0:
+        return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
+    return n, (abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)) / n
 
 
 class UnitCheck(Value):

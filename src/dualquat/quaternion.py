@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._common import REALNESS_GUARD, Value, all_finite, finite, real_operand, scale_exponent, times_power_of_two
+from ._common import Value, all_finite, close, finite, real_operand, scale_exponent, times_power_of_two
 from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum", "product"]
@@ -206,14 +206,8 @@ def mixed_sum(p: Quaternion, q: Quaternion) -> float:
     """
     direct = 2.0 * p.dot(q)
     symmetric = p * q.conjugate() + q * p.conjugate()
-    scale = max(1.0, p.norm() * q.norm())
-    if symmetric.imaginary_magnitude() > REALNESS_GUARD * scale:
-        raise ConsistencyError(
-            "mixed sum has a non-vanishing imaginary part: "
-            f"{symmetric} from p={p}, q={q}"
-        )
-    if abs(symmetric.w - direct) > REALNESS_GUARD * scale:
-        raise ConsistencyError(
-            f"mixed sum disagrees with its dot form: {symmetric.w!r} vs {direct!r}"
-        )
+    # Two sums of 4 products, within γ_5 of at most 2|p||q|; ``direct`` γ_4; each k +1 for the scale.
+    scale = 2.0 * p.norm() * q.norm()
+    if not (close(symmetric.imaginary_magnitude(), 0.0, scale, 6) and close(symmetric.w, direct, scale, 10)):
+        raise ConsistencyError(f"mixed sum {symmetric} from p={p}, q={q} is not its dot form {direct!r}")
     return direct

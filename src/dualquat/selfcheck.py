@@ -1,17 +1,15 @@
 """Randomized verification suites behind ``dualq selfcheck``.
 
 Each suite draws instances from a seeded generator and checks one algebraic
-fact on a recorder, through one of three kinds of check, each of which turns
-a comparison into a verdict and a residual: ``within(residual, tol)`` for an
-identity that is exact in reals, against an absolute tolerance (``EQ_TOL``
-by default); ``holds(defect)`` for an order relation, whose defect under the
-total order (:func:`dualquat.dual.le_defect`, with a slack of
-``ORDER_SLACK`` on the component that decides the comparison) must be zero;
-and ``agree(a, b)`` for two routes to one float, dual number, quaternion or
-dual quaternion, which must be componentwise :func:`dualquat._common.close`
-(a relative tolerance with a small absolute floor), with their largest
-componentwise difference as the residual.  Plain facts go through ``check``.
-A suite's worst residual shows the observed floating-point margins.
+fact on a recorder.  Two kinds of check turn a comparison into a verdict and
+a residual by the one rounding-error rule, :func:`dualquat._common.close`:
+``agree(a, b, scale, k)`` for two routes to one float, quaternion, dual
+number or dual quaternion, close at ``k`` part by part, with the largest
+componentwise difference as the residual; and ``holds(defect)`` for an order
+relation, whose :func:`dualquat.dual.le_defect` at a scale and ``k`` must be
+zero.  A scale is a float, or a (standard, infinitesimal) pair for a dual
+value; ``k`` counts both sides' roundings, with a comment where not obvious.
+Plain facts go through ``check``.  The worst residuals show observed margins.
 
 Every input comes from one draw object, a ``random.Random(seed)`` whose
 methods build the suites' values, consumed in a fixed suite order, so a run
@@ -25,13 +23,12 @@ from __future__ import annotations
 
 import math
 import random
-from operator import sub
 
 from ._common import UNIT_TOL, Value, close
-from .dual import EPSILON, ORDER_SLACK, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
-from .dualquaternion import DualQuaternion, _dual_quaternion
+from .dual import EPSILON, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
+from .dualquaternion import DualQuaternion, _dual_quaternion, magnitude_scale
 from .quaternion import Quaternion, _quaternion, _scaled, mixed_sum
-from .vectors import DQVector, basis_check, embed_real
+from .vectors import DQVector, basis_check, embed_real, norm_scales
 
 __all__ = [
     "DEFAULT_SEED",
@@ -42,8 +39,6 @@ __all__ = [
 
 DEFAULT_SEED = 2718281828
 DEFAULT_CASES = 10000
-
-EQ_TOL = 1e-12  # absolute tolerance for identities that are exact in reals
 
 
 class SuiteResult(Value):
@@ -76,14 +71,16 @@ class _Recorder:
         if not ok:
             self.failures += 1
 
-    def within(self, residual: float, tol: float = EQ_TOL):
-        self.check(residual <= tol, residual)
-
     def holds(self, defect: float):
         self.check(defect == 0.0, defect)
 
-    def agree(self, a, b):
-        self.check(all(map(close, _parts(a), _parts(b))), _diff(a, b))
+    def agree(self, a, b, scale, k: int):
+        if scale.__class__ is tuple:  # a dual number or dual quaternion: each part at its own scale
+            std, inf = _diff(a.std, b.std), _diff(a.inf, b.inf)
+            self.check(close(std, 0.0, scale[0], k) and close(inf, 0.0, scale[1], k), max(std, inf))
+        else:
+            diff = _diff(a, b)
+            self.check(close(diff, 0.0, scale, k), diff)
 
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name, self.cases, self.failures, self.worst)
@@ -91,39 +88,23 @@ class _Recorder:
 
 # -- comparison helpers -----------------------------------------------------
 
-def _nonneg_defect(a: DualNumber) -> float:
-    """How much ``0 <= a`` fails by, for values that are exact squares.
-
-    Exact algebra on dual numbers only produces a zero standard part
-    exactly, so the infinitesimal part is consulted only then.  A tiny
-    nonzero standard part is a rounding survivor of a quantity that is
-    nonnegative in exact arithmetic (an even power or a square), and its
-    infinitesimal part is unconstrained, so only the sign of the standard
-    part is judged, with the usual slack.
-    """
-    if a.std != 0.0:
-        return max(0.0, -a.std - ORDER_SLACK)
-    return max(0.0, -a.inf - ORDER_SLACK)
+def _diff(a: float | Quaternion, b: float | Quaternion) -> float:
+    """The largest componentwise absolute difference of two floats or two quaternions."""
+    if a.__class__ is float:
+        return abs(a - b)
+    return max(abs(a.w - b.w), abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
 
 
-def _parts(value: float | DualNumber | Quaternion | DualQuaternion) -> tuple[float, ...]:
-    cls = value.__class__
-    if cls is DualNumber:
-        return (value.std, value.inf)
-    if cls is DualQuaternion:
-        return value.std.components() + value.inf.components()
-    if cls is Quaternion:
-        return value.components()
-    return (value,)
-
-
-def _diff(a, b) -> float:
-    """The largest componentwise absolute difference of two values of one kind."""
-    return max(map(abs, map(sub, _parts(a), _parts(b))))
+def _size(value: DualNumber | DualQuaternion) -> tuple[float, float]:
+    """The absolute value or norm of each part: the scale of the value itself."""
+    if value.__class__ is DualNumber:
+        return abs(value.std), abs(value.inf)
+    return value.std.norm(), value.inf.norm()
 
 
 # -- generators --------------------------------------------------------------
 
+_ZERO = DualNumber()
 _ZERO_QUAT = Quaternion()
 _ZERO_DQUAT = DualQuaternion()
 
@@ -239,24 +220,24 @@ def _suite_dual_order_total(rng, rec):
 def _suite_dual_even_power_nonneg(rng, rec):
     for index in range(rec.cases):
         q = rng.dual()
-        k = 1 + index % 3
-        rec.holds(_nonneg_defect(q ** (2 * k)))
+        power = q ** (2 * (1 + index % 3))  # one term per part: a pow within one ulp, 2 products
+        rec.holds(le_defect(_ZERO, power, (power.std, abs(power.inf)), 4))
 
 
 def _suite_dual_square_expansion_nonneg(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.dual(), rng.dual()
-        rec.holds(_nonneg_defect(p**2 + q**2 - 2 * (p * q)))
+        std, inf = abs(p.std) + abs(q.std), abs(p.inf) + abs(q.inf)  # squares within one ulp or products, 2 sums
+        rec.holds(le_defect(_ZERO, p**2 + q**2 - 2 * (p * q), (std * std, 2.0 * std * inf), 4))
 
 
 def _suite_dual_product_of_nonnegatives(rng, rec):
     for _ in range(rec.cases):
         p, q = abs(rng.dual()), abs(rng.dual())
-        rec.holds(_nonneg_defect(p * q))
+        rec.holds(le_defect(_ZERO, p * q, (abs(p.std * q.std), abs(p.std * q.inf) + abs(p.inf * q.std)), 2))
 
 
 def _suite_dual_product_of_positives(rng, rec):
-    zero = DualNumber()
     for index in range(rec.cases):
         p = abs(rng.appreciable_dual())  # appreciable and positive
         q = abs(rng.dual(zero_std_rate=0.5))
@@ -264,22 +245,20 @@ def _suite_dual_product_of_positives(rng, rec):
             q = EPSILON
         if index % 2:
             p, q = q, p
-        rec.check(p * q > zero)
+        rec.check(p * q > _ZERO)
 
 
 def _suite_dual_abs_zero_iff_zero(rng, rec):
-    zero = DualNumber()
-    rec.check(abs(zero).is_zero)
+    rec.check(abs(_ZERO).is_zero)
     for _ in range(rec.cases):
         q = rng.dual()
         rec.check(abs(q).is_zero == q.is_zero)
 
 
 def _suite_dual_abs_dominates(rng, rec):
-    zero = DualNumber()
     for _ in range(rec.cases):
         q = rng.dual()
-        if q >= zero:
+        if q >= _ZERO:
             rec.check(abs(q) == q)
         else:
             rec.check(abs(q) > q)
@@ -288,19 +267,19 @@ def _suite_dual_abs_dominates(rng, rec):
 def _suite_dual_abs_sqrt_of_square(rng, rec):
     for _ in range(rec.cases):
         q = rng.appreciable_dual()
-        rec.within(_diff(abs(q), (q**2).sqrt()))
+        rec.agree(abs(q), (q**2).sqrt(), _size(q), 4)  # a square within one ulp, its root
 
 
 def _suite_dual_abs_multiplicative(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.dual(), rng.dual()
-        rec.agree(abs(p * q), abs(p) * abs(q))
+        rec.agree(abs(p * q), abs(p) * abs(q), (abs(p.std * q.std), abs(p.std * q.inf) + abs(p.inf * q.std)), 4)
 
 
 def _suite_dual_triangle(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.dual(), rng.dual()
-        rec.holds(le_defect(abs(p + q), abs(p) + abs(q)))
+        rec.holds(le_defect(abs(p + q), abs(p) + abs(q), (abs(p.std) + abs(q.std), abs(p.inf) + abs(q.inf)), 2))
 
 
 def _suite_dual_inverse_roundtrip(rng, rec):
@@ -310,25 +289,27 @@ def _suite_dual_inverse_roundtrip(rng, rec):
             q = rng.appreciable_dual()
             if abs(q.std) >= 1e-3:  # keep the roundtrip well conditioned
                 break
-        rec.within(_diff(q * q.inverse(), one), 1e-9)
-        rec.agree(q.inverse().inverse(), q)
+        # The inverse rounds 1 and 3 times, the product's two terms 2 and 3 more.
+        rec.agree(q * q.inverse(), one, (1.0, 2.0 * abs(q.inf / q.std)), 6)
+        rec.agree(q.inverse().inverse(), q, _size(q), 10)
 
 
 def _suite_dual_sqrt_roundtrip(rng, rec):
     for _ in range(rec.cases):
         q = abs(rng.appreciable_dual())
         root = q.sqrt()
-        rec.agree(root * root, q)
+        rec.agree(root * root, q, _size(q), 5)
 
 
 def _suite_dual_pow_repeated_mul(rng, rec):
     for index in range(rec.cases):
         q = rng.dual()
-        k = 2 + index % 4
+        power = 2 + index % 4
         acc = q
-        for _ in range(k - 1):
+        for _ in range(power - 1):
             acc = acc * q
-        rec.agree(q**k, acc)
+        std, inf = _size(q)  # a pow within one ulp and 2 products, against 2 roundings per product
+        rec.agree(q**power, acc, (std**power, power * std ** (power - 1) * inf), 2 * power + 2)
 
 
 def _suite_dual_no_root_witness(rng, rec):
@@ -349,15 +330,16 @@ def _suite_dual_no_root_witness(rng, rec):
 def _suite_quat_conjugate_fixes_norm(rng, rec):
     for _ in range(rec.cases):
         q = rng.quat()
-        rec.within(abs(q.conjugate().norm() - q.norm()))
+        rec.agree(q.conjugate().norm(), q.norm(), q.norm(), 4)  # hypot is within one ulp
 
 
 def _suite_quat_self_product_is_norm_squared(rng, rec):
     for _ in range(rec.cases):
         q = rng.quat()
         n2 = q.norm() ** 2
+        square = _quaternion(n2, 0.0, 0.0, 0.0)  # 4 squares added, against the square of a norm, each within one ulp
         for product in (q * q.conjugate(), q.conjugate() * q):
-            rec.within(max(product.imaginary_magnitude(), abs(product.w - n2)))
+            rec.agree(product, square, n2, 10)
 
 
 def _suite_quat_norm_zero_iff_zero(rng, rec):
@@ -370,40 +352,38 @@ def _suite_quat_norm_zero_iff_zero(rng, rec):
 def _suite_quat_norm_triangle(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.quat(), rng.quat()
-        rec.holds(max(0.0, (p + q).norm() - (p.norm() + q.norm()) - ORDER_SLACK))
+        bound = p.norm() + q.norm()  # the sums round once, each norm is within one ulp
+        rec.holds(le_defect(DualNumber((p + q).norm()), DualNumber(bound), (bound, 0.0), 6))
 
 
 def _suite_quat_norm_multiplicative(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.quat(), rng.quat()
-        rec.agree((p * q).norm(), p.norm() * q.norm())
+        norms = p.norm() * q.norm()  # 4 components within γ_4 of it move a norm by twice that
+        rec.agree((p * q).norm(), norms, norms, 15)
 
 
 def _suite_quat_conjugate_antihomomorphism(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.quat(), rng.quat()
-        rec.within(_diff((p * q).conjugate(), q.conjugate() * p.conjugate()))
+        rec.agree((p * q).conjugate(), q.conjugate() * p.conjugate(), p.norm() * q.norm(), 8)
 
 
 def _suite_quat_mixed_sum_forms(rng, rec):
     for _ in range(rec.cases):
         p, q = rng.quat(), rng.quat()
         two_dot = 2.0 * p.dot(q)
-        left = p * q.conjugate() + q * p.conjugate()
-        right = p.conjugate() * q + q.conjugate() * p
-        rec.within(max(
-            left.imaginary_magnitude(),
-            right.imaginary_magnitude(),
-            abs(left.w - two_dot),
-            abs(right.w - two_dot),
-        ))
+        target, scale = _quaternion(two_dot, 0.0, 0.0, 0.0), 2.0 * p.norm() * q.norm()  # the bounds of mixed_sum
+        rec.agree(p * q.conjugate() + q * p.conjugate(), target, scale, 9)
+        rec.agree(p.conjugate() * q + q.conjugate() * p, target, scale, 9)
         rec.check(mixed_sum(p, q) == two_dot)
 
 
 def _suite_quat_product_associative(rng, rec):
     for _ in range(rec.cases):
         p, q, r = rng.quat(), rng.quat(), rng.quat()
-        rec.agree((p * q) * r, p * (q * r))
+        # Per side, γ_4 for the outer product and twice γ_4 from the inner one.
+        rec.agree((p * q) * r, p * (q * r), p.norm() * q.norm() * r.norm(), 26)
 
 
 def _suite_quat_inverse_roundtrip(rng, rec):
@@ -413,8 +393,9 @@ def _suite_quat_inverse_roundtrip(rng, rec):
             q = rng.quat()
             if q.norm() >= 0.5:
                 break
+        # The inverse's components round 5 times; the product's terms come to at most 1.
         for product in (q * q.inverse(), q.inverse() * q):
-            rec.within(_diff(product, one))
+            rec.agree(product, one, 1.0, 9)
 
 
 def _suite_quat_noncommutativity_witness(rng, rec):
@@ -434,44 +415,49 @@ def _suite_quat_noncommutativity_witness(rng, rec):
 def _suite_dq_self_conjugate_product_commutes(rng, rec):
     for index in range(rec.cases):
         q = rng.dquat("AI"[index % 2])
-        rec.within(_diff(q * q.conjugate(), q.conjugate() * q))
+        std, inf = _size(q)
+        rec.agree(q * q.conjugate(), q.conjugate() * q, (std * std, 2.0 * std * inf), 10)
 
 
 def _suite_dq_conjugate_fixes_magnitude(rng, rec):
     for index in range(rec.cases):
         q = rng.dquat("AI"[index % 2])
-        rec.within(_diff(q.magnitude(), q.conjugate().magnitude()))
+        rec.agree(q.magnitude(), q.conjugate().magnitude(), magnitude_scale(q.std, q.inf), 14)
 
 
 def _suite_dq_magnitude_nonneg_definite(rng, rec):
-    zero = DualNumber()
     rec.check(DualQuaternion().magnitude().is_zero)
     for index in range(rec.cases):
         q = rng.dquat("AI"[index % 2])
         if q.is_zero:
             rec.check(q.magnitude().is_zero)
         else:
-            rec.check(q.magnitude() > zero)
+            rec.check(q.magnitude() > _ZERO)
 
 
 def _suite_dq_magnitude_multiplicative(rng, rec):
     for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = rng.dquat(kinds[0]), rng.dquat(kinds[1])
-        rec.agree((p * q).magnitude(), p.magnitude() * q.magnitude())
+        # p * q's parts are within γ_4 and γ_5 per component, which moves its magnitude by up to
+        # 2 and 4 times that; the magnitudes round 2 and 7 times, their product 5 and 11.
+        (ps, pi), (qs, qi) = _size(p), _size(q)
+        rec.agree((p * q).magnitude(), p.magnitude() * q.magnitude(), (ps * qs, ps * qi + pi * qs), 44)
 
 
 def _suite_dq_magnitude_triangle(rng, rec):
     for index in range(rec.cases):
         kinds = _PAIR_STRATA[index % 4]
         p, q = rng.dquat(kinds[0]), rng.dquat(kinds[1])
-        rec.holds(le_defect((p + q).magnitude(), p.magnitude() + q.magnitude()))
+        # p + q rounds, moving its magnitude by u and 3u of the scale; each magnitude rounds 2 and 7 times.
+        (ps, pi), (qs, qi) = _size(p), _size(q)
+        rec.holds(le_defect((p + q).magnitude(), p.magnitude() + q.magnitude(), (ps + qs, pi + qi), 18))
 
 
 def _suite_dq_sqrt_route_agrees(rng, rec):
     for _ in range(rec.cases):
         q = rng.dquat("A")
-        rec.within(_diff(q.magnitude_via_sqrt(), q.magnitude()))
+        rec.agree(q.magnitude_via_sqrt(), q.magnitude(), magnitude_scale(q.std, q.inf), 16)  # as dualq magnitude
 
 
 def _suite_dq_inverse_roundtrip(rng, rec):
@@ -480,9 +466,11 @@ def _suite_dq_inverse_roundtrip(rng, rec):
         # Standard part of norm 1..10 keeps the inverse well conditioned.
         std = rng.uniform(1.0, 10.0) * rng.unit_quat()
         q = DualQuaternion(std, rng.quat())
+        # An inverse is within γ_5 per component, and a product adds 2γ_4 of its norms' product to its
+        # factors' errors: γ_9 of 1 and γ_25 of 2|inf|/|std|, then γ_10 and γ_62 of |std| and |inf|.
         for product in (q * q.inverse(), q.inverse() * q):
-            rec.within(_diff(product, one), 1e-9)
-        rec.agree(q.inverse().inverse(), q)
+            rec.agree(product, one, (1.0, 2.0 * q.inf.norm() / q.std.norm()), 25)
+        rec.agree(q.inverse().inverse(), q, _size(q), 62)
 
 
 def _suite_dq_embedding_consistent(rng, rec):
@@ -490,8 +478,9 @@ def _suite_dq_embedding_consistent(rng, rec):
         d1, d2 = rng.dual(), rng.dual()
         q = rng.quat()
         lifted = DualQuaternion.from_dual(d1)
-        rec.within(_diff(lifted.magnitude(), abs(d1)))
-        rec.within(_diff(lifted * DualQuaternion.from_dual(d2), DualQuaternion.from_dual(d1 * d2)))
+        rec.agree(lifted.magnitude(), abs(d1), _size(d1), 2)
+        scale = (abs(d1.std * d2.std), abs(d1.std * d2.inf) + abs(d1.inf * d2.std))
+        rec.agree(lifted * DualQuaternion.from_dual(d2), DualQuaternion.from_dual(d1 * d2), scale, 4)
         rec.check(DualQuaternion.from_quaternion(q).magnitude() == DualNumber(q.norm()))
 
 
@@ -500,20 +489,20 @@ def _suite_dq_embedding_consistent(rng, rec):
 def _suite_vec_embedding_isometry(rng, rec):
     for _ in range(rec.cases):
         quats = tuple(rng.quat() for _ in range(rng.randint(1, 8)))
-        vector = DQVector.from_quaternions(quats)
-        norm = vector.norm2()
-        rec.within(max(abs(norm.std - math.hypot(*embed_real(quats))), abs(norm.inf)))
+        closed = math.hypot(*embed_real(quats))  # the routes of dualq norms
+        rec.agree(DQVector.from_quaternions(quats).norm2(), DualNumber(closed), (closed, 0.0), 6 * len(quats) + 17)
 
 
 def _suite_vec_inner_conjugate_symmetry(rng, rec):
     for _ in range(rec.cases):
         n = rng.randint(1, 8)
         x, y = rng.vector(n), rng.vector(n)
-        rec.agree(x.inner(y).conjugate(), y.inner(x))
+        # Per side, 4n and 8n products added, of absolute values at most |x_s||y_s| and |x_s||y_i| + |x_i||y_s|.
+        xs, xi, ys, yi = [math.hypot(*embed_real(p)) for p in (x.std_part(), x.inf_part(), y.std_part(), y.inf_part())]
+        rec.agree(x.inner(y).conjugate(), y.inner(x), (xs * ys, xs * yi + xi * ys), 16 * n)
 
 
 def _suite_vec_norms_definite(rng, rec):
-    zero = DualNumber()
     for index in range(rec.cases):
         profile = ("general", "infinitesimal", "zero")[index % 3]
         n = rng.randint(1, 8)
@@ -524,19 +513,17 @@ def _suite_vec_norms_definite(rng, rec):
         v = rng.vector(n, profile)
         if all(e.is_zero for e in v):
             continue
-        rec.check(v.norm1() > zero)
-        rec.check(v.norm_inf() > zero)
-        rec.check(v.norm2() > zero)
+        rec.check(v.norm1() > _ZERO)
+        rec.check(v.norm_inf() > _ZERO)
+        rec.check(v.norm2() > _ZERO)
 
 
 def _suite_vec_norms_homogeneous(rng, rec):
     for index in range(rec.cases):
         x = rng.vector()
         stratum = index % 5
-        if stratum == 0:
-            scalar = rng.dquat("A")
-        elif stratum == 1:
-            scalar = rng.dquat("I")
+        if stratum < 2:
+            scalar = rng.dquat("AI"[stratum])
         elif stratum == 2:
             scalar = rng.unit_dquat()
         elif stratum == 3:
@@ -545,32 +532,30 @@ def _suite_vec_norms_homogeneous(rng, rec):
             scalar = DualQuaternion.from_real(rng.real())
         scaled = scalar * x
         factor = scalar.magnitude()
+        (std, inf), (xs, xi) = _size(scalar), map(sum, zip(*map(_size, x)))
+        scale = (std * xs, std * xi + inf * xs)
+        # Per entry γ_10 and γ_33 as in dq_magnitude_multiplicative; a norm adds up to γ_(n+4) and γ_(2n+14).
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            rec.agree(norm(scaled), factor * norm(x))
+            rec.agree(norm(scaled), factor * norm(x), scale, 4 * len(x) + 58)
 
 
 def _suite_vec_norms_triangle(rng, rec):
     for index in range(rec.cases):
         variant = index % 6
         n = rng.randint(1, 8)
-        if variant == 0:
-            x, y = rng.vector(n), rng.vector(n)
-        elif variant == 1:
-            # both sides infinitesimal
-            x = rng.vector(n, "infinitesimal")
-            y = rng.vector(n, "infinitesimal")
-        elif variant == 2:
-            # one side infinitesimal
-            x = rng.vector(n)
-            y = rng.vector(n, "infinitesimal")
+        if variant < 3:  # general, both sides infinitesimal, one side infinitesimal
+            x = rng.vector(n, "infinitesimal" if variant == 1 else "general")
+            y = rng.vector(n, "general" if variant == 0 else "infinitesimal")
         else:
             # proportional standard parts, the near-equality case
             t = (0.5, 1.0, 2.0)[variant - 3]
             x = rng.vector_with_appreciable(n)
             y = DQVector(tuple(DualQuaternion(t * e.std, rng.quat()) for e in x))
         total = x + y
+        scale = tuple(map(sum, zip(*map(_size, x.entries + y.entries))))
+        # x + y moves a magnitude by u and 3u of the scale; a norm adds up to γ_(n+4) and γ_(2n+14).
         for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            rec.holds(le_defect(norm(total), norm(x) + norm(y)))
+            rec.holds(le_defect(norm(total), norm(x) + norm(y), scale, 4 * n + 32))
 
 
 def _suite_vec_norm_chain(rng, rec):
@@ -578,20 +563,21 @@ def _suite_vec_norm_chain(rng, rec):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = rng.vector(None, profile)
         n1, n2, ninf = v.norm1(), v.norm2(), v.norm_inf()
-        rec.holds(le_defect(ninf, n2))
-        rec.holds(le_defect(n2, n1))
+        scale, k = norm_scales(v)[0], 3 * len(v) + 20  # as dualq norms
+        rec.holds(le_defect(ninf, n2, scale, k))
+        rec.holds(le_defect(n2, n1, scale, k))
 
 
 def _suite_vec_norm2_closed_form(rng, rec):
     for _ in range(rec.cases):
         v = rng.vector_with_appreciable()
         closed = v.norm2_closed_form()
-        rec.agree(v.norm2(), closed)
+        rec.agree(v.norm2(), closed, norm_scales(v)[1], 6 * len(v) + 17)  # as dualq norms
         bound = DualNumber(
             math.hypot(*embed_real(v.std_part())),
             math.hypot(*embed_real(v.inf_part())),
         )
-        rec.holds(le_defect(closed, bound))
+        rec.holds(le_defect(closed, bound, (bound.std, bound.inf), 4 * len(v) + 5))  # γ_(4n+3), against a hypot
 
 
 def _suite_vec_unit_checks(rng, rec):

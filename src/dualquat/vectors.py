@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from ._common import UNIT_TOL, Value, check_tolerance, real_operand
 from .dual import DualNumber, _dual_number
-from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts
+from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
 from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
 
@@ -35,6 +35,7 @@ __all__ = [
     "BasisCheck",
     "embed_real",
     "basis_check",
+    "norm_scales",
 ]
 
 
@@ -413,3 +414,16 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
                 passed = False
         rows.append(tuple(row))
     return BasisCheck(passed=passed, residuals=tuple(rows))
+
+
+def norm_scales(vector: DQVector) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The scales for ``close`` of ``norm1``, which bound those of all three
+    norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
+    std = inf = dot = 0.0
+    norms = []
+    for e in vector.entries:
+        n, m = magnitude_scale(e.std, e.inf)
+        std, inf, dot = std + n, inf + m, dot + n * m
+        norms.append(n)
+    norm2 = math.hypot(*norms)
+    return (std, inf), (norm2, dot / norm2) if norm2 else (0.0, math.hypot(*[e.inf.norm() for e in vector]))

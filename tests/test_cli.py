@@ -11,10 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dualquat
+import oracle
+from dualquat import DualQuatError
 from dualquat.cli import main
+from dualquat.documents import parse_document
+from dualquat.dualquaternion import magnitude_scale
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -407,6 +411,89 @@ def test_cli_never_shows_a_traceback(case, output_format):
             assert json.loads(out, parse_constant=_reject_constant)["pass"] is (code == 0)
         else:
             assert out.endswith("pass: yes\n" if code == 0 else "pass: no\n")
+
+
+# Components at one scale per part: a mantissa of 0 or 1e-3 to 10 in size,
+# times 10**e, with e drawn once for every standard part and once for every
+# infinitesimal part of a document.  No product or square leaves the normal range.
+mantissas = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+scaled_entries = st.lists(st.tuples(st.tuples(*[mantissas] * 4), st.tuples(*[mantissas] * 4)), min_size=1, max_size=4)
+
+
+def scaled_quaternion_text(mantissas, exponent):
+    return quaternion_text([("-" if m < 0 else "+", f"{abs(m)!r}e{exponent}") for m in mantissas])
+
+
+def scaled_dq_text(entry, std_exponent, inf_exponent):
+    std, inf = entry
+    return f"dq{{ std: {scaled_quaternion_text(std, std_exponent)}, inf: {scaled_quaternion_text(inf, inf_exponent)} }}"
+
+
+# The routes differ by 2 ulps in both parts; an absolute rule that judges the
+# infinitesimal part, of size 1e7, at the standard part's scale fails it.
+_ROADMAP_DOC = [(
+    (5.849387701813809, 3.3512315315946104, 4.6747035262569785, 1.2768790918545907),
+    (-7937335.102018598, 1755175.3992709517, -9901974.428661522, -7129632.795457502),
+)]
+
+
+@given(scaled_entries, st.integers(-150, 150), st.integers(-150, 150))
+@example(_ROADMAP_DOC, 0, 0)
+def test_magnitude_and_norm_routes_agree_at_every_scale(entries, std_exponent, inf_exponent):
+    texts = [scaled_dq_text(entry, std_exponent, inf_exponent) for entry in entries]
+    for command, document in (("magnitude", texts[0]), ("norms", "vec[ " + ", ".join(texts) + " ]")):
+        code, out, err = run([command, "-"], stdin_text=document)
+        assert (code, err) == (0, ""), (command, document, out)
+
+
+def test_the_route_check_has_no_absolute_floor():
+    # magnitude() loses the whole infinitesimal part of this document, as
+    # std . inf underflows (ROADMAP item 1); the sqrt route keeps it.
+    code, out, err = run(["magnitude", "-"], stdin_text="dq{ std: 5e-324, inf: 1e-300 }")
+    assert (code, err) == (1, "")
+    assert out.endswith("magnitude: 5e-324+0.0e\nmagnitude via sqrt(qq*): 5e-324+1e-300e\nroute difference: 1e-300\npass: no\n")
+
+
+# The bounds that dualq magnitude's docstring derives, per route and part,
+# against magnitude_scale: magnitude() within γ_2 and γ_7 of the exact
+# magnitude, magnitude_via_sqrt() within γ_3 and γ_9.
+DIRECT_K, SQRT_K = (2, 7), (3, 9)
+
+
+def _routes_within_their_bounds(q):
+    """Whether each route of ``q``'s magnitude lies within its own bound of the exact magnitude."""
+    exact, scale = oracle.magnitude(q.std, q.inf), magnitude_scale(q.std, q.inf)
+    return all(
+        oracle.within(value, bracket, part_scale, k)
+        for route, ks in ((q.magnitude(), DIRECT_K), (q.magnitude_via_sqrt(), SQRT_K))
+        for value, bracket, part_scale, k in zip((route.std, route.inf), exact, scale, ks)
+    )
+
+
+@given(st.tuples(st.tuples(*[mantissas] * 4), st.tuples(*[mantissas] * 4)), st.integers(-150, 150), st.integers(-150, 150))
+@example(_ROADMAP_DOC[0], 0, 0)
+def test_each_magnitude_route_is_within_its_derived_bound(entry, std_exponent, inf_exponent):
+    q = parse_document(scaled_dq_text(entry, std_exponent, inf_exponent)).payload
+    assume(q.is_appreciable)
+    assert _routes_within_their_bounds(q)
+
+
+@given(dq_texts)
+@example("dq{ std: 5e-324, inf: 1e-300 }")
+def test_the_magnitude_check_fails_only_where_a_route_misses_its_bound(document):
+    # Over the whole double range: wherever both routes are within their own
+    # bounds of the exact magnitude, they are close at k = 16 and the check passes.
+    try:
+        q = parse_document(document).payload
+    except DualQuatError:
+        assume(False)  # a literal beyond the double range
+    assume(q.is_appreciable)
+    try:
+        within = _routes_within_their_bounds(q)
+    except DualQuatError:
+        within = False  # no route value to judge: dualq exits 2
+    code, _, _ = run(["magnitude", "-"], stdin_text=document)
+    assert code == 0 or not within
 
 
 def test_unknown_command_exits_2():

@@ -21,7 +21,8 @@ from dualquat import (
     no_root_witness,
     sgn,
 )
-from dualquat.dual import ORDER_SLACK, le_defect
+from dualquat._common import close, u
+from dualquat.dual import le_defect
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -246,27 +247,49 @@ def test_transitivity_via_sorting(p, q, r):
     assert lo <= hi
 
 
-def test_le_defect_standard_parts_beyond_the_slack_decide_alone():
+# The order checks below run at k = 4 with both parts' scales 2**20, where
+# the bound gamma_4 * 2**20 (plus 4 subnormals) is about 4.7e-10.
+SCALE, K = (2.0**20, 2.0**20), 4
+BOUND = K * u / (1 - K * u) * 2.0**20
+
+
+def test_close_is_relative_at_every_scale_with_only_an_underflow_term():
+    assert close(1.0, 1.0 + 2**-51, 1.0, 4) and not close(1.0, 1.0 + 2**-50, 1.0, 4)
+    # The same relative difference at the bottom of the normal range; there is no absolute floor.
+    tiny = 2.0**-1000
+    assert close(tiny, tiny * (1 + 2**-51), tiny, 4) and not close(tiny, tiny * (1 + 2**-50), tiny, 4)
+    assert not close(1e-300, 0.0, 1e-300, 4)
+    # Each of k roundings may lose one subnormal to underflow.
+    assert close(0.0, 4 * 5e-324, 0.0, 4) and not close(0.0, 5 * 5e-324, 0.0, 4)
+    # A scale beyond the double range admits anything.
+    assert close(0.0, 1e308, math.inf, 1)
+
+
+def test_le_defect_standard_parts_beyond_the_bound_decide_alone():
     # The infinitesimal parts point the other way and are ignored.
-    assert le_defect(DualNumber(3.0, -100.0), DualNumber(2.0, 100.0)) == 1.0
-    assert le_defect(DualNumber(2.0, 100.0), DualNumber(3.0, -100.0)) == 0.0
-    just_over = 2 * ORDER_SLACK
-    assert le_defect(DualNumber(just_over, -1.0), DualNumber(0.0, 0.0)) == just_over
+    assert le_defect(DualNumber(3.0, -100.0), DualNumber(2.0, 100.0), SCALE, K) == 1.0
+    assert le_defect(DualNumber(2.0, 100.0), DualNumber(3.0, -100.0), SCALE, K) == 0.0
+    just_over = 2 * BOUND
+    assert le_defect(DualNumber(just_over, -1.0), DualNumber(0.0, 0.0), SCALE, K) == just_over
+    # The bound scales with the standard parts' scale: at 1.0 the same gap decides.
+    assert le_defect(DualNumber(BOUND / 2, 3.0), DualNumber(0.0, 1.0), (1.0, 2.0**20), K) == BOUND / 2
 
 
-def test_le_defect_ties_within_the_slack_fall_to_the_infinitesimal_parts():
-    half = ORDER_SLACK / 2
-    assert le_defect(DualNumber(half, 3.0), DualNumber(0.0, 1.0)) == 3.0 - 1.0 - ORDER_SLACK
-    assert le_defect(DualNumber(0.0, 3.0), DualNumber(half, 1.0)) == 3.0 - 1.0 - ORDER_SLACK
-    # The infinitesimal parts get the same slack.
-    assert le_defect(DualNumber(half, 1.0 + half), DualNumber(0.0, 1.0)) == 0.0
-    assert le_defect(DualNumber(half, 1.0 + 2 * ORDER_SLACK), DualNumber(0.0, 1.0)) > 0.0
+def test_le_defect_ties_within_the_bound_fall_to_the_infinitesimal_parts():
+    half = BOUND / 2
+    assert le_defect(DualNumber(half, 3.0), DualNumber(0.0, 1.0), SCALE, K) == 3.0 - 1.0
+    assert le_defect(DualNumber(0.0, 3.0), DualNumber(half, 1.0), SCALE, K) == 3.0 - 1.0
+    # The infinitesimal parts are judged by the same rule, at their own scale.
+    assert le_defect(DualNumber(half, 1.0 + half), DualNumber(0.0, 1.0), SCALE, K) == 0.0
+    assert le_defect(DualNumber(half, 1.0 + 2 * BOUND), DualNumber(0.0, 1.0), SCALE, K) > 0.0
+    assert le_defect(DualNumber(half, 1.0 + 2 * BOUND), DualNumber(0.0, 1.0), (2.0**20, 2.0**22), K) == 0.0
 
 
 def test_le_defect_is_zero_when_the_order_holds_exactly():
-    assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 2.0)) == 0.0
-    assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 3.0)) == 0.0
-    assert le_defect(DualNumber(-1.0, 9.0), DualNumber(1.0, -9.0)) == 0.0
+    for scale in (SCALE, (0.0, 0.0)):
+        assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 2.0), scale, K) == 0.0
+        assert le_defect(DualNumber(1.0, 2.0), DualNumber(1.0, 3.0), scale, K) == 0.0
+        assert le_defect(DualNumber(-1.0, 9.0), DualNumber(1.0, -9.0), scale, K) == 0.0
 
 
 # -- absolute value --------------------------------------------------------------

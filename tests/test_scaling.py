@@ -26,7 +26,7 @@ from dualquat import (
     Quaternion,
     UnitCheck,
 )
-from dualquat._common import REALNESS_GUARD, UNIT_TOL, scale_exponent, times_power_of_two
+from dualquat._common import UNIT_TOL, close, scale_exponent, times_power_of_two
 
 MAX = sys.float_info.max
 
@@ -97,9 +97,9 @@ def reference_magnitude_via_sqrt(q):
     k, m = [max(math.frexp(max(map(abs, part.components())))[1], -1022) for part in (q.std, q.inf)]
     scaled = DualQuaternion(q.std * math.ldexp(1.0, -k), q.inf * math.ldexp(1.0, -m))
     product = scaled * scaled.conjugate()
-    scale = max(1.0, scaled.std.norm() + scaled.inf.norm())
+    scale = scaled.std.norm() + scaled.inf.norm()
     for part in (product.std, product.inf):
-        if part.imaginary_magnitude() / scale > REALNESS_GUARD * scale:
+        if not close(part.imaginary_magnitude(), 0.0, scale * scale, 5):
             raise ConsistencyError(f"q * q.conjugate() is not real: got {part} in {product}")
     root = DualNumber(product.std.w, product.inf.w).sqrt()
     try:

@@ -6,15 +6,13 @@ import random
 import pytest
 
 from dualquat import selfcheck
-from dualquat.dual import ORDER_SLACK, DualNumber, le_defect
+from dualquat.dual import DualNumber, le_defect
 from dualquat.dualquaternion import DualQuaternion
 from dualquat.quaternion import Quaternion
 from dualquat.selfcheck import (
     DEFAULT_CASES,
     DEFAULT_SEED,
-    EQ_TOL,
     SuiteResult,
-    _diff,
     _Draws,
     _Recorder,
     run_all,
@@ -61,9 +59,10 @@ def test_defaults_are_pinned():
     assert DEFAULT_CASES == 10_000
 
 
-# Pairs of one kind, whether they agree componentwise under ``close``, and
-# their largest componentwise difference.  Each differing component is off
-# by a power of two, so the difference is exact.
+# Pairs of one kind, whether they agree part by part under ``close`` at
+# k = 4 against a scale of 2**25 (a bound of about 1.5e-8), and their largest
+# componentwise difference.  Each differing component is off by a power of
+# two, so the difference is exact.
 _Q = Quaternion(1.0, 2.0, 3.0, 4.0)
 _PAIRS = [
     (2.0, 2.0 + 2**-30, True, 2**-30),
@@ -78,10 +77,15 @@ _PAIRS = [
 ]
 
 
-def _recorded(kind, *args, **kwargs):
+def _recorded(kind, *args):
     rec = _Recorder(1)
-    getattr(rec, kind)(*args, **kwargs)
+    getattr(rec, kind)(*args)
     return rec.failures, rec.worst
+
+
+def _scale(value, scale):
+    """``scale`` in the shape of ``value``: a pair for a dual value."""
+    return (scale, scale) if isinstance(value, (DualNumber, DualQuaternion)) else scale
 
 
 @pytest.mark.parametrize(
@@ -90,22 +94,32 @@ def _recorded(kind, *args, **kwargs):
     ids=[f"{type(a).__name__}-{'agree' if agrees else 'differ'}" for a, _, agrees, _ in _PAIRS],
 )
 def test_check_kinds_record_a_verdict_and_the_largest_difference(a, b, agrees, diff):
-    assert _diff(a, b) == _diff(b, a) == diff
-    assert _recorded("agree", a, b) == (0 if agrees else 1, diff)
-    assert _recorded("within", _diff(a, b)) == (0 if diff <= EQ_TOL else 1, diff)
-    assert _recorded("within", _diff(a, b), tol=2**-30) == (0 if diff <= 2**-30 else 1, diff)
-    assert _recorded("holds", _diff(a, b)) == (0 if diff == 0.0 else 1, diff)
+    scale = _scale(a, 2.0**25)
+    assert _recorded("agree", a, b, scale, 4) == _recorded("agree", b, a, scale, 4) == (0 if agrees else 1, diff)
+    # At a 2**20 times smaller scale, only equal values agree; at 2**40 times larger, all do.
+    assert _recorded("agree", a, b, _scale(a, 2.0**5), 4) == (0 if diff == 0.0 else 1, diff)
+    assert _recorded("agree", a, b, _scale(a, 2.0**65), 4) == (0, diff)
+    assert _recorded("holds", diff) == (0 if diff == 0.0 else 1, diff)
+
+
+def test_agree_judges_each_part_of_a_dual_value_at_its_own_scale():
+    a = DualQuaternion(_Q, _Q)
+    b = DualQuaternion(_Q, Quaternion(1.0, 2.0, 3.0, 4.25))
+    assert _recorded("agree", a, b, (2.0**25, 2.0**25), 4) == (1, 0.25)
+    assert _recorded("agree", a, b, (2.0**25, 2.0**60), 4) == (0, 0.25)
+    assert _recorded("agree", b, a, (2.0**60, 2.0**25), 4) == (1, 0.25)
+    assert _recorded("agree", DualNumber(1.0, 2.0), DualNumber(1.0 + 2**-30, 2.0), (2.0**5, 2.0**60), 4) == (1, 2**-30)
 
 
 def test_holds_records_order_defects_and_the_worst_over_a_suite():
-    rec = _Recorder(3)
-    rec.holds(le_defect(DualNumber(1.0, 5.0), DualNumber(2.0, 0.0)))  # the standard parts decide
+    rec, scale = _Recorder(3), (1.0, 1.0)
+    rec.holds(le_defect(DualNumber(1.0, 5.0), DualNumber(2.0, 0.0), scale, 4))  # the standard parts decide
     assert (rec.failures, rec.worst) == (0, 0.0)
-    rec.holds(le_defect(DualNumber(1.0, 5.0), DualNumber(1.0, 4.0)))  # tied, the infinitesimal parts decide
-    assert (rec.failures, rec.worst) == (1, 5.0 - 4.0 - ORDER_SLACK)
-    rec.holds(le_defect(DualNumber(3.0, 0.0), DualNumber(1.0, 9.0)))
-    rec.agree(DualNumber(1.0, 2.0), DualNumber(1.0, 2.0))
-    rec.within(2**-41)
+    rec.holds(le_defect(DualNumber(1.0, 5.0), DualNumber(1.0, 4.0), scale, 4))  # tied, the infinitesimal parts decide
+    assert (rec.failures, rec.worst) == (1, 5.0 - 4.0)
+    rec.holds(le_defect(DualNumber(3.0, 0.0), DualNumber(1.0, 9.0), scale, 4))
+    rec.agree(DualNumber(1.0, 2.0), DualNumber(1.0, 2.0), scale, 4)
+    rec.agree(1.0, 1.0 + 2**-41, 2.0**20, 4)
     assert rec.result("s") == SuiteResult("s", 3, 2, 2.0)
 
 

@@ -12,18 +12,20 @@ import dualquat
 
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
-# The realness guard, the order slack and its relaxed order, the agreement
-# test, the default unit tolerance and the rule that admits a tolerance, the
+# The rounding-error model (the unit roundoff, the one comparison rule close,
+# the order check that judges ties by it, and the scales of the magnitude and
+# the norms), the default unit tolerance and the rule that admits a tolerance, the
 # real-scalar operand rule, the quaternion product rule (written out again,
 # with conjugation folded in, by the inner-product kernels; see
 # PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the per-field and
 # all-fields finiteness tests, the trusted constructors of kernel results, the
 # product with a real and the power-of-two scaling rule (see SCALING_RULE).
 SHARED_RULES = (
-    "REALNESS_GUARD",
-    "ORDER_SLACK",
-    "le_defect",
+    "u",
     "close",
+    "le_defect",
+    "magnitude_scale",
+    "norm_scales",
     "UNIT_TOL",
     "check_tolerance",
     "real_operand",
@@ -66,6 +68,12 @@ PRODUCT_WRITTEN_OUT = {
     "vectors._inner_parts",
     "vectors._gram_parts",
 }
+
+# The one module that may write a float literal below 1e-6: the rounding-error
+# rule's.  Elsewhere such a literal, compared against or passed as a bound, is
+# a second tolerance; the one exception is Quaternion.inverse's normal range.
+RULE_MODULE = "_common"
+TINY_LITERALS_ALLOWED = {("quaternion.Quaternion.inverse", 2.2250738585072014e-308)}
 
 # Modules on the production paths, which must not run the cross-checked
 # reference form ``mixed_sum``.
@@ -226,9 +234,9 @@ def _is_tolerance_or_zero_test(verdict: ast.expr) -> bool:
 
 
 def test_selfcheck_records_only_through_run_all_and_the_check_kinds():
-    # run_all makes every recorder, and a suite turns a tolerance or an order
-    # defect into a verdict only through rec.within and rec.holds, which hold
-    # the one rule for each.
+    # run_all makes every recorder, and a suite turns a difference or an order
+    # defect into a verdict only through rec.agree and rec.holds, which judge
+    # both by the one rounding-error rule.
     tree = ast.parse((PACKAGE / "selfcheck.py").read_text(encoding="utf-8"))
 
     def recorder_calls(root):
@@ -254,6 +262,29 @@ def test_selfcheck_records_only_through_run_all_and_the_check_kinds():
     assert checks, "no rec.check call found"
     bad = [ast.unparse(node) for node in checks if node.args and _is_tolerance_or_zero_test(node.args[0])]
     assert bad == []
+
+
+def _tiny_literals(node: ast.AST) -> list[float]:
+    """Float literals with ``0 < |v| < 1e-6`` under ``node``: a comparison's, a default's or a constant's."""
+    return [
+        n.value
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, float) and 0.0 < abs(n.value) < 1e-6
+    ]
+
+
+def test_only_the_rounding_rule_writes_tiny_float_literals():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == RULE_MODULE:
+            continue
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for qualname, node in _functions_outside_functions(body):
+            found.update((".".join((path.stem, *qualname)), v) for v in _tiny_literals(node))
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.update((path.stem, v) for v in _tiny_literals(node))
+    assert found == TINY_LITERALS_ALLOWED
 
 
 def test_cold_start_imports_no_record_or_typing_machinery():

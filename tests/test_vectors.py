@@ -644,10 +644,25 @@ def test_unit_vector_check_oracles():
 
 
 def test_unit_check_rejects_negative_tolerance():
-    for tol in (-0.1, float("nan")):
+    for tol in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DQVector.from_quaternions((Quaternion(1),)).unit_check(tol)
-    assert DQVector.from_quaternions((Quaternion(2),)).unit_check(float("inf")).passed
+
+
+# Each check on a value that is far from passing, so a tolerance that admits
+# everything would show as a pass.
+_TOLERANCE_CHECKS = {
+    "DualQuaternion.unit_check": lambda tol: DualQuaternion(Quaternion(5.0), Quaternion(3.0)).unit_check(tol),
+    "DQVector.unit_check": lambda tol: DQVector.from_quaternions((Quaternion(5.0),)).unit_check(tol),
+    "basis_check": lambda tol: basis_check([DQVector.from_quaternions((Quaternion(5.0),))], tol),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_TOLERANCE_CHECKS))
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, -1e-9, math.nan])
+def test_every_check_admits_only_a_finite_nonnegative_tolerance(entry_point, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        _TOLERANCE_CHECKS[entry_point](tol)
 
 
 def test_unit_iff_margin():
@@ -694,12 +709,11 @@ def test_basis_check_validates_shape():
         basis_check([e1, short], 1e-9)
     with pytest.raises(ValueError):
         basis_check([], 1e-9)
-    for tol in (-1.0, float("nan")):
+    for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             basis_check([e1, e1], tol)
     with pytest.raises(TypeError):
         basis_check([e1, tuple(e1)], 1e-9)
-    assert basis_check([DQVector((dq(std=Quaternion(5)),))], float("inf")).passed
 
 
 def test_scalar_action_is_left_multiplication():
