@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from .errors import NonFiniteError
 
 u = 2.0**-53  # unit roundoff of IEEE double precision
+MIN_NORMAL = 2.0**-1022  # the smallest normal double: a quotient below it keeps fewer bits
 UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks: not a rounding bound
 
 

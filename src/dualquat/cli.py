@@ -149,8 +149,8 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
     """The norms, the chain ``norm_inf <= norm2 <= norm1`` and the closed-form 2-norm.  Against
-    ``norm_scales``, for n entries: ``norm2()`` (n squared magnitudes added, a root) is within
-    γ_(n+4) and γ_(2n+14) of the exact parts, and the closed form (a ``hypot``; 4n products added, a
+    ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and γ_(n+14) of the
+    exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``; 4n products added, a
     division) within γ_2 and γ_(4n+3), so they are close at k = 6n + 17.  With ``norm_inf`` within γ_2
     and γ_7 and ``norm1`` within γ_(n+1) and γ_(n+6), the chain holds at k = 3n + 20.
     """

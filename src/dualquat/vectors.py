@@ -9,9 +9,9 @@ Three norms are provided, each a dual number:
 
 * ``norm1``   -- sum of the entry magnitudes
 * ``norm_inf``-- largest entry magnitude under the total order
-* ``norm2``   -- square root of the summed squared magnitudes; when every
-  entry is infinitesimal that sum collapses to zero, and the norm instead
-  equals the Euclidean norm of the infinitesimal parts times the dual unit
+* ``norm2``   -- the paper's ``N + (sum(n_i m_i) / N) e`` over the entry
+  magnitudes ``n_i + m_i e``, with ``N = hypot(n_1, ..., n_k)``; when every
+  entry is infinitesimal, ``hypot(m_1, ..., m_k)`` times the dual unit
 
 ``norm2_closed_form`` computes the 2-norm of a vector with an appreciable
 standard part directly from the flattened real embeddings; it must agree
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from ._common import UNIT_TOL, Value, check_tolerance, real_operand
+from ._common import MIN_NORMAL, UNIT_TOL, Value, check_tolerance, real_operand
 from .dual import DualNumber, _dual_number
 from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
-from .errors import EmptyVectorError, LengthMismatchError, NonFiniteError, NotAppreciableError
+from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
 
 __all__ = [
@@ -269,12 +269,11 @@ class DQVector(Value):
 
     # -- norms ----------------------------------------------------------
 
-    # The norms evaluate magnitude_parts on the entries and add its floats in
-    # entry order, as the DualNumber operators on the magnitudes would: sums
-    # that start at +0.0 never produce -0.0, which the constructor is the only
-    # one to normalize, and a non-finite magnitude stays infinite or NaN
-    # through the additions, so the final DualNumber raises NonFiniteError
-    # exactly when an operator would.
+    # The norms evaluate magnitude_parts on the entries; norm1 adds its floats
+    # in entry order, as the DualNumber operators would, and norm2 passes them
+    # to _norm2_parts.  Sums that start at +0.0 never produce -0.0, and a
+    # non-finite magnitude leaves a part infinite or NaN, so the final
+    # DualNumber raises NonFiniteError exactly when magnitude() would.
 
     def norm1(self) -> DualNumber:
         std = inf = 0.0
@@ -299,20 +298,7 @@ class DQVector(Value):
         return best_index
 
     def norm2(self) -> DualNumber:
-        if not self.has_appreciable_entry:
-            return _dual_number(0.0, math.hypot(*embed_real(self.inf_part())))
-        std = inf = 0.0
-        for e in self.entries:
-            n, m = magnitude_parts(e.std, e.inf)
-            # The squared magnitude as DualNumber.__pow__ computes it.  For an
-            # infinitesimal entry it adds exactly zero, or a NaN when the
-            # magnitude itself overflowed.
-            try:
-                std += n**2
-            except OverflowError:
-                raise NonFiniteError(f"a power of {DualNumber(n, m)} overflows") from None
-            inf += 2.0 * n * m
-        return _dual_number(std, inf).sqrt()
+        return _dual_number(*_norm2_parts([magnitude_parts(e.std, e.inf) for e in self.entries]))
 
     def norm2_closed_form(self) -> DualNumber:
         """2-norm from the flattened embeddings, in one step.
@@ -416,14 +402,30 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
     return BasisCheck(passed=passed, residuals=tuple(rows))
 
 
+def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """``N = hypot(n_1, ..., n_k)`` and ``sum((n_i / N) * m_i)`` in entry order, for entry magnitudes
+    ``n_i + m_i e``, unchecked; ``(0.0, hypot(m_1, ..., m_k))`` when ``N == 0``.  It forms no square.  A
+    subnormal ``N`` or weight ``n_i / N`` would keep few bits, so it is formed from the ``n_i`` times 2**1022.
+    Against this kernel over ``magnitude_scale``, with ``magnitude_parts`` within γ_2 and γ_7: γ_4 (a hypot
+    of γ_2 values) and γ_(k+14) (a weight within γ_7, times ``m_i`` γ_15, then k − 1 additions).
+    """
+    norm = math.hypot(*[n for n, _ in magnitudes])
+    if norm == 0.0:
+        return 0.0, math.hypot(*[m for _, m in magnitudes])
+    if norm < MIN_NORMAL:
+        norm, inf = _norm2_parts([(n / MIN_NORMAL, m) for n, m in magnitudes])
+        return norm * MIN_NORMAL, inf
+    inf, floor = 0.0, norm * MIN_NORMAL  # n_i / N >= MIN_NORMAL where n_i >= floor
+    for n, m in magnitudes:
+        inf += n / norm * m if n >= floor else n / MIN_NORMAL / norm * m * MIN_NORMAL
+    return norm, inf
+
+
 def norm_scales(vector: DQVector) -> tuple[tuple[float, float], tuple[float, float]]:
     """The scales for ``close`` of ``norm1``, which bound those of all three
     norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
-    std = inf = dot = 0.0
-    norms = []
-    for e in vector.entries:
-        n, m = magnitude_scale(e.std, e.inf)
-        std, inf, dot = std + n, inf + m, dot + n * m
-        norms.append(n)
-    norm2 = math.hypot(*norms)
-    return (std, inf), (norm2, dot / norm2) if norm2 else (0.0, math.hypot(*[e.inf.norm() for e in vector]))
+    scales = [magnitude_scale(e.std, e.inf) for e in vector.entries]
+    std = inf = 0.0
+    for n, m in scales:
+        std, inf = std + n, inf + m
+    return (std, inf), _norm2_parts(scales)

@@ -9,11 +9,13 @@ bound a double can meet.  A result is judged against a bracket by
 """
 
 import math
+import sys
 from fractions import Fraction
 
 BITS = 200
 U = Fraction(1, 2**53)
 TINY = Fraction(2) ** -1074  # the smallest subnormal
+LARGEST = Fraction(sys.float_info.max)
 
 Bracket = tuple[Fraction, Fraction]
 
@@ -27,8 +29,10 @@ def sqrt_bracket(x: Fraction) -> Bracket:
 
 
 def magnitude(std, inf) -> tuple[Bracket, Bracket]:
-    """Brackets of the standard and infinitesimal parts of the magnitude of the dual quaternion ``std + inf e``."""
-    s, i = [tuple(map(Fraction, part.components())) for part in (std, inf)]
+    """Brackets of the standard and infinitesimal parts of the magnitude of ``std + inf e``, for two
+    equally long sequences of real components: a dual quaternion's, or a vector's real embedding,
+    whose magnitude is the vector's 2-norm."""
+    s, i = [tuple(map(Fraction, part)) for part in (std, inf)]
     squares = sum(c * c for c in s)
     if squares == 0:
         return (Fraction(0), Fraction(0)), sqrt_bracket(sum(c * c for c in i))
@@ -40,10 +44,20 @@ def magnitude(std, inf) -> tuple[Bracket, Bracket]:
 def within(value: float, bracket: Bracket, scale: float, k: int) -> bool:
     """Whether ``value`` is within ``γ_k·scale + k·5e-324`` of every point of ``bracket``.
 
-    An infinite scale, a sum of absolute terms beyond the double range, admits anything, as in ``close``.
+    A scale that is not finite, a sum of absolute terms beyond the double range, admits anything, as
+    an infinite one does in ``close``.
     """
-    if scale == math.inf:
+    if not scale < math.inf:
         return True
-    bound = k * U / (1 - k * U) * Fraction(scale) + k * TINY
+    bound = _bound(scale, k)
     value = Fraction(value)
     return value - bracket[0] <= bound and bracket[1] - value <= bound
+
+
+def may_overflow(bracket: Bracket, scale: float, k: int) -> bool:
+    """Whether a value within ``γ_k·scale + k·5e-324`` of a point of ``bracket`` may lie beyond the largest double."""
+    return not scale < math.inf or max(map(abs, bracket)) + _bound(scale, k) > LARGEST
+
+
+def _bound(scale: float, k: int) -> Fraction:
+    return k * U / (1 - k * U) * Fraction(scale) + k * TINY

@@ -15,10 +15,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import dualquat
 import oracle
-from dualquat import DualQuatError
+from dualquat import DQVector, DualQuatError, DualQuaternion, Quaternion, embed_real
 from dualquat.cli import main
 from dualquat.documents import parse_document
 from dualquat.dualquaternion import magnitude_scale
+from dualquat.vectors import norm_scales
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -304,13 +305,36 @@ def test_one_parser_serves_every_call_with_fresh_parser_output(tmp_path, monkeyp
 
 
 def test_overflowing_norm_exits_2(tmp_path):
-    # The squared magnitude 1e400 overflows in norm2.
+    # norm1 is 2e308, beyond the largest double.
     doc = tmp_path / "huge.dq"
-    doc.write_text("vec[ dq{ std: 1e200, inf: 0 } ]\n")
+    doc.write_text("vec[ dq{ std: 1e308, inf: 0 }, dq{ std: 1e308, inf: 0 } ]\n")
     code, out, err = run(["norms", str(doc)])
     assert code == 2
     assert out == ""
     assert err.startswith("dualq: error: ") and err.count("\n") == 1
+
+
+def test_a_norm_whose_square_overflows_exits_0():
+    # Every norm is 1e200; its square, 1e400, is beyond the double range.
+    code, out, err = run(["norms", "-"], stdin_text="vec[ dq{ std: 1e200, inf: 0 } ]")
+    assert (code, err) == (0, "")
+    assert "\nnorm2: 1e+200+0.0e\n" in out
+
+
+# ROADMAP item 1's norm2 documents: a square of the standard part that
+# underflows or overflows made norm2 raise or return 0.0+0.0e.  Then a vector
+# whose second entry has the weight n_i / N = 5e-318, below the normal range,
+# where a weight taken as a plain quotient puts norm2 off by 3e-7 relatively.
+@pytest.mark.parametrize("document", [
+    "vec[ dq{ std: 1e-200, inf: 1 } ]",
+    "vec[ dq{ std: 1e-200, inf: -1 } ]",
+    "vec[ dq{ std: 1e160, inf: 1 } ]",
+    "vec[ dq{ std: 0 + 0i - 3.595529e-271j + 0k, inf: 0 } ]",
+    "vec[ dq{ std: 0 + 0i + 0j + 2e137k, inf: 0 }, dq{ std: 0 + 0i + 1e-180j + 0k, inf: 0 + 0i + 1e10j + 0k } ]",
+])
+def test_norms_exit_0_where_a_square_or_a_weight_leaves_the_normal_range(document):
+    code, out, err = run(["norms", "-"], stdin_text=document)
+    assert (code, err) == (0, ""), out
 
 
 def test_overflowing_mixed_sum_is_recomputed_scaled():
@@ -417,7 +441,8 @@ def test_cli_never_shows_a_traceback(case, output_format):
 # times 10**e, with e drawn once for every standard part and once for every
 # infinitesimal part of a document.  No product or square leaves the normal range.
 mantissas = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
-scaled_entries = st.lists(st.tuples(st.tuples(*[mantissas] * 4), st.tuples(*[mantissas] * 4)), min_size=1, max_size=4)
+scaled_entry = st.tuples(st.tuples(*[mantissas] * 4), st.tuples(*[mantissas] * 4))
+scaled_entries = st.lists(scaled_entry, min_size=1, max_size=4)
 
 
 def scaled_quaternion_text(mantissas, exponent):
@@ -460,22 +485,67 @@ def test_the_route_check_has_no_absolute_floor():
 DIRECT_K, SQRT_K = (2, 7), (3, 9)
 
 
+def _within(value, exact, scale, ks):
+    """Whether each part of the dual number ``value`` lies within γ_k of its bracket in ``exact``, at its ``scale``."""
+    return all(map(oracle.within, (value.std, value.inf), exact, scale, ks))
+
+
 def _routes_within_their_bounds(q):
     """Whether each route of ``q``'s magnitude lies within its own bound of the exact magnitude."""
-    exact, scale = oracle.magnitude(q.std, q.inf), magnitude_scale(q.std, q.inf)
-    return all(
-        oracle.within(value, bracket, part_scale, k)
-        for route, ks in ((q.magnitude(), DIRECT_K), (q.magnitude_via_sqrt(), SQRT_K))
-        for value, bracket, part_scale, k in zip((route.std, route.inf), exact, scale, ks)
-    )
+    exact, scale = oracle.magnitude(q.std.components(), q.inf.components()), magnitude_scale(q.std, q.inf)
+    routes = q.magnitude(), q.magnitude_via_sqrt()
+    return _within(routes[0], exact, scale, DIRECT_K) and _within(routes[1], exact, scale, SQRT_K)
 
 
-@given(st.tuples(st.tuples(*[mantissas] * 4), st.tuples(*[mantissas] * 4)), st.integers(-150, 150), st.integers(-150, 150))
+@given(scaled_entry, st.integers(-150, 150), st.integers(-150, 150))
 @example(_ROADMAP_DOC[0], 0, 0)
 def test_each_magnitude_route_is_within_its_derived_bound(entry, std_exponent, inf_exponent):
     q = parse_document(scaled_dq_text(entry, std_exponent, inf_exponent)).payload
     assume(q.is_appreciable)
     assert _routes_within_their_bounds(q)
+
+
+def scaled_quaternion(mantissas, exponent):
+    """The quaternion that ``scaled_quaternion_text`` writes."""
+    return Quaternion(*[float(f"{m!r}e{exponent}") for m in mantissas])
+
+
+# Decimal exponents over the whole double range, one pair per entry: 1e-3
+# times 10**-326 is below the smallest subnormal, 10 times 10**307 is 1e308.
+full_range_entries = st.lists(
+    st.tuples(scaled_entry, st.integers(-326, 307), st.integers(-326, 307)), min_size=1, max_size=4
+)
+_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+@given(full_range_entries)
+@example([((_ONE, _ONE), -200, 0)])  # ROADMAP item 1's norm2 documents
+@example([((_ONE, (-1.0, 0.0, 0.0, 0.0)), -200, 0)])
+@example([((_ONE, _ONE), 160, 0)])
+@example([(((0.0, 0.0, -3.595529, 0.0), (0.0,) * 4), -271, 0)])
+@example([(((0.0, 0.0, 0.0, 2.0), (0.0,) * 4), 137, 0), (((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0)), -180, 10)])  # a subnormal weight
+@example([((_ONE, _ONE), -323, 0)] * 2)  # a subnormal N
+def test_norm2_is_within_its_derived_bound_across_the_double_range(entries):
+    # Against norm_scales, norm2() is within γ_(n+4) and γ_(2n+14) of the
+    # exact 2-norm, the magnitude of the vector's real embedding, wherever
+    # every entry's magnitude() is within its own bound.  It raises only where
+    # an entry's magnitude() raises or the 2-norm may leave the double range.
+    vector = DQVector([DualQuaternion(scaled_quaternion(std, e), scaled_quaternion(inf, f)) for (std, inf), e, f in entries])
+    try:
+        entries_within = all(
+            _within(x.magnitude(), oracle.magnitude(x.std.components(), x.inf.components()), magnitude_scale(x.std, x.inf), DIRECT_K)
+            for x in vector
+        )
+    except DualQuatError:
+        return  # an entry's magnitude() raises, so norm2() may
+    exact = oracle.magnitude(embed_real(vector.std_part()), embed_real(vector.inf_part()))
+    scale, ks = norm_scales(vector)[1], (len(vector) + 4, 2 * len(vector) + 14)
+    try:
+        norm2 = vector.norm2()
+    except DualQuatError:
+        assert any(map(oracle.may_overflow, exact, scale, ks)), vector
+        return
+    assert _within(norm2, exact, scale, ks) or not entries_within, vector
 
 
 @given(dq_texts)

@@ -1,22 +1,15 @@
-"""Finite, well-formed inputs that still get a wrong answer or a false error.
+"""Finite, well-formed inputs that got, or still get, a wrong answer or a false error.
 
-Each test asserts the right answer and is marked ``xfail(strict=True)`` with
-the failure seen today, naming its entry under ROADMAP Open item 1 ("Still
-reproduces").  The fix for an entry removes its mark; a fix that lands
-without doing so turns the test into an unexpected pass, which fails.
+Each test asserts the right answer.  One that still fails is marked
+``xfail(strict=True)`` with the failure seen today, naming its entry under
+ROADMAP Open item 1 ("Still reproduces").  The fix for an entry removes its
+mark, and the test stays as a plain one; a fix that lands without doing so
+turns the test into an unexpected pass, which fails.
 """
 
 import pytest
 
-from dualquat import (
-    DQVector,
-    DualNumber,
-    DualQuaternion,
-    NegativeArgumentError,
-    NonFiniteError,
-    NotRepresentableError,
-    Quaternion,
-)
+from dualquat import DQVector, DualNumber, DualQuaternion, NonFiniteError, Quaternion
 
 
 def _dq(std: float, inf: float) -> DualQuaternion:
@@ -24,22 +17,25 @@ def _dq(std: float, inf: float) -> DualQuaternion:
     return DualQuaternion(Quaternion(std), Quaternion(inf))
 
 
-@pytest.mark.xfail(strict=True, raises=NotRepresentableError,
-                   reason="ROADMAP item 1, norm2: the squared standard part 1e-400 underflows to 0")
+# ROADMAP item 1's norm2 entries, fixed by the hypot route: the squared
+# standard part 1e-400 underflowed to 0 (and with inf: -1 left a negative
+# radicand), n**2 overflowed above about 1.34e154, and a squared magnitude of
+# 1.3e-541 underflowed, so an appreciable vector got the norm 0.0+0.0e.
 def test_norm2_of_a_tiny_standard_part_with_a_positive_infinitesimal_part():
     assert DQVector((_dq(1e-200, 1.0),)).norm2() == DualNumber(1e-200, 1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=NegativeArgumentError,
-                   reason="ROADMAP item 1, norm2 with inf: -1: the squared standard part underflows to 0")
 def test_norm2_of_a_tiny_standard_part_with_a_negative_infinitesimal_part():
     assert DQVector((_dq(1e-200, -1.0),)).norm2() == DualNumber(1e-200, -1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=NonFiniteError,
-                   reason="ROADMAP item 1, norm2 of std: 1e160: n**2 overflows above about 1.34e154")
 def test_norm2_of_a_huge_standard_part():
     assert DQVector((_dq(1e160, 1.0),)).norm2() == DualNumber(1e160, 1.0)
+
+
+def test_norm2_of_an_entry_whose_squared_magnitude_underflows():
+    vector = DQVector((DualQuaternion(Quaternion(0.0, 0.0, -3.595529e-271, 0.0)),))
+    assert str(vector.norm2()) == "3.595529e-271+0.0e"
 
 
 @pytest.mark.xfail(strict=True, raises=NonFiniteError,

@@ -179,18 +179,18 @@ def test_generators_match_the_public_constructor_builds_draw_for_draw(seed):
 # selfcheck workload runs (2 per round); any change to a draw, its order or
 # a check's arithmetic moves them.
 _REPORT_DIGESTS = {
-    (1, 1): "3bd9f01cc020b05940c38b374be47b73a97d96234fa903b98a684362c85fc147",
-    (1, 2): "46ea77952b35c9e242ff3a287ab7dfcce9f2cca9ec294d94e8bff8e0a29fd2f2",
-    (1, 3): "4dd05070f3aa6cbfadcf050b4f15ee607b36955735f88b493980bcad0a38ce22",
+    (1, 1): "dd6fcfd3ca8281d60754ced9786db38507d3eee9e1a890a80122c60f26f8a9dd",
+    (1, 2): "f14f41b3ee76208808f186418497140d89fa5b58b72aa5ada4fc9a64fe74d0a0",
+    (1, 3): "7504ab14678de5bdc36fee6fe969143eef57c37bf727dbafdfc67a4867fb1dda",
     (7, 1): "dda77fa713d407d3237c60140005f49f7cbbe8eaf726e8bc3adb101638cc476d",
-    (7, 2): "aa00f827103e88d58019cbbf4a52b4d18cbe6e309efcea7f8ab04f642e7c23ad",
-    (7, 3): "f1cec38f10e63d28e24c407fde2e5ce4d12c60af8885c359a306ec65ba35cd17",
-    (12345, 1): "a4a0f93fad47d9f6270f4e5f0ed9ac8dfd89269721f301d121b56fccec167184",
-    (12345, 2): "ad00d4cfabd793bb9503229f4ece74c69e34d71ac2f024bb36fb8e261ff3a656",
+    (7, 2): "4f13604f63bc420837f7d038a232aed318de9394dcfe65e8ac38f99d9515285b",
+    (7, 3): "3983525c495a3d193b56bb2d717720b8490af8321f5cc4d54283d3683f287002",
+    (12345, 1): "e7cd80cc2985efe3a69d4d878920cecc0eafd9e289aac1106b5b834f39101fa1",
+    (12345, 2): "832f24341ad23719a2a558f08563f80047f3f79411d8e1aa40291d765fd603a1",
     (12345, 3): "17d50f73179a97e706602de3b3e35822b97b6098227044f7955af71b577f8e86",
     (2718281828, 1): "eec0dc76edea975c7db919d20c7c024bd245bf03fb23139d61edf5a0b25ef999",
-    (2718281828, 2): "c19fd9eabca6481a70cf367f68c4a67de99a020a8b5d613c34fddb81a1bba394",
-    (2718281828, 3): "2d892a9fa305ec2fbbe6d5ecad548eb93247ceeedffb573e8426eeaf927d377d",
+    (2718281828, 2): "130080b2a2acaad95cc0dc1509382d54a92c5b33fa17b2a7a22fd8bb3335a5b5",
+    (2718281828, 3): "8b344e3a08a01f4f3f42f5c49e96469e075d408aaa91460f8c27d4524bcef4cc",
 }
 
 

@@ -12,16 +12,19 @@ import dualquat
 
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
-# The rounding-error model (the unit roundoff, the one comparison rule close,
-# the order check that judges ties by it, and the scales of the magnitude and
-# the norms), the default unit tolerance and the rule that admits a tolerance, the
-# real-scalar operand rule, the quaternion product rule (written out again,
-# with conjugation folded in, by the inner-product kernels; see
-# PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the per-field and
-# all-fields finiteness tests, the trusted constructors of kernel results, the
-# product with a real and the power-of-two scaling rule (see SCALING_RULE).
+# The rounding-error model (the unit roundoff, the smallest normal double, the
+# one comparison rule close, the order check that judges ties by it, and the
+# scales of the magnitude and the norms), the default unit tolerance and the rule
+# that admits a tolerance, the real-scalar operand rule, the quaternion product
+# rule (written out again, with conjugation folded in, by the inner-product
+# kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
+# 2-norm kernel over entry magnitudes (norm2 over magnitude_parts, norm_scales
+# over magnitude_scale, so the two cannot fork), the per-field and all-fields
+# finiteness tests, the trusted constructors of kernel results, the product with
+# a real and the power-of-two scaling rule (see SCALING_RULE).
 SHARED_RULES = (
     "u",
+    "MIN_NORMAL",
     "close",
     "le_defect",
     "magnitude_scale",
@@ -31,6 +34,7 @@ SHARED_RULES = (
     "real_operand",
     "product",
     "magnitude_parts",
+    "_norm2_parts",
     "finite",
     "all_finite",
     "_quaternion",
@@ -217,6 +221,22 @@ def test_vector_norms_evaluate_the_magnitude_rule_directly():
         assert "magnitude" not in calls, f"DQVector.{name} calls .magnitude()"
         names = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
         assert "magnitude_parts" in names, f"DQVector.{name} does not use magnitude_parts"
+
+
+def test_norm2_and_its_scale_share_the_2_norm_kernel():
+    # norm2 over magnitude_parts and norm_scales over magnitude_scale both call
+    # _norm2_parts; norm2 forms no square and takes no square root.
+    tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
+    (vector_class,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector")
+    (norm2,) = (node for node in vector_class.body if isinstance(node, ast.FunctionDef) and node.name == "norm2")
+    (scales,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "norm_scales")
+    for function in (norm2, scales):
+        called = {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_norm2_parts" in called, function.name
+    names = {node.id for node in ast.walk(norm2) if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in ast.walk(norm2) if isinstance(node, ast.Attribute)}
+    assert not any(isinstance(node, (ast.Pow, ast.ExceptHandler)) for node in ast.walk(norm2))
+    assert not {"sqrt", "has_appreciable_entry"} & attributes and "OverflowError" not in names
 
 
 def _is_tolerance_or_zero_test(verdict: ast.expr) -> bool:

@@ -180,8 +180,8 @@ def test_inner_rounds_exactly_as_the_operators(pair):
         assert repr(x.inner(y)) == repr(expected)
 
 
-# Near the top of the double range, so that magnitudes overflow in hypot and
-# squared magnitudes in ``n ** 2``.
+# Near the top of the double range, so that magnitudes overflow in hypot, and
+# 2-norms in the hypot over two or more entry magnitudes.
 huge = st.builds(
     lambda m, sign: sign * m, st.floats(1e307, 1.7976931348623157e308), st.sampled_from([1.0, -1.0])
 )
@@ -258,6 +258,16 @@ UNIT_ROUNDING_CROSS_TERMS = DQVector(
 )
 
 
+# The 2-norm's two quotients below the normal range: the weight n_i / N =
+# 5e-318 of the second entry, and N = hypot(1.5e-323, 1.5e-323), of which a
+# quotient would keep 3 bits or fewer.
+SUBNORMAL_WEIGHT = DQVector((
+    DualQuaternion(Quaternion(0.0, 0.0, 0.0, 2e137)),
+    DualQuaternion(Quaternion(0.0, 0.0, 1e-180), Quaternion(0.0, 0.0, 1e10)),
+))
+SUBNORMAL_NORM = DQVector((DualQuaternion(Quaternion(1.5e-323), Quaternion(1.0)),) * 2)
+
+
 def _unit_row(n, k, entry=DualQuaternion(Quaternion(1.0))):
     return DQVector(tuple(entry if i == k else DualQuaternion() for i in range(n)))
 
@@ -314,9 +324,22 @@ def reference_norm1(x):
 
 
 def reference_norm2(x):
-    if not x.has_appreciable_entry:
-        return DualNumber(0.0, math.hypot(*embed_real(x.inf_part())))
-    return functools.reduce(lambda total, e: total + e.magnitude() ** 2, x, DualNumber()).sqrt()
+    """``N``, the ``hypot`` of the entry magnitudes' standard parts ``n_i``, and their infinitesimal
+    parts ``m_i`` weighted by ``n_i / N`` and added in entry order; with ``N == 0``, the ``hypot`` of the
+    ``m_i``.  A subnormal ``N`` comes from the ``n_i`` times 2**1022, scaled back; so does a weight."""
+    magnitudes = [e.magnitude() for e in x]
+    norm = math.hypot(*[m.std for m in magnitudes])
+    if norm == 0.0:
+        return DualNumber(0.0, math.hypot(*[m.inf for m in magnitudes]))
+    up = 1.0 if norm >= 2.0**-1022 else 2.0**1022
+    norm = math.hypot(*[m.std * up for m in magnitudes])
+
+    def weighted(m):
+        if m.std * up >= norm * 2.0**-1022:
+            return m.std * up / norm * m.inf
+        return m.std * up * 2.0**1022 / norm * m.inf * 2.0**-1022
+
+    return DualNumber(norm / up, functools.reduce(lambda total, m: total + weighted(m), magnitudes, 0.0))
 
 
 def reference_norm_inf(x):
@@ -369,6 +392,8 @@ FUSED_AND_REFERENCE = (
 @example(OVERFLOWING_SQUARE)
 @example(ROUNDING_CROSS_TERMS)
 @example(UNIT_ROUNDING_CROSS_TERMS)
+@example(SUBNORMAL_WEIGHT)
+@example(SUBNORMAL_NORM)
 def test_norms_and_unit_check_round_exactly_as_the_operators(x):
     for fused, reference in FUSED_AND_REFERENCE:
         assert outcome(fused, x) == outcome(reference, x), fused.__name__
