@@ -69,9 +69,16 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # floating-point products that repeat in it evaluated once, which is exact
 # because x * y == y * x in IEEE arithmetic, and every sum still adds its own
 # terms in the order above; it takes every other x_i . x_j from _inner_parts.
-# It also skips the entries that are exactly zero, whose terms are all +-0.
 # Both assign at most two names per statement: CPython builds and unpacks a
 # tuple to assign more at once, which costs about a tenth of a kernel.
+# Both skip what a zero standard part cannot change: for a = p + f e and
+# b = q + g e, conj(a) b = conj(p) q + (conj(f) q + conj(p) g) e, so only
+# conj(f) q is added when p == 0, only conj(p) g when q == 0, and nothing when
+# both are.  That is exact.  A skipped term is a product of finite components
+# with an exact zero, +-0; every sum starts at +0.0 and under round-to-nearest
+# never becomes -0.0, so adding +-0 changes nothing, and F + (+-0) is F but
+# perhaps for the sign of a zero, which the next addition erases.  Any inf or
+# NaN comes from the half that is kept.
 
 _Parts = tuple[float, float, float, float, float, float, float, float]
 
@@ -84,24 +91,40 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
     """
     sw = sx = sy = sz = iw = ix = iy = iz = 0.0
     for a, b in zip(left, right):
-        p, f = a.std, a.inf
-        q, g = b.std, b.inf
+        p, q = a.std, b.std
         aw, ax = p.w, p.x
         ay, az = p.y, p.z
-        fw, fx = f.w, f.x
-        fy, fz = f.y, f.z
         bw, bx = q.w, q.x
         by, bz = q.y, q.z
-        gw, gx = g.w, g.x
-        gy, gz = g.y, g.z
-        sw += aw * bw + ax * bx + ay * by + az * bz
-        sx += aw * bx - ax * bw - ay * bz + az * by
-        sy += aw * by + ax * bz - ay * bw - az * bx
-        sz += aw * bz - ax * by + ay * bx - az * bw
-        iw += (fw * bw + fx * bx + fy * by + fz * bz) + (aw * gw + ax * gx + ay * gy + az * gz)
-        ix += (fw * bx - fx * bw - fy * bz + fz * by) + (aw * gx - ax * gw - ay * gz + az * gy)
-        iy += (fw * by + fx * bz - fy * bw - fz * bx) + (aw * gy + ax * gz - ay * gw - az * gx)
-        iz += (fw * bz - fx * by + fy * bx - fz * bw) + (aw * gz - ax * gy + ay * gx - az * gw)
+        if aw or ax or ay or az:
+            g = b.inf
+            gw, gx = g.w, g.x
+            gy, gz = g.y, g.z
+            if not (bw or bx or by or bz):
+                iw += aw * gw + ax * gx + ay * gy + az * gz
+                ix += aw * gx - ax * gw - ay * gz + az * gy
+                iy += aw * gy + ax * gz - ay * gw - az * gx
+                iz += aw * gz - ax * gy + ay * gx - az * gw
+                continue
+            f = a.inf
+            fw, fx = f.w, f.x
+            fy, fz = f.y, f.z
+            sw += aw * bw + ax * bx + ay * by + az * bz
+            sx += aw * bx - ax * bw - ay * bz + az * by
+            sy += aw * by + ax * bz - ay * bw - az * bx
+            sz += aw * bz - ax * by + ay * bx - az * bw
+            iw += (fw * bw + fx * bx + fy * by + fz * bz) + (aw * gw + ax * gx + ay * gy + az * gz)
+            ix += (fw * bx - fx * bw - fy * bz + fz * by) + (aw * gx - ax * gw - ay * gz + az * gy)
+            iy += (fw * by + fx * bz - fy * bw - fz * bx) + (aw * gy + ax * gz - ay * gw - az * gx)
+            iz += (fw * bz - fx * by + fy * bx - fz * bw) + (aw * gz - ax * gy + ay * gx - az * gw)
+        elif bw or bx or by or bz:
+            f = a.inf
+            fw, fx = f.w, f.x
+            fy, fz = f.y, f.z
+            iw += fw * bw + fx * bx + fy * by + fz * bz
+            ix += fw * bx - fx * bw - fy * bz + fz * by
+            iy += fw * by + fx * bz - fy * bw - fz * bx
+            iz += fw * bz - fx * by + fy * bx - fz * bw
     return sw, sx, sy, sz, iw, ix, iy, iz
 
 
@@ -122,11 +145,10 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
     on w.  For ``i != j`` it is ``_inner_parts`` of the two rows' entries at
     the positions where both are nonzero, in increasing order.
 
-    Skipping the entries that are exactly zero is exact.  Every component is
-    finite, so a product with a zero is +-0; every sum starts at +0.0 and
-    under round-to-nearest never becomes -0.0, so adding +-0 leaves it
-    unchanged, infinite or NaN included; and the other terms are added in
-    the same order.
+    The self form skips every entry whose standard part is zero, since each
+    of its terms is then a product with a zero, which is exact by the
+    argument above _inner_parts.  Only the entries that are zero as a whole
+    leave the supports that decide which positions ``i != j`` share.
     """
     n = len(rows)
     gram = [[None] * n for _ in range(n)]
@@ -137,11 +159,12 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
             p, f = a.std, a.inf
             aw, ax = p.w, p.x
             ay, az = p.y, p.z
+            if not (aw or ax or ay or az):
+                if not (f.w or f.x or f.y or f.z):
+                    zeros[i].append(k)
+                continue
             fw, fx = f.w, f.x
             fy, fz = f.y, f.z
-            if not (aw or ax or ay or az or fw or fx or fy or fz):
-                zeros[i].append(k)
-                continue
             sw += aw * aw + ax * ax + ay * ay + az * az
             u, v = aw * ay, ax * az
             sy += u + v - u - v
@@ -304,16 +327,20 @@ class DQVector(Value):
         """2-norm from the flattened embeddings, in one step.
 
         Equals ``|x_std| + (x_std . x_inf / |x_std|) e`` on the embedded
-        real vectors.  Needs an appreciable standard part.
+        real vectors.  Needs an appreciable standard part.  A subnormal
+        ``|x_std|`` keeps few bits, so the quotient is then taken over
+        ``x_std / MIN_NORMAL``, which is exact and has the same quotient.
         """
-        if not self.has_appreciable_entry:
+        std_flat = embed_real(self.std_part())
+        std_norm = norm = math.hypot(*std_flat)
+        if std_norm == 0.0:
             raise NotAppreciableError(
                 "closed-form 2-norm needs an appreciable standard part"
             )
-        std_flat = embed_real(self.std_part())
-        inf_flat = embed_real(self.inf_part())
-        std_norm = math.hypot(*std_flat)
-        return DualNumber(std_norm, _dot(std_flat, inf_flat) / std_norm)
+        if std_norm < MIN_NORMAL:
+            std_flat = [c / MIN_NORMAL for c in std_flat]
+            norm = math.hypot(*std_flat)
+        return DualNumber(std_norm, _dot(std_flat, embed_real(self.inf_part())) / norm)
 
     def unit_check(self, tol: float = UNIT_TOL) -> VectorUnitCheck:
         """Test ``x.inner(x) == 1`` and, equivalently, ``norm2(x) == 1``.
@@ -372,6 +399,7 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
     product ``vectors[i].inner(vectors[j])`` from the identity pattern.
     Costs O(n**2) plus one term per position where two vectors both have a
     nonzero entry: O(n**2) for a permutation basis, O(n**3) for a dense one.
+    A zero standard part costs nothing: its products are skipped.
     """
     check_tolerance(tol)
     vectors = tuple(vectors)

@@ -71,6 +71,7 @@ GOLDEN_JOBS = [
     ("unit_scalar_fail.json", ["check-unit", "--format", "json", "scalar_drift.dq"], 1),
     ("orthonormal_fail.json", ["check-orthonormal", "--format", "json", "basis_fail.dq"], 1),
     ("selfcheck_small.json", ["selfcheck", "--seed", "7", "--cases", "25", "--format", "json"], 0),
+    ("unit_vector_infinitesimal.txt", ["check-unit", "vector_infinitesimal.dq"], 1),
 ]
 
 
@@ -325,12 +326,15 @@ def test_a_norm_whose_square_overflows_exits_0():
 # underflows or overflows made norm2 raise or return 0.0+0.0e.  Then a vector
 # whose second entry has the weight n_i / N = 5e-318, below the normal range,
 # where a weight taken as a plain quotient puts norm2 off by 3e-7 relatively.
+# Last, a subnormal hypot of the standard part, 2e-323, which keeps 3 bits: a
+# closed form that divides by it gives 1.5 for the infinitesimal part, not √2.
 @pytest.mark.parametrize("document", [
     "vec[ dq{ std: 1e-200, inf: 1 } ]",
     "vec[ dq{ std: 1e-200, inf: -1 } ]",
     "vec[ dq{ std: 1e160, inf: 1 } ]",
     "vec[ dq{ std: 0 + 0i - 3.595529e-271j + 0k, inf: 0 } ]",
     "vec[ dq{ std: 0 + 0i + 0j + 2e137k, inf: 0 }, dq{ std: 0 + 0i + 1e-180j + 0k, inf: 0 + 0i + 1e10j + 0k } ]",
+    "vec[ dq{ std: 1.5e-323, inf: 1 }, dq{ std: 1.5e-323, inf: 1 } ]",
 ])
 def test_norms_exit_0_where_a_square_or_a_weight_leaves_the_normal_range(document):
     code, out, err = run(["norms", "-"], stdin_text=document)

@@ -125,12 +125,16 @@ components = st.one_of(
     st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-200, 200)),
     st.floats(-10.0, 10.0),
 )
-quaternions = st.builds(Quaternion, components, components, components, components)
-dual_quaternions = st.builds(DualQuaternion, quaternions, quaternions)
+
+
+def entries_of(component):
+    """Dual quaternions, half of them infinitesimal."""
+    parts = st.builds(Quaternion, *[component] * 4)
+    return st.builds(DualQuaternion, st.one_of(st.just(Quaternion()), parts), parts)
 
 
 def vectors_of_length(n):
-    return st.lists(dual_quaternions, min_size=n, max_size=n).map(tuple).map(DQVector)
+    return st.lists(entries_of(components), min_size=n, max_size=n).map(tuple).map(DQVector)
 
 
 vector_pairs = st.integers(1, 4).flatmap(
@@ -163,12 +167,52 @@ SAME_OBJECT = DQVector(
     (DualQuaternion(Quaternion(0.1, -0.2, 0.3, -0.4), Quaternion(1e-300, 0.5, -7.0, 1e200)),)
 )
 
+# Explicit cases of the kernel's skips, where a standard part is zero and only
+# conj(f) q or conj(p) g is added: conj(f) q is inf - inf on an infinitesimal
+# left entry; conj(p) g overflows on an appreciable left entry against an
+# infinitesimal right one; two infinitesimal sides with parts of 1e308 beside
+# an appreciable pair; and standard parts of -0.0 on both sides.
+INFINITESIMAL_INF_MINUS_INF = (
+    DQVector((DualQuaternion(Quaternion(), Quaternion(1e308, 1e308)),)),
+    DQVector((DualQuaternion(Quaternion(1e308, -1e308), Quaternion(2.0)),)),
+)
+OVERFLOWING_AGAINST_INFINITESIMAL = (
+    DQVector((DualQuaternion(Quaternion(1e308, 1e308), Quaternion(0.5)),)),
+    DQVector((DualQuaternion(Quaternion(), Quaternion(1e308, 1e308)),)),
+)
+BOTH_INFINITESIMAL = (
+    DQVector((
+        DualQuaternion(Quaternion(), Quaternion(1e308, 1e308, -1e308, 1e308)),
+        DualQuaternion(Quaternion(0.3, -1.1), Quaternion(2.5, 0.0, 7.0)),
+    )),
+    DQVector((
+        DualQuaternion(Quaternion(), Quaternion(-1e308, 1e308, 1e308, 1e308)),
+        DualQuaternion(Quaternion(-4.0, 0.0, 0.7), Quaternion(0.1, -0.2, 0.3)),
+    )),
+)
+NEGATIVE_ZERO_STANDARD = (
+    DQVector((
+        DualQuaternion(Quaternion(-0.0, -0.0, -0.0, -0.0), Quaternion(1.5, -2.0, -0.0, 3.0)),
+        DualQuaternion(Quaternion(-0.0, -0.0, -0.0, -0.0), Quaternion(-0.0, -0.0, -0.0, -0.0)),
+        DualQuaternion(Quaternion(2.0, -0.0, 1e-320, -0.0), Quaternion(-0.0, 0.5)),
+    )),
+    DQVector((
+        DualQuaternion(Quaternion(-1.0, 0.0, -0.0, 0.25), Quaternion(-0.0, 0.0, 4.0)),
+        DualQuaternion(Quaternion(-0.0, 0.0, -0.0, -0.0), Quaternion(0.0, -6.0)),
+        DualQuaternion(Quaternion(-0.0, -0.0, 0.0, -0.0), Quaternion(-0.0, -0.0, -0.0, -0.0)),
+    )),
+)
+
 
 @settings(max_examples=400)
 @given(vector_pairs)
 @example(FOLDED_INF_MINUS_INF)
 @example(NEGATIVE_ZERO_LEFT)
 @example((SAME_OBJECT, SAME_OBJECT))
+@example(INFINITESIMAL_INF_MINUS_INF)
+@example(OVERFLOWING_AGAINST_INFINITESIMAL)
+@example(BOTH_INFINITESIMAL)
+@example(NEGATIVE_ZERO_STANDARD)
 def test_inner_rounds_exactly_as_the_operators(pair):
     x, y = pair
     try:
@@ -185,12 +229,6 @@ def test_inner_rounds_exactly_as_the_operators(pair):
 huge = st.builds(
     lambda m, sign: sign * m, st.floats(1e307, 1.7976931348623157e308), st.sampled_from([1.0, -1.0])
 )
-
-
-def entries_of(component):
-    """Dual quaternions, half of them infinitesimal."""
-    parts = st.builds(Quaternion, *[component] * 4)
-    return st.builds(DualQuaternion, st.one_of(st.just(Quaternion()), parts), parts)
 
 
 # Each vector takes all of its components from one source: the mix of the
@@ -498,6 +536,31 @@ def test_basis_check_reads_only_the_nonzero_entries_of_a_permutation_basis():
     reads = 0
     basis_check([DQVector([unit] * n)] * n)
     assert reads > n**3
+
+
+def test_inner_reads_no_infinitesimal_part_that_meets_a_zero_standard_part():
+    # Against an infinitesimal entry f e, an entry p + g e adds conj(f) p on the
+    # right and conj(p) f on the left, and its own g is never multiplied.  A
+    # kernel that has lost the skip reads it and passes the tests above.
+    reads = 0
+
+    class Counting(DualQuaternion):
+        __slots__ = ()
+
+        @property
+        def inf(self):
+            nonlocal reads
+            reads += 1
+            return DualQuaternion.inf.__get__(self)
+
+    n = 16
+    x = DQVector(DualQuaternion(Quaternion(), Quaternion(0.5, -1.0, 2.0, k)) for k in range(n))
+    y = DQVector(Counting(Quaternion(1.0, 0.0, -0.5, k), Quaternion(3.0, -1.0, k)) for k in range(n))
+    x.inner(y)
+    y.inner(x)
+    assert reads == 0
+    y.inner(y)
+    assert reads == 2 * n
 
 
 def test_inner_length_mismatch():
