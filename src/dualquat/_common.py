@@ -4,7 +4,8 @@
 Numerical Algorithms*, 2nd ed., §3.1): a value computed with ``k``
 roundings lies within ``γ_k·scale`` of its exact value, ``γ_k = k·u/(1 − k·u)``,
 where ``scale`` sums the absolute terms behind it.  A dual value has one
-scale per part, since its two parts scale independently.
+scale per part, since its two parts scale independently.  ``agree`` is the
+one rule that two routes to a value agree: ``close`` part by part.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ def close(a: float, b: float, scale: float, k: int) -> bool:
 
     Values within ``γ_i·scale`` and ``γ_j·scale`` of one exact value are close at ``k = i + j``."""
     return abs(a - b) <= k * u / (1.0 - k * u) * scale + k * 5e-324
+
+
+def agree(a, b, scale, k: int) -> tuple[bool, float]:
+    """Whether two routes to one float, quaternion, dual number or dual quaternion agree, and the
+    largest componentwise difference.  They agree when that difference is ``close`` to 0.0 at ``k``:
+    a scale is a float, or a (standard, infinitesimal) pair for a dual value, each part at its own."""
+    if scale.__class__ is tuple:
+        (std_ok, std), (inf_ok, inf) = agree(a.std, b.std, scale[0], k), agree(a.inf, b.inf, scale[1], k)
+        return std_ok and inf_ok, max(std, inf)
+    diff = abs(a - b) if a.__class__ is float else max(abs(a.w - b.w), abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
+    return close(diff, 0.0, scale, k), diff
 
 
 class Value:

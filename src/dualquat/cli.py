@@ -18,12 +18,12 @@ import json
 import sys
 from collections.abc import Sequence
 
-from ._common import UNIT_TOL, check_tolerance, close
+from ._common import UNIT_TOL, check_tolerance
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
-from .dual import DualNumber, le_defect
+from .dual import DualNumber
 from .errors import DualQuatError, KindMismatchError
-from .dualquaternion import magnitude_scale
-from .vectors import basis_check, norm_scales
+from .dualquaternion import magnitude_routes_agree
+from .vectors import basis_check, norm2_closed_form_agrees, norm_chain_defect
 
 
 def _tol_arg(text: str) -> float:
@@ -126,17 +126,14 @@ class Report:
 # flag and its fields; ``main`` adds the echoed input in front.
 
 def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
-    """The magnitude by both routes, ``close`` at k = 16 part by part: against ``magnitude_scale``,
-    ``magnitude()`` is within γ_2 and γ_7 of the exact parts, ``magnitude_via_sqrt()`` γ_3 and γ_9."""
+    """The magnitude by both routes, judged by ``magnitude_routes_agree``."""
     q = doc.payload
     magnitude = q.magnitude()
     via_sqrt = difference = note = None
     passed = True
     if q.is_appreciable:
         via_sqrt = q.magnitude_via_sqrt()
-        difference = max(abs(via_sqrt.std - magnitude.std), abs(via_sqrt.inf - magnitude.inf))
-        std, inf = magnitude_scale(q.std, q.inf)
-        passed = close(via_sqrt.std, magnitude.std, std, 16) and close(via_sqrt.inf, magnitude.inf, inf, 16)
+        passed, difference = magnitude_routes_agree(q, magnitude, via_sqrt)
     else:
         note = "not applicable (infinitesimal)"
     return passed, [
@@ -148,27 +145,18 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 
 
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
-    """The norms, the chain ``norm_inf <= norm2 <= norm1`` and the closed-form 2-norm.  Against
-    ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and γ_(n+14) of the
-    exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``; 4n products added, a
-    division) within γ_2 and γ_(4n+3), so they are close at k = 6n + 17.  With ``norm_inf`` within γ_2
-    and γ_7 and ``norm1`` within γ_(n+1) and γ_(n+6), the chain holds at k = 3n + 20.
-    """
+    """The norms, judged by ``norm_chain_defect`` and ``norm2_closed_form_agrees``."""
     vector = doc.payload
     norm1 = vector.norm1()
     norm_inf_index = vector.norm_inf_index()
     norm_inf = vector[norm_inf_index].magnitude()  # what norm_inf() evaluates
     norm2 = vector.norm2()
-    chain_scale, (std_scale, inf_scale) = norm_scales(vector)
-    k = 3 * len(vector) + 20
-    chain_ok = le_defect(norm_inf, norm2, chain_scale, k) == 0.0 and le_defect(norm2, norm1, chain_scale, k) == 0.0
+    chain_ok = norm_chain_defect(vector, norm_inf, norm2, norm1) == 0.0
     closed = residual = note = None
     agree = True
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()
-        residual = max(abs(closed.std - norm2.std), abs(closed.inf - norm2.inf))
-        k = 6 * len(vector) + 17
-        agree = close(closed.std, norm2.std, std_scale, k) and close(closed.inf, norm2.inf, inf_scale, k)
+        agree, residual = norm2_closed_form_agrees(vector, norm2, closed)
     else:
         note = "not applicable (no appreciable entry)"
     return chain_ok and agree, [

@@ -4,11 +4,15 @@ Each suite draws instances from a seeded generator and checks one algebraic
 fact on a recorder.  Two kinds of check turn a comparison into a verdict and
 a residual by the one rounding-error rule, :func:`dualquat._common.close`:
 ``agree(a, b, scale, k)`` for two routes to one float, quaternion, dual
-number or dual quaternion, close at ``k`` part by part, with the largest
-componentwise difference as the residual; and ``holds(defect)`` for an order
-relation, whose :func:`dualquat.dual.le_defect` at a scale and ``k`` must be
-zero.  A scale is a float, or a (standard, infinitesimal) pair for a dual
-value; ``k`` counts both sides' roundings, with a comment where not obvious.
+number or dual quaternion, judged by :func:`dualquat._common.agree`, with
+the largest componentwise difference as the residual; and ``holds(defect)``
+for an order relation, whose :func:`dualquat.dual.le_defect` at a scale and
+``k`` must be zero.  A scale is a float, or a (standard, infinitesimal) pair
+for a dual value; ``k`` counts both sides' roundings, with a comment where
+not obvious.  The three route checks of ``dualq magnitude`` and ``dualq
+norms`` (``magnitude_routes_agree``, ``norm2_closed_form_agrees`` and
+``norm_chain_defect``) are called as the commands call them and derive
+their own scale and ``k``; ``check`` or ``holds`` records what they return.
 Plain facts go through ``check``.  The worst residuals show observed margins.
 
 Every input comes from one draw object, a ``random.Random(seed)`` whose
@@ -24,11 +28,11 @@ from __future__ import annotations
 import math
 import random
 
-from ._common import UNIT_TOL, Value, close
+from ._common import UNIT_TOL, Value, agree
 from .dual import EPSILON, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
-from .dualquaternion import DualQuaternion, _dual_quaternion, magnitude_scale
+from .dualquaternion import DualQuaternion, _dual_quaternion, magnitude_routes_agree, magnitude_scale
 from .quaternion import Quaternion, _quaternion, _scaled, mixed_sum
-from .vectors import DQVector, basis_check, embed_real, norm_scales
+from .vectors import DQVector, basis_check, embed_real, norm2_closed_form_agrees, norm_chain_defect
 
 __all__ = [
     "DEFAULT_SEED",
@@ -75,25 +79,13 @@ class _Recorder:
         self.check(defect == 0.0, defect)
 
     def agree(self, a, b, scale, k: int):
-        if scale.__class__ is tuple:  # a dual number or dual quaternion: each part at its own scale
-            std, inf = _diff(a.std, b.std), _diff(a.inf, b.inf)
-            self.check(close(std, 0.0, scale[0], k) and close(inf, 0.0, scale[1], k), max(std, inf))
-        else:
-            diff = _diff(a, b)
-            self.check(close(diff, 0.0, scale, k), diff)
+        self.check(*agree(a, b, scale, k))
 
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name, self.cases, self.failures, self.worst)
 
 
 # -- comparison helpers -----------------------------------------------------
-
-def _diff(a: float | Quaternion, b: float | Quaternion) -> float:
-    """The largest componentwise absolute difference of two floats or two quaternions."""
-    if a.__class__ is float:
-        return abs(a - b)
-    return max(abs(a.w - b.w), abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
-
 
 def _size(value: DualNumber | DualQuaternion) -> tuple[float, float]:
     """The absolute value or norm of each part: the scale of the value itself."""
@@ -457,7 +449,7 @@ def _suite_dq_magnitude_triangle(rng, rec):
 def _suite_dq_sqrt_route_agrees(rng, rec):
     for _ in range(rec.cases):
         q = rng.dquat("A")
-        rec.agree(q.magnitude_via_sqrt(), q.magnitude(), magnitude_scale(q.std, q.inf), 16)  # as dualq magnitude
+        rec.check(*magnitude_routes_agree(q, q.magnitude(), q.magnitude_via_sqrt()))
 
 
 def _suite_dq_inverse_roundtrip(rng, rec):
@@ -488,9 +480,9 @@ def _suite_dq_embedding_consistent(rng, rec):
 
 def _suite_vec_embedding_isometry(rng, rec):
     for _ in range(rec.cases):
-        quats = tuple(rng.quat() for _ in range(rng.randint(1, 8)))
-        closed = math.hypot(*embed_real(quats))  # the routes of dualq norms
-        rec.agree(DQVector.from_quaternions(quats).norm2(), DualNumber(closed), (closed, 0.0), 6 * len(quats) + 17)
+        v = DQVector.from_quaternions([rng.quat() for _ in range(rng.randint(1, 8))])
+        # The closed form of a vector of quaternions is the Euclidean norm of its real embedding.
+        rec.check(*norm2_closed_form_agrees(v, v.norm2(), v.norm2_closed_form()))
 
 
 def _suite_vec_inner_conjugate_symmetry(rng, rec):
@@ -563,16 +555,14 @@ def _suite_vec_norm_chain(rng, rec):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = rng.vector(None, profile)
         n1, n2, ninf = v.norm1(), v.norm2(), v.norm_inf()
-        scale, k = norm_scales(v)[0], 3 * len(v) + 20  # as dualq norms
-        rec.holds(le_defect(ninf, n2, scale, k))
-        rec.holds(le_defect(n2, n1, scale, k))
+        rec.holds(norm_chain_defect(v, ninf, n2, n1))
 
 
 def _suite_vec_norm2_closed_form(rng, rec):
     for _ in range(rec.cases):
         v = rng.vector_with_appreciable()
         closed = v.norm2_closed_form()
-        rec.agree(v.norm2(), closed, norm_scales(v)[1], 6 * len(v) + 17)  # as dualq norms
+        rec.check(*norm2_closed_form_agrees(v, v.norm2(), closed))
         bound = DualNumber(
             math.hypot(*embed_real(v.std_part())),
             math.hypot(*embed_real(v.inf_part())),

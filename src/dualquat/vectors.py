@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from ._common import MIN_NORMAL, UNIT_TOL, Value, check_tolerance, real_operand
-from .dual import DualNumber, _dual_number
+from ._common import MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, real_operand
+from .dual import DualNumber, _dual_number, le_defect
 from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
@@ -36,6 +36,8 @@ __all__ = [
     "embed_real",
     "basis_check",
     "norm_scales",
+    "norm2_closed_form_agrees",
+    "norm_chain_defect",
 ]
 
 
@@ -457,3 +459,31 @@ def norm_scales(vector: DQVector) -> tuple[tuple[float, float], tuple[float, flo
     for n, m in scales:
         std, inf = std + n, inf + m
     return (std, inf), _norm2_parts(scales)
+
+
+def norm2_closed_form_agrees(vector: DQVector, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
+    """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree, and their largest difference.
+
+    Against ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and
+    γ_(n+14) of the exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``;
+    4n products added, a division) within γ_2 and γ_(4n+3), so the two are close at k = 6n + 17.
+    """
+    return agree(norm2, closed, norm_scales(vector)[1], 6 * len(vector) + 17)
+
+
+def norm_chain_defect(vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber) -> float:
+    """How much the chain ``norm_inf <= norm2 <= norm1`` of ``vector``'s norms fails by: the larger
+    ``le_defect`` of its two links, 0.0 when it holds.
+
+    Against ``norm_scales``' first scale, which bounds all three, for n entries: ``norm_inf`` is
+    within γ_2 and γ_7 of the exact parts, ``norm2`` γ_(n+4) and γ_(2n+14), and ``norm1`` γ_(n+1)
+    and γ_(n+6), so each link holds at k = 3n + 20.  With two or more appreciable entries the exact
+    standard parts are strictly ordered, so standard parts close at k tie and decide alone: the
+    infinitesimal parts are judged at an infinite scale, which ``close`` admits.  With at most one,
+    the exact standard parts are equal, and a tie falls to the infinitesimal parts.
+    """
+    std, inf = norm_scales(vector)[0]
+    if sum(e.is_appreciable for e in vector.entries) > 1:
+        inf = math.inf  # no infinitesimal parts can break a standard-part tie
+    scale, k = (std, inf), 3 * len(vector) + 20
+    return max(le_defect(norm_inf, norm2, scale, k), le_defect(norm2, norm1, scale, k))

@@ -72,6 +72,7 @@ GOLDEN_JOBS = [
     ("orthonormal_fail.json", ["check-orthonormal", "--format", "json", "basis_fail.dq"], 1),
     ("selfcheck_small.json", ["selfcheck", "--seed", "7", "--cases", "25", "--format", "json"], 0),
     ("unit_vector_infinitesimal.txt", ["check-unit", "vector_infinitesimal.dq"], 1),
+    ("norms_chain_tie.txt", ["norms", "vector_chain_tie.dq"], 0),
 ]
 
 
@@ -483,7 +484,7 @@ def test_the_route_check_has_no_absolute_floor():
     assert out.endswith("magnitude: 5e-324+0.0e\nmagnitude via sqrt(qq*): 5e-324+1e-300e\nroute difference: 1e-300\npass: no\n")
 
 
-# The bounds that dualq magnitude's docstring derives, per route and part,
+# The bounds that magnitude_routes_agree's docstring derives, per route and part,
 # against magnitude_scale: magnitude() within γ_2 and γ_7 of the exact
 # magnitude, magnitude_via_sqrt() within γ_3 and γ_9.
 DIRECT_K, SQRT_K = (2, 7), (3, 9)
@@ -550,6 +551,32 @@ def test_norm2_is_within_its_derived_bound_across_the_double_range(entries):
         assert any(map(oracle.may_overflow, exact, scale, ks)), vector
         return
     assert _within(norm2, exact, scale, ks) or not entries_within, vector
+
+
+# tests/data/vector_chain_tie.dq: two appreciable entries whose norms' standard parts round
+# alike, and whose infinitesimal parts are out of order.
+_CHAIN_TIE_DOC = [
+    (((0.0, 0.6054953037495522, 5.722122059603618, -8.909511359468155),
+      (1.4043315242690323, 0.0, -7.009999217411393, 0.0)), -256, 208),
+    (((0.0, 1.3669214606328077, 3.678391226025804, 7.371755810537954),
+      (-6.851774407381647, -4.172114266629883, -5.72850217634671, -5.827206239219452)), 167, 23),
+]
+
+
+@given(full_range_entries)
+@example(_CHAIN_TIE_DOC)
+def test_the_norm_chain_holds_wherever_every_entry_magnitude_is_within_its_bound(entries):
+    vector = DQVector([DualQuaternion(scaled_quaternion(std, e), scaled_quaternion(inf, f)) for (std, inf), e, f in entries])
+    try:
+        entries_within = all(
+            _within(x.magnitude(), oracle.magnitude(x.std.components(), x.inf.components()), magnitude_scale(x.std, x.inf), DIRECT_K)
+            for x in vector
+        )
+    except DualQuatError:
+        return  # an entry's magnitude() raises, and so does dualq norms
+    document = "vec[ " + ", ".join(scaled_dq_text(entry, e, f) for entry, e, f in entries) + " ]"
+    code, out, _ = run(["norms", "-"], stdin_text=document)
+    assert code == 2 or "\nnorm chain (inf <= 2 <= 1): ok\n" in out or not entries_within, document
 
 
 @given(dq_texts)

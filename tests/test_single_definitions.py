@@ -13,8 +13,10 @@ import dualquat
 PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The rounding-error model (the unit roundoff, the smallest normal double, the
-# one comparison rule close, the order check that judges ties by it, and the
-# scales of the magnitude and the norms), the default unit tolerance and the rule
+# one comparison rule close, the rule that two routes agree, the order check
+# that judges ties by close, and the scales of the magnitude and the norms), the
+# route checks that dualq and selfcheck share (the magnitude's two routes, the
+# closed-form 2-norm and the norm chain), the default unit tolerance and the rule
 # that admits a tolerance, the real-scalar operand rule, the quaternion product
 # rule (written out again, with conjugation folded in, by the inner-product
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
@@ -26,9 +28,13 @@ SHARED_RULES = (
     "u",
     "MIN_NORMAL",
     "close",
+    "agree",
     "le_defect",
     "magnitude_scale",
     "norm_scales",
+    "magnitude_routes_agree",
+    "norm2_closed_form_agrees",
+    "norm_chain_defect",
     "UNIT_TOL",
     "check_tolerance",
     "real_operand",
@@ -116,6 +122,24 @@ def test_shared_rules_are_defined_once_and_cli_keeps_out_of_selfcheck():
         and node.value.id == "selfcheck"
     }
     assert used == {"run_all", "DEFAULT_SEED", "DEFAULT_CASES"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute."""
+    return {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if isinstance(name, str)
+    }
+
+
+def test_the_commands_and_selfcheck_call_the_route_checks_instead_of_writing_them_out():
+    # A scale or a k of a route check written out a second time could fork from
+    # the one its docstring derives.
+    cli = _names(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+    assert not {"close", "le_defect", "magnitude_scale", "norm_scales"} & cli
+    assert "close" not in _names(ast.parse((PACKAGE / "selfcheck.py").read_text(encoding="utf-8")))
 
 
 def _is_all_finite_test(node: ast.AST) -> bool:
@@ -256,7 +280,8 @@ def _is_tolerance_or_zero_test(verdict: ast.expr) -> bool:
 def test_selfcheck_records_only_through_run_all_and_the_check_kinds():
     # run_all makes every recorder, and a suite turns a difference or an order
     # defect into a verdict only through rec.agree and rec.holds, which judge
-    # both by the one rounding-error rule.
+    # both by the one rounding-error rule, or through a route check shared with
+    # dualq, whose verdict and residual rec.check records as they are.
     tree = ast.parse((PACKAGE / "selfcheck.py").read_text(encoding="utf-8"))
 
     def recorder_calls(root):

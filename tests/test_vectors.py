@@ -22,7 +22,7 @@ from dualquat import (
     basis_check,
     embed_real,
 )
-from dualquat.vectors import _gram_parts, _inner_result
+from dualquat.vectors import _gram_parts, _inner_result, norm_chain_defect
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -697,6 +697,24 @@ def test_norm_chain_random():
             v = rand_vector(rng)
         assert le_with_slack(v.norm_inf(), v.norm2())
         assert le_with_slack(v.norm2(), v.norm1())
+
+
+def test_the_norm_chain_judges_an_infinitesimal_part_where_at_most_one_entry_is_appreciable():
+    # The exact standard parts of the three norms are then equal, so a tie falls to the
+    # infinitesimal parts: here a norm2 whose infinitesimal part is 1 above norm1's.
+    for vector in (DQVector((dq(Quaternion(1.0)), dq(None, Quaternion(1.0)))), DQVector((dq(None, Quaternion(1.0)),) * 2)):
+        norm_inf, norm1 = vector.norm_inf(), vector.norm1()
+        assert norm_chain_defect(vector, norm_inf, vector.norm2(), norm1) == 0.0
+        assert norm_chain_defect(vector, norm_inf, DualNumber(norm1.std, norm1.inf + 1.0), norm1) == 1.0
+
+
+def test_the_norm_chain_lets_tied_standard_parts_decide_alone_where_two_entries_are_appreciable():
+    # The exact standard parts are strictly ordered, 1 < hypot(1, 1e-20) < 1 + 1e-20, though each
+    # rounds to 1.0; the infinitesimal parts, 0, -1e-20 and -1, are out of order and do not count.
+    vector = DQVector((dq(Quaternion(1.0)), dq(Quaternion(1e-20), Quaternion(-1.0))))
+    norm_inf, norm2, norm1 = vector.norm_inf(), vector.norm2(), vector.norm1()
+    assert (norm_inf, norm2, norm1) == (DualNumber(1.0), DualNumber(1.0, -1e-20), DualNumber(1.0, -1.0))
+    assert norm_chain_defect(vector, norm_inf, norm2, norm1) == 0.0
 
 
 def test_norm2_closed_form_agreement_and_bound():
