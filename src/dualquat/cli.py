@@ -23,7 +23,7 @@ from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, ren
 from .dual import DualNumber
 from .errors import DualQuatError, KindMismatchError
 from .dualquaternion import magnitude_routes_agree
-from .vectors import basis_check, norm2_closed_form_agrees, norm_chain_defect
+from .vectors import basis_check, norm_checks
 
 
 def _tol_arg(text: str) -> float:
@@ -145,20 +145,19 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 
 
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
-    """The norms, judged by ``norm_chain_defect`` and ``norm2_closed_form_agrees``."""
+    """The norms, judged by ``norm_checks``: the norm chain and the closed-form 2-norm."""
     vector = doc.payload
     norm1 = vector.norm1()
     norm_inf_index = vector.norm_inf_index()
     norm_inf = vector[norm_inf_index].magnitude()  # what norm_inf() evaluates
     norm2 = vector.norm2()
-    chain_ok = norm_chain_defect(vector, norm_inf, norm2, norm1) == 0.0
-    closed = residual = note = None
-    agree = True
+    closed = note = None
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()
-        agree, residual = norm2_closed_form_agrees(vector, norm2, closed)
     else:
         note = "not applicable (no appreciable entry)"
+    chain_defect, agree, residual = norm_checks(vector, norm_inf, norm2, norm1, closed)
+    chain_ok = chain_defect == 0.0
     return chain_ok and agree, [
         ("norm1", "norm1", norm1),
         ("norm_inf", "norm_inf", norm_inf),

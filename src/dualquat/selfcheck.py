@@ -11,8 +11,9 @@ for an order relation, whose :func:`dualquat.dual.le_defect` at a scale and
 for a dual value; ``k`` counts both sides' roundings, with a comment where
 not obvious.  The three route checks of ``dualq magnitude`` and ``dualq
 norms`` (``magnitude_routes_agree``, ``norm2_closed_form_agrees`` and
-``norm_chain_defect``) are called as the commands call them and derive
-their own scale and ``k``; ``check`` or ``holds`` records what they return.
+``norm_chain_defect``; ``dualq norms`` runs the last two as ``norm_checks``,
+over one ``norm_scales``) derive their own scale and ``k``; ``check`` or
+``holds`` records what they return.
 Plain facts go through ``check``.  The worst residuals show observed margins.
 
 Every input comes from one draw object, a ``random.Random(seed)`` whose

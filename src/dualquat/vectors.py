@@ -38,6 +38,7 @@ __all__ = [
     "norm_scales",
     "norm2_closed_form_agrees",
     "norm_chain_defect",
+    "norm_checks",
 ]
 
 
@@ -66,14 +67,17 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # or NaN through the additions that follow, so the final finite check raises
 # exactly when an operator would.
 #
-# _inner_parts evaluates one product.  _gram_parts evaluates all the products
-# x_i . x_j of a list of vectors: it writes out each x_i . x_i with the
+# _inner_parts evaluates one product.  _self_parts writes out x . x with the
 # floating-point products that repeat in it evaluated once, which is exact
 # because x * y == y * x in IEEE arithmetic, and every sum still adds its own
-# terms in the order above; it takes every other x_i . x_j from _inner_parts.
-# Both assign at most two names per statement: CPython builds and unpacks a
-# tuple to assign more at once, which costs about a tenth of a kernel.
-# Both skip what a zero standard part cannot change: for a = p + f e and
+# terms in the order above; in the same pass it takes each entry's magnitude
+# from the dot product d that x . x has formed, so unit_check reads every entry
+# once for both of its residuals.  _gram_parts evaluates all the products
+# x_i . x_j of a list of vectors: each x_i . x_i from _self_parts and every
+# other one from _inner_parts.
+# The kernels assign at most two names per statement: CPython builds and
+# unpacks a tuple to assign more at once, which costs about a tenth of a kernel.
+# They skip what a zero standard part cannot change: for a = p + f e and
 # b = q + g e, conj(a) b = conj(p) q + (conj(f) q + conj(p) g) e, so only
 # conj(f) q is added when p == 0, only conj(p) g when q == 0, and nothing when
 # both are.  That is exact.  A skipped term is a product of finite components
@@ -130,61 +134,82 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
     return sw, sx, sy, sz, iw, ix, iy, iz
 
 
+def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float, float]], list[int]]:
+    """The components of ``_inner_parts(row, row)``, unchecked; the entries' ``magnitude_parts``; and the
+    positions of the entries that are zero as a whole.
+
+    The components are bit-identical to ``_inner_parts``: for each entry
+    ``p + f e`` the sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat
+    their products, and since ``x * y == y * x`` exactly, a shared product is
+    evaluated once and is the same float in every sum that uses it.  The
+    standard w part is a sum of squares, and the infinitesimal w part is
+    ``d + d`` with ``d`` the dot product of ``f`` and ``p``.  The standard y
+    and z parts share 2 distinct products and the infinitesimal x, y and z
+    parts 4; their sums round, so they are evaluated.  The standard x part
+    ``((t - t) - s) + s`` is exactly ``+0.0``: it is NaN only when ``t`` or
+    ``s`` overflows, and then a square in the standard w part overflows too,
+    so the finite check still raises on w.  An entry whose standard part is
+    zero is skipped, since each of its terms is then a product with a zero,
+    which is exact by the argument above _inner_parts.
+
+    The magnitudes are a copy of ``magnitude_parts``, bit-identical to it: ``d``
+    has its products, ``x * y == y * x`` exactly, and its order of additions,
+    so an appreciable entry's magnitude is ``hypot(p) + (d / hypot(p)) e``.  A
+    zero standard part gives ``hypot(f) e``, and a zero entry ``(0.0, 0.0)``
+    with no ``hypot`` at all.
+    """
+    sw = sy = sz = iw = ix = iy = iz = 0.0
+    magnitudes: list[tuple[float, float]] = []
+    zeros: list[int] = []
+    for k, a in enumerate(row):
+        p, f = a.std, a.inf
+        aw, ax = p.w, p.x
+        ay, az = p.y, p.z
+        fw, fx = f.w, f.x
+        fy, fz = f.y, f.z
+        if not (aw or ax or ay or az):
+            if fw or fx or fy or fz:
+                magnitudes.append((0.0, math.hypot(fw, fx, fy, fz)))
+            else:
+                magnitudes.append((0.0, 0.0))
+                zeros.append(k)
+            continue
+        sw += aw * aw + ax * ax + ay * ay + az * az
+        u, v = aw * ay, ax * az
+        sy += u + v - u - v
+        u, v = aw * az, ax * ay
+        sz += u - v + v - u
+        d = fw * aw + fx * ax + fy * ay + fz * az
+        iw += d + d
+        n = math.hypot(aw, ax, ay, az)
+        magnitudes.append((n, d / n))
+        t1, t2 = fw * ax, fx * aw
+        t3, t4 = fy * az, fz * ay
+        ix += (t1 - t2 - t3 + t4) + (t2 - t1 - t4 + t3)
+        t1, t2 = fw * ay, fx * az
+        t3, t4 = fy * aw, fz * ax
+        iy += (t1 + t2 - t3 - t4) + (t3 + t4 - t1 - t2)
+        t1, t2 = fw * az, fx * ay
+        t3, t4 = fy * ax, fz * aw
+        iz += (t1 - t2 + t3 - t4) + (t4 - t3 + t2 - t1)
+    return (sw, 0.0, sy, sz, iw, ix, iy, iz), magnitudes, zeros
+
+
 def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
     """The components of ``_inner_parts(rows[i], rows[j])`` for every ``i, j``, unchecked.
 
-    Every result is bit-identical to ``_inner_parts``.  For ``i == j`` the
-    self form evaluates each floating-point product once: for each entry
-    ``p + f e`` the sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat
-    their products, and since ``x * y == y * x`` exactly, a shared product is
-    the same float in every sum that uses it.  The standard w part is a sum
-    of squares, and the infinitesimal w part is ``d + d`` with ``d`` the dot
-    product of ``f`` and ``p``.  The standard y and z parts share 2 distinct
-    products and the infinitesimal x, y and z parts 4; their sums round, so
-    they are evaluated.  The standard x part ``((t - t) - s) + s`` is exactly
-    ``+0.0``: it is NaN only when ``t`` or ``s`` overflows, and then a square
-    in the standard w part overflows too, so the finite check still raises
-    on w.  For ``i != j`` it is ``_inner_parts`` of the two rows' entries at
-    the positions where both are nonzero, in increasing order.
-
-    The self form skips every entry whose standard part is zero, since each
-    of its terms is then a product with a zero, which is exact by the
-    argument above _inner_parts.  Only the entries that are zero as a whole
-    leave the supports that decide which positions ``i != j`` share.
+    Every result is bit-identical to ``_inner_parts``.  For ``i == j`` it is
+    ``_self_parts`` of the row, whose magnitudes go unused.  For ``i != j`` it
+    is ``_inner_parts`` of the two rows' entries at the positions where both
+    are nonzero, in increasing order: only the entries that are zero as a
+    whole leave the supports that decide which positions ``i != j`` share.
     """
     n = len(rows)
     gram = [[None] * n for _ in range(n)]
-    zeros = [[] for _ in rows]
-    for i, left in enumerate(rows):
-        sw = sy = sz = iw = ix = iy = iz = 0.0
-        for k, a in enumerate(left):
-            p, f = a.std, a.inf
-            aw, ax = p.w, p.x
-            ay, az = p.y, p.z
-            if not (aw or ax or ay or az):
-                if not (f.w or f.x or f.y or f.z):
-                    zeros[i].append(k)
-                continue
-            fw, fx = f.w, f.x
-            fy, fz = f.y, f.z
-            sw += aw * aw + ax * ax + ay * ay + az * az
-            u, v = aw * ay, ax * az
-            sy += u + v - u - v
-            u, v = aw * az, ax * ay
-            sz += u - v + v - u
-            d = fw * aw + fx * ax + fy * ay + fz * az
-            iw += d + d
-            t1, t2 = fw * ax, fx * aw
-            t3, t4 = fy * az, fz * ay
-            ix += (t1 - t2 - t3 + t4) + (t2 - t1 - t4 + t3)
-            t1, t2 = fw * ay, fx * az
-            t3, t4 = fy * aw, fz * ax
-            iy += (t1 + t2 - t3 - t4) + (t3 + t4 - t1 - t2)
-            t1, t2 = fw * az, fx * ay
-            t3, t4 = fy * ax, fz * aw
-            iz += (t1 - t2 + t3 - t4) + (t4 - t3 + t2 - t1)
-        gram[i][i] = (sw, 0.0, sy, sz, iw, ix, iy, iz)
-    supports = [set(range(n)).difference(z) for z in zeros] if n > 1 else ()
+    supports = []
+    for i, row in enumerate(rows):
+        gram[i][i], _, zeros = _self_parts(row)
+        supports.append(set(range(n)).difference(zeros))
     disjoint = (0.0,) * 8
     for i in range(n - 1):
         left, mine = rows[i], supports[i]
@@ -296,9 +321,10 @@ class DQVector(Value):
 
     # The norms evaluate magnitude_parts on the entries; norm1 adds its floats
     # in entry order, as the DualNumber operators would, and norm2 passes them
-    # to _norm2_parts.  Sums that start at +0.0 never produce -0.0, and a
-    # non-finite magnitude leaves a part infinite or NaN, so the final
-    # DualNumber raises NonFiniteError exactly when magnitude() would.
+    # to _norm2_parts, as unit_check passes those of _self_parts.  Sums that
+    # start at +0.0 never produce -0.0, and a non-finite magnitude leaves a
+    # part infinite or NaN, so the final DualNumber raises NonFiniteError
+    # exactly when magnitude() would.
 
     def norm1(self) -> DualNumber:
         std = inf = 0.0
@@ -348,14 +374,17 @@ class DQVector(Value):
         """Test ``x.inner(x) == 1`` and, equivalently, ``norm2(x) == 1``.
 
         Both residuals are reported; the check passes only when both are
-        within ``tol``.
+        within ``tol``.  One pass over the entries, ``_self_parts``, gives
+        ``x.inner(x)`` and the entry magnitudes that ``norm2`` would take from
+        ``magnitude_parts``, so both residuals and any ``NonFiniteError`` are
+        bit for bit those of ``inner`` and ``norm2``.
         """
         check_tolerance(tol)
-        ((gram,),) = _gram_parts((self.entries,))
+        gram, magnitudes, _ = _self_parts(self.entries)
         if not all(map(math.isfinite, gram)):
             _inner_result(gram)  # raises NonFiniteError as inner() does
         gram_residual = _identity_defect(gram, 1.0)
-        n2 = self.norm2()
+        n2 = _dual_number(*_norm2_parts(magnitudes))  # norm2(), and raises as it does
         norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
         return VectorUnitCheck(
             passed=gram_residual <= tol and norm_residual <= tol,
@@ -451,7 +480,10 @@ def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, floa
     return norm, inf
 
 
-def norm_scales(vector: DQVector) -> tuple[tuple[float, float], tuple[float, float]]:
+_Scales = tuple[tuple[float, float], tuple[float, float]]
+
+
+def norm_scales(vector: DQVector) -> _Scales:
     """The scales for ``close`` of ``norm1``, which bound those of all three
     norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
     scales = [magnitude_scale(e.std, e.inf) for e in vector.entries]
@@ -462,18 +494,43 @@ def norm_scales(vector: DQVector) -> tuple[tuple[float, float], tuple[float, flo
 
 
 def norm2_closed_form_agrees(vector: DQVector, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
-    """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree, and their largest difference.
+    """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree, and their largest difference."""
+    return _closed_form_agrees(vector, norm_scales(vector), norm2, closed)
+
+
+def norm_chain_defect(vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber) -> float:
+    """How much the chain ``norm_inf <= norm2 <= norm1`` of ``vector``'s norms fails by: the larger
+    ``le_defect`` of its two links, 0.0 when it holds."""
+    return _chain_defect(vector, norm_scales(vector), norm_inf, norm2, norm1)
+
+
+def norm_checks(
+    vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber, closed: DualNumber | None
+) -> tuple[float, bool, float | None]:
+    """``norm_chain_defect``, then ``norm2_closed_form_agrees``'s verdict and difference, over one
+    ``norm_scales``: the checks of ``dualq norms``.  With ``closed`` None, for a vector with no
+    appreciable entry, the closed form does not apply and gives ``True, None``."""
+    scales = norm_scales(vector)
+    chain = _chain_defect(vector, scales, norm_inf, norm2, norm1)
+    if closed is None:
+        return chain, True, None
+    return (chain, *_closed_form_agrees(vector, scales, norm2, closed))
+
+
+def _closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
+    """``norm2_closed_form_agrees`` at ``scales``, the vector's ``norm_scales``.
 
     Against ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and
     γ_(n+14) of the exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``;
     4n products added, a division) within γ_2 and γ_(4n+3), so the two are close at k = 6n + 17.
     """
-    return agree(norm2, closed, norm_scales(vector)[1], 6 * len(vector) + 17)
+    return agree(norm2, closed, scales[1], 6 * len(vector) + 17)
 
 
-def norm_chain_defect(vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber) -> float:
-    """How much the chain ``norm_inf <= norm2 <= norm1`` of ``vector``'s norms fails by: the larger
-    ``le_defect`` of its two links, 0.0 when it holds.
+def _chain_defect(
+    vector: DQVector, scales: _Scales, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber
+) -> float:
+    """``norm_chain_defect`` at ``scales``, the vector's ``norm_scales``.
 
     Against ``norm_scales``' first scale, which bounds all three, for n entries: ``norm_inf`` is
     within γ_2 and γ_7 of the exact parts, ``norm2`` γ_(n+4) and γ_(2n+14), and ``norm1`` γ_(n+1)
@@ -482,7 +539,7 @@ def norm_chain_defect(vector: DQVector, norm_inf: DualNumber, norm2: DualNumber,
     infinitesimal parts are judged at an infinite scale, which ``close`` admits.  With at most one,
     the exact standard parts are equal, and a tie falls to the infinitesimal parts.
     """
-    std, inf = norm_scales(vector)[0]
+    std, inf = scales[0]
     if sum(e.is_appreciable for e in vector.entries) > 1:
         inf = math.inf  # no infinitesimal parts can break a standard-part tie
     scale, k = (std, inf), 3 * len(vector) + 20

@@ -342,6 +342,20 @@ def test_norms_exit_0_where_a_square_or_a_weight_leaves_the_normal_range(documen
     assert (code, err) == (0, ""), out
 
 
+@pytest.mark.parametrize("document", ["vector_pair.dq", "vector_infinitesimal.dq"])
+def test_norms_computes_the_scales_of_its_checks_once(document, monkeypatch):
+    # The chain and the closed form are judged at scales from one norm_scales.
+    calls = []
+
+    def counted(vector):
+        calls.append(vector)
+        return norm_scales(vector)
+
+    monkeypatch.setattr(dualquat.vectors, "norm_scales", counted)
+    code, out, err = run(["norms", str(DATA / document)])
+    assert (code, err) == (0, "") and len(calls) == 1
+
+
 def test_overflowing_mixed_sum_is_recomputed_scaled():
     # std.inf is 1e400 - 1e400 in floats, a NaN unscaled; exactly it is 0.
     doc = "dq{ std: 1e200 + 1e200i + 0j + 0k, inf: 1e200 - 1e200i + 0j + 0k }"

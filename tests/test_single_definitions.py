@@ -14,16 +14,17 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 
 # The rounding-error model (the unit roundoff, the smallest normal double, the
 # one comparison rule close, the rule that two routes agree, the order check
-# that judges ties by close, and the scales of the magnitude and the norms), the
-# route checks that dualq and selfcheck share (the magnitude's two routes, the
-# closed-form 2-norm and the norm chain), the default unit tolerance and the rule
-# that admits a tolerance, the real-scalar operand rule, the quaternion product
-# rule (written out again, with conjugation folded in, by the inner-product
+# that judges ties by close, and the scales of the magnitude and the norms),
+# the route checks that dualq and selfcheck share (the magnitude's two routes,
+# the closed-form 2-norm and the norm chain, which dualq norms runs together
+# over one norm_scales), the default unit tolerance and the rule that admits a
+# tolerance, the real-scalar operand rule, the quaternion product rule
+# (written out again, with conjugation folded in, by the inner-product
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
 # 2-norm kernel over entry magnitudes (norm2 over magnitude_parts, norm_scales
 # over magnitude_scale, so the two cannot fork), the per-field and all-fields
-# finiteness tests, the trusted constructors of kernel results, the product with
-# a real and the power-of-two scaling rule (see SCALING_RULE).
+# finiteness tests, the trusted constructors of kernel results, the product
+# with a real and the power-of-two scaling rule (see SCALING_RULE).
 SHARED_RULES = (
     "u",
     "MIN_NORMAL",
@@ -35,6 +36,7 @@ SHARED_RULES = (
     "magnitude_routes_agree",
     "norm2_closed_form_agrees",
     "norm_chain_defect",
+    "norm_checks",
     "UNIT_TOL",
     "check_tolerance",
     "real_operand",
@@ -70,13 +72,14 @@ ALL_FINITE_INLINED = {
 # The defs that write out the Hamilton product, 16 products of two names
 # each: the rule itself, the vector inner-product kernel, which evaluates
 # conj(a) b three times per entry pair without a call or a conjugated copy,
-# and the Gram kernel of unit_check and basis_check, whose self form writes
-# out x . x with each repeated product once and which takes every other
-# x_i . x_j from the inner-product kernel.
+# and the self form x . x of unit_check and of the Gram kernel of basis_check,
+# which writes it out with each repeated product once.  The self form also
+# holds the one copy of the magnitude rule, from its dot product d = f . p;
+# test_self_form_magnitudes_are_magnitude_parts pins it to magnitude_parts.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",
-    "vectors._gram_parts",
+    "vectors._self_parts",
 }
 
 # The one module that may write a float literal below 1e-6: the rounding-error

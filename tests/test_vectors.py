@@ -22,7 +22,8 @@ from dualquat import (
     basis_check,
     embed_real,
 )
-from dualquat.vectors import _gram_parts, _inner_result, norm_chain_defect
+from dualquat.dualquaternion import magnitude_parts
+from dualquat.vectors import _gram_parts, _inner_result, _self_parts, norm_chain_defect
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -488,6 +489,21 @@ def test_gram_kernel_gives_every_inner_product_exactly(vectors):
             assert exact_outcome(lambda: _inner_result(gram[i][j])) == exact_outcome(lambda: x.inner(y)), (i, j)
 
 
+@settings(max_examples=400)
+@given(wide_vectors)
+@example(OVERFLOWING_INFINITESIMAL)
+@example(OVERFLOWING_RUNNER_UP)
+@example(OVERFLOWING_SQUARE)
+@example(SUBNORMAL_WEIGHT)
+@example(SUBNORMAL_NORM)
+def test_self_form_magnitudes_are_magnitude_parts(x):
+    # unit_check takes its 2-norm from the self form's copy of the magnitude
+    # rule.  Its norm residual is a max, which can hide an infinitesimal part
+    # that differs, so each entry's two floats are compared, by repr.
+    _, magnitudes, _ = _self_parts(x.entries)
+    assert repr(magnitudes) == repr([magnitude_parts(e.std, e.inf) for e in x])
+
+
 @settings(max_examples=200)
 @given(wide_bases)
 @example(TWO_OVERFLOWING_PAIRS)
@@ -536,6 +552,38 @@ def test_basis_check_reads_only_the_nonzero_entries_of_a_permutation_basis():
     reads = 0
     basis_check([DQVector([unit] * n)] * n)
     assert reads > n**3
+
+
+def test_unit_check_reads_each_entry_once():
+    # Both residuals come from one pass: the self form reads the std and inf
+    # of each entry once, 2n reads, where x . x and then norm2 read them 4n
+    # times.  The tests above see results, not the passes behind them.
+    reads = 0
+
+    class Counting(DualQuaternion):
+        __slots__ = ()
+
+        @property
+        def std(self):
+            nonlocal reads
+            reads += 1
+            return DualQuaternion.std.__get__(self)
+
+        @property
+        def inf(self):
+            nonlocal reads
+            reads += 1
+            return DualQuaternion.inf.__get__(self)
+
+    n = 32
+    kinds = (
+        Counting(Quaternion(0.6, 0.0, 0.8), Quaternion(0.0, -1.5, 2.0)),
+        Counting(Quaternion(), Quaternion(1.0, 2.0)),
+        Counting(),
+    )
+    x = DQVector(kinds[k % 3] for k in range(n))
+    assert x.unit_check().norm_residual > 0.0
+    assert reads == 2 * n
 
 
 def test_inner_reads_no_infinitesimal_part_that_meets_a_zero_standard_part():
