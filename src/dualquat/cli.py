@@ -23,7 +23,7 @@ from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, ren
 from .dual import DualNumber
 from .errors import DualQuatError, KindMismatchError
 from .dualquaternion import magnitude_routes_agree
-from .vectors import basis_check, norm_checks
+from .vectors import basis_check, norm_checks, norms
 
 
 def _tol_arg(text: str) -> float:
@@ -147,10 +147,7 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
 def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
     """The norms, judged by ``norm_checks``: the norm chain and the closed-form 2-norm."""
     vector = doc.payload
-    norm1 = vector.norm1()
-    norm_inf_index = vector.norm_inf_index()
-    norm_inf = vector[norm_inf_index].magnitude()  # what norm_inf() evaluates
-    norm2 = vector.norm2()
+    norm1, norm_inf, norm2, norm_inf_index = norms(vector)
     closed = note = None
     if vector.has_appreciable_entry:
         closed = vector.norm2_closed_form()

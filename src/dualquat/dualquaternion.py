@@ -213,11 +213,13 @@ def _scaled_dual_quaternion(value: DualQuaternion, real: float) -> DualQuaternio
 def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
     """The standard and infinitesimal parts of the magnitude of ``std + inf*e``.
 
-    The definition of the magnitude rule: ``DualQuaternion.magnitude`` and
-    the vector norms, which must round exactly as it does, evaluate it here.
-    Its one copy is in ``vectors._self_parts``, whose self inner product has
-    already formed the dot product, for ``DQVector.unit_check``; a change
-    here must change it too, and ``test_self_form_magnitudes_are_magnitude_parts``
+    The definition of the magnitude rule: ``DualQuaternion.magnitude``
+    evaluates it here, and the vector norms must round exactly as it does.
+    It has two copies, each bit-identical to it: ``vectors._self_parts``,
+    whose self inner product has already formed the dot product, for
+    ``DQVector.unit_check``, and ``vectors._magnitudes``, which the vector
+    norms reduce, written out so that they make no call per entry; a change
+    here must change both, and ``test_self_form_magnitudes_are_magnitude_parts``
     fails until it does.  The dot product is ``Quaternion.dot``'s, left to
     right.  No part is checked, so an overflow comes back as an infinity or a NaN.
     The parts are within γ_2 and γ_7 of ``magnitude_scale``: one ``hypot``; 4 products added, divided.

@@ -33,7 +33,7 @@ from ._common import UNIT_TOL, Value, agree
 from .dual import EPSILON, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
 from .dualquaternion import DualQuaternion, _dual_quaternion, magnitude_routes_agree, magnitude_scale
 from .quaternion import Quaternion, _quaternion, _scaled, mixed_sum
-from .vectors import DQVector, basis_check, embed_real, norm2_closed_form_agrees, norm_chain_defect
+from .vectors import DQVector, basis_check, embed_real, norm2_closed_form_agrees, norm_chain_defect, norms
 
 __all__ = [
     "DEFAULT_SEED",
@@ -501,14 +501,13 @@ def _suite_vec_norms_definite(rng, rec):
         n = rng.randint(1, 8)
         if profile == "zero":
             v = DQVector((_ZERO_DQUAT,) * n)
-            rec.check(v.norm1().is_zero and v.norm_inf().is_zero and v.norm2().is_zero)
+            rec.check(all(norm.is_zero for norm in norms(v)[:3]))
             continue
         v = rng.vector(n, profile)
         if all(e.is_zero for e in v):
             continue
-        rec.check(v.norm1() > _ZERO)
-        rec.check(v.norm_inf() > _ZERO)
-        rec.check(v.norm2() > _ZERO)
+        for norm in norms(v)[:3]:
+            rec.check(norm > _ZERO)
 
 
 def _suite_vec_norms_homogeneous(rng, rec):
@@ -528,8 +527,8 @@ def _suite_vec_norms_homogeneous(rng, rec):
         (std, inf), (xs, xi) = _size(scalar), map(sum, zip(*map(_size, x)))
         scale = (std * xs, std * xi + inf * xs)
         # Per entry γ_10 and γ_33 as in dq_magnitude_multiplicative; a norm adds up to γ_(n+4) and γ_(2n+14).
-        for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            rec.agree(norm(scaled), factor * norm(x), scale, 4 * len(x) + 58)
+        for got, norm in zip(norms(scaled)[:3], norms(x)):
+            rec.agree(got, factor * norm, scale, 4 * len(x) + 58)
 
 
 def _suite_vec_norms_triangle(rng, rec):
@@ -547,15 +546,15 @@ def _suite_vec_norms_triangle(rng, rec):
         total = x + y
         scale = tuple(map(sum, zip(*map(_size, x.entries + y.entries))))
         # x + y moves a magnitude by u and 3u of the scale; a norm adds up to γ_(n+4) and γ_(2n+14).
-        for norm in (DQVector.norm1, DQVector.norm_inf, DQVector.norm2):
-            rec.holds(le_defect(norm(total), norm(x) + norm(y), scale, 4 * n + 32))
+        for got, a, b in zip(norms(total)[:3], norms(x), norms(y)):
+            rec.holds(le_defect(got, a + b, scale, 4 * n + 32))
 
 
 def _suite_vec_norm_chain(rng, rec):
     for index in range(rec.cases):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = rng.vector(None, profile)
-        n1, n2, ninf = v.norm1(), v.norm2(), v.norm_inf()
+        n1, ninf, n2, _ = norms(v)
         rec.holds(norm_chain_defect(v, ninf, n2, n1))
 
 

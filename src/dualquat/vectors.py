@@ -5,13 +5,17 @@ from the left, entrywise; the inner product conjugates its left argument,
 ``x.inner(y) == sum(x[i].conjugate() * y[i])``.  Sums run left to right in
 entry order, with no reordering or compensation, so results are reproducible.
 
-Three norms are provided, each a dual number:
+Three norms are provided, each a dual number and each a reduction of one
+list of entry magnitudes ``n_i + m_i e``, built in one pass by ``_magnitudes``:
 
 * ``norm1``   -- sum of the entry magnitudes
 * ``norm_inf``-- largest entry magnitude under the total order
-* ``norm2``   -- the paper's ``N + (sum(n_i m_i) / N) e`` over the entry
-  magnitudes ``n_i + m_i e``, with ``N = hypot(n_1, ..., n_k)``; when every
-  entry is infinitesimal, ``hypot(m_1, ..., m_k)`` times the dual unit
+* ``norm2``   -- the paper's ``N + (sum(n_i m_i) / N) e``, with
+  ``N = hypot(n_1, ..., n_k)``; when every entry is infinitesimal,
+  ``hypot(m_1, ..., m_k)`` times the dual unit
+
+Each method builds its own list; ``norms`` builds one and reduces it to all
+three, which is how ``dualq`` and ``selfcheck`` take them.
 
 ``norm2_closed_form`` computes the 2-norm of a vector with an appreciable
 standard part directly from the flattened real embeddings; it must agree
@@ -25,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from ._common import MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, real_operand
 from .dual import DualNumber, _dual_number, le_defect
-from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
+from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_scale
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
 
@@ -39,6 +43,7 @@ __all__ = [
     "norm2_closed_form_agrees",
     "norm_chain_defect",
     "norm_checks",
+    "norms",
 ]
 
 
@@ -319,47 +324,45 @@ class DQVector(Value):
 
     # -- norms ----------------------------------------------------------
 
-    # The norms evaluate magnitude_parts on the entries; norm1 adds its floats
-    # in entry order, as the DualNumber operators would, and norm2 passes them
-    # to _norm2_parts, as unit_check passes those of _self_parts.  Sums that
-    # start at +0.0 never produce -0.0, and a non-finite magnitude leaves a
-    # part infinite or NaN, so the final DualNumber raises NonFiniteError
-    # exactly when magnitude() would.
+    # The norms reduce _magnitudes of the entries: norm1 adds the floats in
+    # entry order, as the DualNumber operators would, and norm2 passes them to
+    # _norm2_parts, as unit_check passes those of _self_parts.  Sums that start
+    # at +0.0 never produce -0.0, and a non-finite magnitude leaves a part
+    # infinite or NaN, so the final DualNumber raises NonFiniteError exactly
+    # when magnitude() would.  norms() takes all of them from one list.
 
     def norm1(self) -> DualNumber:
-        std = inf = 0.0
-        for e in self.entries:
-            n, m = magnitude_parts(e.std, e.inf)
-            std += n
-            inf += m
-        return _dual_number(std, inf)
+        return _dual_number(*_norm1_parts(_magnitudes(self.entries)))
 
     def norm_inf(self) -> DualNumber:
-        return self.entries[self.norm_inf_index()].magnitude()
+        magnitudes = _magnitudes(self.entries)
+        return _dual_number(*magnitudes[_norm_inf_index(magnitudes)])
 
     def norm_inf_index(self) -> int:
         """Lowest index attaining the largest entry magnitude."""
-        best_index, best = 0, (-1.0, 0.0)  # below every magnitude
-        for index, e in enumerate(self.entries):
-            key = magnitude_parts(e.std, e.inf)
-            if not (math.isfinite(key[0]) and math.isfinite(key[1])):
-                DualNumber(*key)  # raises NonFiniteError, as magnitude() does
-            if key > best:
-                best_index, best = index, key
-        return best_index
+        return _norm_inf_index(_magnitudes(self.entries))
 
     def norm2(self) -> DualNumber:
-        return _dual_number(*_norm2_parts([magnitude_parts(e.std, e.inf) for e in self.entries]))
+        return _dual_number(*_norm2_parts(_magnitudes(self.entries)))
 
     def norm2_closed_form(self) -> DualNumber:
         """2-norm from the flattened embeddings, in one step.
 
         Equals ``|x_std| + (x_std . x_inf / |x_std|) e`` on the embedded
-        real vectors.  Needs an appreciable standard part.  A subnormal
+        real vectors.  Needs an appreciable standard part.  One pass over the
+        entries flattens the standard part and forms the dot product with
+        ``_dot``'s products in ``_dot``'s order, so it rounds as
+        ``_dot(embed_real(std), embed_real(inf))`` does.  A subnormal
         ``|x_std|`` keeps few bits, so the quotient is then taken over
         ``x_std / MIN_NORMAL``, which is exact and has the same quotient.
         """
-        std_flat = embed_real(self.std_part())
+        std_flat, dot = [], 0.0
+        for e in self.entries:
+            p, f = e.std, e.inf
+            w, x = p.w, p.x
+            y, z = p.y, p.z
+            std_flat += (w, x, y, z)
+            dot = dot + w * f.w + x * f.x + y * f.y + z * f.z
         std_norm = norm = math.hypot(*std_flat)
         if std_norm == 0.0:
             raise NotAppreciableError(
@@ -368,7 +371,8 @@ class DQVector(Value):
         if std_norm < MIN_NORMAL:
             std_flat = [c / MIN_NORMAL for c in std_flat]
             norm = math.hypot(*std_flat)
-        return DualNumber(std_norm, _dot(std_flat, embed_real(self.inf_part())) / norm)
+            dot = _dot(std_flat, embed_real(self.inf_part()))
+        return DualNumber(std_norm, dot / norm)
 
     def unit_check(self, tol: float = UNIT_TOL) -> VectorUnitCheck:
         """Test ``x.inner(x) == 1`` and, equivalently, ``norm2(x) == 1``.
@@ -376,7 +380,7 @@ class DQVector(Value):
         Both residuals are reported; the check passes only when both are
         within ``tol``.  One pass over the entries, ``_self_parts``, gives
         ``x.inner(x)`` and the entry magnitudes that ``norm2`` would take from
-        ``magnitude_parts``, so both residuals and any ``NonFiniteError`` are
+        ``_magnitudes``, so both residuals and any ``NonFiniteError`` are
         bit for bit those of ``inner`` and ``norm2``.
         """
         check_tolerance(tol)
@@ -461,6 +465,48 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
     return BasisCheck(passed=passed, residuals=tuple(rows))
 
 
+def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
+    """``magnitude_parts`` of each entry, in entry order, unchecked.
+
+    A copy of the rule, bit-identical to it, written out so that the norms make
+    no call per entry: the same exact zero test, ``hypot``, the dot product
+    left to right over ``w, x, y, z`` and one division.  A change to
+    ``magnitude_parts`` must change it too, and
+    ``test_self_form_magnitudes_are_magnitude_parts`` fails until it does.
+    """
+    magnitudes = []
+    for e in entries:
+        p, f = e.std, e.inf
+        w, x = p.w, p.x
+        y, z = p.y, p.z
+        if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
+            magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
+        else:
+            n = math.hypot(w, x, y, z)
+            magnitudes.append((n, (w * f.w + x * f.x + y * f.y + z * f.z) / n))
+    return magnitudes
+
+
+def _norm1_parts(magnitudes: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """The sums of the standard and of the infinitesimal parts, in entry order, unchecked."""
+    std = inf = 0.0
+    for n, m in magnitudes:
+        std, inf = std + n, inf + m
+    return std, inf
+
+
+def _norm_inf_index(magnitudes: Sequence[tuple[float, float]]) -> int:
+    """The lowest index of the largest magnitude under the total order; a non-finite
+    magnitude raises ``NonFiniteError`` as ``magnitude()`` does, at the first one."""
+    best_index, best = 0, (-1.0, 0.0)  # below every magnitude
+    for index, key in enumerate(magnitudes):
+        if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+            DualNumber(*key)  # raises
+        if key > best:
+            best_index, best = index, key
+    return best_index
+
+
 def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """``N = hypot(n_1, ..., n_k)`` and ``sum((n_i / N) * m_i)`` in entry order, for entry magnitudes
     ``n_i + m_i e``, unchecked; ``(0.0, hypot(m_1, ..., m_k))`` when ``N == 0``.  It forms no square.  A
@@ -487,10 +533,16 @@ def norm_scales(vector: DQVector) -> _Scales:
     """The scales for ``close`` of ``norm1``, which bound those of all three
     norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
     scales = [magnitude_scale(e.std, e.inf) for e in vector.entries]
-    std = inf = 0.0
-    for n, m in scales:
-        std, inf = std + n, inf + m
-    return (std, inf), _norm2_parts(scales)
+    return _norm1_parts(scales), _norm2_parts(scales)
+
+
+def norms(vector: DQVector) -> tuple[DualNumber, DualNumber, DualNumber, int]:
+    """``vector.norm1()``, ``norm_inf()``, ``norm2()`` and ``norm_inf_index()``, bit for bit, from one
+    list of entry magnitudes; each raises as its method does, in the order norm1, norm_inf, norm2."""
+    magnitudes = _magnitudes(vector.entries)
+    norm1 = _dual_number(*_norm1_parts(magnitudes))
+    index = _norm_inf_index(magnitudes)
+    return norm1, _dual_number(*magnitudes[index]), _dual_number(*_norm2_parts(magnitudes)), index
 
 
 def norm2_closed_form_agrees(vector: DQVector, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:

@@ -7,6 +7,8 @@ mark, and the test stays as a plain one; a fix that lands without doing so
 turns the test into an unexpected pass, which fails.
 """
 
+import math
+
 import pytest
 
 from dualquat import DQVector, DualNumber, DualQuaternion, NonFiniteError, Quaternion
@@ -60,3 +62,26 @@ def test_magnitude_via_sqrt_keeps_the_infinitesimal_part_when_scaling_makes_a_co
         Quaternion(3.190147189883798e37),
     )
     assert value.magnitude_via_sqrt().inf == -2.5218274107177224e-285  # the exact value, rounded
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_parts divides std . inf by a subnormal hypot, which keeps "
+                          "few bits: norm2 gets 9.99e176 as its infinitesimal part, and dualq norms exits 1")
+def test_norm2_keeps_the_infinitesimal_part_when_the_standard_norm_is_subnormal():
+    # Both copies of the magnitude rule, _magnitudes and _self_parts, divide as it does.
+    vector = DQVector((DualQuaternion(
+        Quaternion(-9.56133958527554e-324, 2.6713221290536615e-324, 7.305276594359864e-324, 0.0),
+        Quaternion(-6.002611355451369e176, 6.489234250275337e176, 1.492776453921583e176, 0.0),
+    ),))
+    norm2 = vector.norm2()
+    assert norm2.std == 1e-323
+    assert math.isclose(norm2.inf, 8.159753872816633e176, rel_tol=1e-12)  # the exact value, rounded
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_via_sqrt scales the infinitesimal part by its largest "
+                          "component, which flushes the small ones to zero: the infinitesimal part comes back "
+                          "as 0.0, and dualq magnitude exits 1")
+def test_magnitude_via_sqrt_keeps_small_infinitesimal_components_beside_a_huge_one():
+    value = DualQuaternion(Quaternion(-8.276646e-146), Quaternion(-6.972993e-142, 2.018e293, 0.0, 0.0))
+    assert math.isclose(value.magnitude_via_sqrt().inf, 6.972993e-142, rel_tol=1e-12)  # the exact value

@@ -21,7 +21,7 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # tolerance, the real-scalar operand rule, the quaternion product rule
 # (written out again, with conjugation folded in, by the inner-product
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
-# 2-norm kernel over entry magnitudes (norm2 over magnitude_parts, norm_scales
+# 2-norm kernel over entry magnitudes (norm2 over _magnitudes, norm_scales
 # over magnitude_scale, so the two cannot fork), the per-field and all-fields
 # finiteness tests, the trusted constructors of kernel results, the product
 # with a real and the power-of-two scaling rule (see SCALING_RULE).
@@ -74,8 +74,9 @@ ALL_FINITE_INLINED = {
 # conj(a) b three times per entry pair without a call or a conjugated copy,
 # and the self form x . x of unit_check and of the Gram kernel of basis_check,
 # which writes it out with each repeated product once.  The self form also
-# holds the one copy of the magnitude rule, from its dot product d = f . p;
-# test_self_form_magnitudes_are_magnitude_parts pins it to magnitude_parts.
+# holds a copy of the magnitude rule, from its dot product d = f . p, and
+# vectors._magnitudes the other, which the norms reduce;
+# test_self_form_magnitudes_are_magnitude_parts pins both to magnitude_parts.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",
@@ -232,14 +233,16 @@ def test_production_modules_keep_off_the_mixed_sum_cross_check():
 
 
 def test_vector_norms_evaluate_the_magnitude_rule_directly():
-    # The norms add the floats of magnitude_parts; a DualNumber per entry
-    # from DualQuaternion.magnitude is the work they must not redo.
+    # The norms reduce the floats of _magnitudes, the copy of magnitude_parts
+    # written out over a vector's entries; a DualNumber per entry from
+    # DualQuaternion.magnitude is the work they must not redo, and norm_inf
+    # takes its winning entry's magnitude from the same list.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector"
     )
     methods = {node.name: node for node in vector_class.body if isinstance(node, ast.FunctionDef)}
-    for name in ("norm1", "norm2", "norm_inf_index"):
+    for name in ("norm1", "norm2", "norm_inf_index", "norm_inf"):
         calls = {
             node.func.attr
             for node in ast.walk(methods[name])
@@ -247,11 +250,11 @@ def test_vector_norms_evaluate_the_magnitude_rule_directly():
         }
         assert "magnitude" not in calls, f"DQVector.{name} calls .magnitude()"
         names = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
-        assert "magnitude_parts" in names, f"DQVector.{name} does not use magnitude_parts"
+        assert "_magnitudes" in names, f"DQVector.{name} does not use _magnitudes"
 
 
 def test_norm2_and_its_scale_share_the_2_norm_kernel():
-    # norm2 over magnitude_parts and norm_scales over magnitude_scale both call
+    # norm2 over _magnitudes and norm_scales over magnitude_scale both call
     # _norm2_parts; norm2 forms no square and takes no square root.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector")

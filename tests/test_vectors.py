@@ -23,7 +23,7 @@ from dualquat import (
     embed_real,
 )
 from dualquat.dualquaternion import magnitude_parts
-from dualquat.vectors import _gram_parts, _inner_result, _self_parts, norm_chain_defect
+from dualquat.vectors import _gram_parts, _inner_result, _magnitudes, _self_parts, norm_chain_defect, norms
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -381,6 +381,22 @@ def reference_norm2(x):
     return DualNumber(norm / up, functools.reduce(lambda total, m: total + weighted(m), magnitudes, 0.0))
 
 
+def reference_norm2_closed_form(x):
+    """The closed form over the two real embeddings, their dot product added left to right; a
+    subnormal ``|x_std|`` takes the quotient over ``x_std / MIN_NORMAL``."""
+    std_flat = embed_real(x.std_part())
+    std_norm = norm = math.hypot(*std_flat)
+    if std_norm == 0.0:
+        raise NotAppreciableError("closed-form 2-norm needs an appreciable standard part")
+    if std_norm < 2.0**-1022:
+        std_flat = [c / 2.0**-1022 for c in std_flat]
+        norm = math.hypot(*std_flat)
+    dot = 0.0
+    for a, b in zip(std_flat, embed_real(x.inf_part())):
+        dot += a * b
+    return DualNumber(std_norm, dot / norm)
+
+
 def reference_norm_inf(x):
     return max(e.magnitude() for e in x)
 
@@ -420,8 +436,17 @@ FUSED_AND_REFERENCE = (
     (DQVector.norm2, reference_norm2),
     (DQVector.norm_inf, reference_norm_inf),
     (DQVector.norm_inf_index, reference_norm_inf_index),
+    (DQVector.norm2_closed_form, reference_norm2_closed_form),
     (DQVector.unit_check, reference_unit_check),
 )
+
+# A vector with no appreciable entry, on which the closed form raises
+# NotAppreciableError, beside an entry that is zero as a whole.
+ALL_INFINITESIMAL = DQVector((
+    DualQuaternion(Quaternion(), Quaternion(0.5, -2.0, 0.0, 1e-300)),
+    DualQuaternion(),
+    DualQuaternion(Quaternion(-0.0, 0.0, -0.0, 0.0), Quaternion(-3.0)),
+))
 
 
 @settings(max_examples=400)
@@ -433,6 +458,7 @@ FUSED_AND_REFERENCE = (
 @example(UNIT_ROUNDING_CROSS_TERMS)
 @example(SUBNORMAL_WEIGHT)
 @example(SUBNORMAL_NORM)
+@example(ALL_INFINITESIMAL)
 def test_norms_and_unit_check_round_exactly_as_the_operators(x):
     for fused, reference in FUSED_AND_REFERENCE:
         assert outcome(fused, x) == outcome(reference, x), fused.__name__
@@ -496,12 +522,34 @@ def test_gram_kernel_gives_every_inner_product_exactly(vectors):
 @example(OVERFLOWING_SQUARE)
 @example(SUBNORMAL_WEIGHT)
 @example(SUBNORMAL_NORM)
+@example(ALL_INFINITESIMAL)
 def test_self_form_magnitudes_are_magnitude_parts(x):
     # unit_check takes its 2-norm from the self form's copy of the magnitude
-    # rule.  Its norm residual is a max, which can hide an infinitesimal part
-    # that differs, so each entry's two floats are compared, by repr.
+    # rule, and the norms theirs from _magnitudes.  A norm or a residual can
+    # hide an entry's infinitesimal part that differs, so each entry's two
+    # floats are compared, by repr.
+    expected = repr([magnitude_parts(e.std, e.inf) for e in x])
     _, magnitudes, _ = _self_parts(x.entries)
-    assert repr(magnitudes) == repr([magnitude_parts(e.std, e.inf) for e in x])
+    assert repr(magnitudes) == expected
+    assert repr(_magnitudes(x.entries)) == expected
+
+
+@settings(max_examples=200)
+@given(wide_vectors)
+@example(OVERFLOWING_INFINITESIMAL)
+@example(OVERFLOWING_RUNNER_UP)
+@example(OVERFLOWING_SQUARE)
+@example(SUBNORMAL_NORM)
+@example(ALL_INFINITESIMAL)
+def test_norms_gives_the_methods_results_from_one_list(x):
+    # dualq norms and the selfcheck norm suites take their norms from norms():
+    # the four results of the methods, or the error the first of them raises.
+    methods = (x.norm1, x.norm_inf, x.norm2, x.norm_inf_index)
+    error = first_error(*methods)
+    if error is None:
+        assert repr(norms(x)) == repr(tuple(method() for method in methods))
+    else:
+        assert first_error(lambda: norms(x)) == error
 
 
 @settings(max_examples=200)
