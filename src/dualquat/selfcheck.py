@@ -11,9 +11,10 @@ for an order relation, whose :func:`dualquat.dual.le_defect` at a scale and
 for a dual value; ``k`` counts both sides' roundings, with a comment where
 not obvious.  The three route checks of ``dualq magnitude`` and ``dualq
 norms`` (``magnitude_routes_agree``, ``norm2_closed_form_agrees`` and
-``norm_chain_defect``; ``dualq norms`` runs the last two as ``norm_checks``,
-over one ``norm_scales``) derive their own scale and ``k``; ``check`` or
-``holds`` records what they return.
+``norm_chain_defect``) derive their own scale and ``k``; the two norm checks
+pick theirs from the vector's ``norm_scales``, which a suite passes in and
+``dualq norms`` computes once, in ``norm_checks``.  ``check`` or ``holds``
+records what they return.
 Plain facts go through ``check``.  The worst residuals show observed margins.
 
 Every input comes from one draw object, a ``random.Random(seed)`` whose
@@ -33,7 +34,7 @@ from ._common import UNIT_TOL, Value, agree
 from .dual import EPSILON, DualNumber, Ordering, _dual_number, le_defect, no_root_witness
 from .dualquaternion import DualQuaternion, _dual_quaternion, magnitude_routes_agree, magnitude_scale
 from .quaternion import Quaternion, _quaternion, _scaled, mixed_sum
-from .vectors import DQVector, basis_check, embed_real, norm2_closed_form_agrees, norm_chain_defect, norms
+from .vectors import DQVector, basis_check, embed_real, norm2_closed_form_agrees, norm_chain_defect, norm_scales, norms
 
 __all__ = [
     "DEFAULT_SEED",
@@ -483,7 +484,7 @@ def _suite_vec_embedding_isometry(rng, rec):
     for _ in range(rec.cases):
         v = DQVector.from_quaternions([rng.quat() for _ in range(rng.randint(1, 8))])
         # The closed form of a vector of quaternions is the Euclidean norm of its real embedding.
-        rec.check(*norm2_closed_form_agrees(v, v.norm2(), v.norm2_closed_form()))
+        rec.check(*norm2_closed_form_agrees(v, norm_scales(v), v.norm2(), v.norm2_closed_form()))
 
 
 def _suite_vec_inner_conjugate_symmetry(rng, rec):
@@ -555,14 +556,14 @@ def _suite_vec_norm_chain(rng, rec):
         profile = ("general", "infinitesimal", "appreciable")[index % 3]
         v = rng.vector(None, profile)
         n1, ninf, n2, _ = norms(v)
-        rec.holds(norm_chain_defect(v, ninf, n2, n1))
+        rec.holds(norm_chain_defect(v, norm_scales(v), ninf, n2, n1))
 
 
 def _suite_vec_norm2_closed_form(rng, rec):
     for _ in range(rec.cases):
         v = rng.vector_with_appreciable()
         closed = v.norm2_closed_form()
-        rec.check(*norm2_closed_form_agrees(v, v.norm2(), closed))
+        rec.check(*norm2_closed_form_agrees(v, norm_scales(v), v.norm2(), closed))
         bound = DualNumber(
             math.hypot(*embed_real(v.std_part())),
             math.hypot(*embed_real(v.inf_part())),

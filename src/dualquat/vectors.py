@@ -20,6 +20,12 @@ three, which is how ``dualq`` and ``selfcheck`` take them.
 ``norm2_closed_form`` computes the 2-norm of a vector with an appreciable
 standard part directly from the flattened real embeddings; it must agree
 with ``norm2`` up to rounding and exists as an independent cross-check.
+
+Two checks judge the norms at the vector's ``norm_scales``, which the caller
+passes in: ``norm_chain_defect`` for ``norm_inf <= norm2 <= norm1`` and
+``norm2_closed_form_agrees`` for the two 2-norms.  Each is the one definition
+of its scale, its ``k`` and their derivation.  ``norm_checks`` runs both over
+one ``norm_scales``; it is what ``dualq norms`` calls.
 """
 
 from __future__ import annotations
@@ -545,32 +551,9 @@ def norms(vector: DQVector) -> tuple[DualNumber, DualNumber, DualNumber, int]:
     return norm1, _dual_number(*magnitudes[index]), _dual_number(*_norm2_parts(magnitudes)), index
 
 
-def norm2_closed_form_agrees(vector: DQVector, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
-    """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree, and their largest difference."""
-    return _closed_form_agrees(vector, norm_scales(vector), norm2, closed)
-
-
-def norm_chain_defect(vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber) -> float:
-    """How much the chain ``norm_inf <= norm2 <= norm1`` of ``vector``'s norms fails by: the larger
-    ``le_defect`` of its two links, 0.0 when it holds."""
-    return _chain_defect(vector, norm_scales(vector), norm_inf, norm2, norm1)
-
-
-def norm_checks(
-    vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber, closed: DualNumber | None
-) -> tuple[float, bool, float | None]:
-    """``norm_chain_defect``, then ``norm2_closed_form_agrees``'s verdict and difference, over one
-    ``norm_scales``: the checks of ``dualq norms``.  With ``closed`` None, for a vector with no
-    appreciable entry, the closed form does not apply and gives ``True, None``."""
-    scales = norm_scales(vector)
-    chain = _chain_defect(vector, scales, norm_inf, norm2, norm1)
-    if closed is None:
-        return chain, True, None
-    return (chain, *_closed_form_agrees(vector, scales, norm2, closed))
-
-
-def _closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
-    """``norm2_closed_form_agrees`` at ``scales``, the vector's ``norm_scales``.
+def norm2_closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
+    """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree at ``scales``, the vector's
+    ``norm_scales``, and their largest difference.
 
     Against ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and
     γ_(n+14) of the exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``;
@@ -579,10 +562,11 @@ def _closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumber, cl
     return agree(norm2, closed, scales[1], 6 * len(vector) + 17)
 
 
-def _chain_defect(
+def norm_chain_defect(
     vector: DQVector, scales: _Scales, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber
 ) -> float:
-    """``norm_chain_defect`` at ``scales``, the vector's ``norm_scales``.
+    """How much the chain ``norm_inf <= norm2 <= norm1`` of ``vector``'s norms fails by at ``scales``,
+    the vector's ``norm_scales``: the larger ``le_defect`` of its two links, 0.0 when it holds.
 
     Against ``norm_scales``' first scale, which bounds all three, for n entries: ``norm_inf`` is
     within γ_2 and γ_7 of the exact parts, ``norm2`` γ_(n+4) and γ_(2n+14), and ``norm1`` γ_(n+1)
@@ -596,3 +580,16 @@ def _chain_defect(
         inf = math.inf  # no infinitesimal parts can break a standard-part tie
     scale, k = (std, inf), 3 * len(vector) + 20
     return max(le_defect(norm_inf, norm2, scale, k), le_defect(norm2, norm1, scale, k))
+
+
+def norm_checks(
+    vector: DQVector, norm_inf: DualNumber, norm2: DualNumber, norm1: DualNumber, closed: DualNumber | None
+) -> tuple[float, bool, float | None]:
+    """``norm_chain_defect``, then ``norm2_closed_form_agrees``'s verdict and difference, over one
+    ``norm_scales``: the checks of ``dualq norms``.  With ``closed`` None, for a vector with no
+    appreciable entry, the closed form does not apply and gives ``True, None``."""
+    scales = norm_scales(vector)
+    chain = norm_chain_defect(vector, scales, norm_inf, norm2, norm1)
+    if closed is None:
+        return chain, True, None
+    return (chain, *norm2_closed_form_agrees(vector, scales, norm2, closed))

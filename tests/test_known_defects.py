@@ -12,6 +12,8 @@ import math
 import pytest
 
 from dualquat import DQVector, DualNumber, DualQuaternion, NonFiniteError, Quaternion
+from dualquat.dualquaternion import magnitude_routes_agree, magnitude_scale
+from dualquat.vectors import norm2_closed_form_agrees, norm_scales
 
 
 def _dq(std: float, inf: float) -> DualQuaternion:
@@ -85,3 +87,40 @@ def test_norm2_keeps_the_infinitesimal_part_when_the_standard_norm_is_subnormal(
 def test_magnitude_via_sqrt_keeps_small_infinitesimal_components_beside_a_huge_one():
     value = DualQuaternion(Quaternion(-8.276646e-146), Quaternion(-6.972993e-142, 2.018e293, 0.0, 0.0))
     assert math.isclose(value.magnitude_via_sqrt().inf, 6.972993e-142, rel_tol=1e-12)  # the exact value
+
+
+# dq{ std: 1e300 + 1e300i + 0j + 0k, inf: 1e8 - 1e8i + 0j + 0k }: the magnitude, 1.414e300+0.0e, is
+# right, but magnitude_scale sums |std_i inf_i| = 1e308 + 1e308 before it divides by n, so the
+# infinitesimal scale overflows to inf, and close then admits any infinitesimal difference: the route
+# checks of dualq magnitude and dualq norms pass these documents and could not have failed.
+_HUGE_PARTS = DualQuaternion(Quaternion(1e300, 1e300, 0.0, 0.0), Quaternion(1e8, -1e8, 0.0, 0.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_scale of std: 1e300 + 1e300i, inf: 1e8 - 1e8i: the sum of "
+                          "|std_i inf_i| overflows before the division by n, and the scale comes back as inf")
+def test_magnitude_scale_is_finite_where_the_magnitude_is():
+    std, inf = magnitude_scale(_HUGE_PARTS.std, _HUGE_PARTS.inf)
+    assert std == 1.4142135623730952e300
+    assert math.isclose(inf, 1.4142135623730951e8, rel_tol=1e-12)  # the exact scale, 2e308 / std
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_scale overflows to inf on std: 1e300 + 1e300i, "
+                          "inf: 1e8 - 1e8i, so magnitude_routes_agree admits an infinitesimal part of 1e200")
+def test_the_magnitude_route_check_rejects_a_wrong_infinitesimal_part_of_huge_parts():
+    magnitude = _HUGE_PARTS.magnitude()
+    assert magnitude == DualNumber(1.4142135623730952e300)
+    assert magnitude_routes_agree(_HUGE_PARTS, magnitude, _HUGE_PARTS.magnitude_via_sqrt())[0]
+    assert magnitude_routes_agree(_HUGE_PARTS, magnitude, DualNumber(magnitude.std, 1e200)) == (False, 1e200)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, magnitude_scale overflows to inf on std: 1e300 + 1e300i, "
+                          "inf: 1e8 - 1e8i, so norm2_closed_form_agrees admits a norm2 whose infinitesimal "
+                          "part is 1e200")
+def test_the_closed_form_check_rejects_a_wrong_infinitesimal_part_of_huge_parts():
+    vector = DQVector((_HUGE_PARTS,))
+    scales, closed = norm_scales(vector), vector.norm2_closed_form()
+    assert norm2_closed_form_agrees(vector, scales, vector.norm2(), closed)[0]
+    assert norm2_closed_form_agrees(vector, scales, DualNumber(closed.std, 1e200), closed) == (False, 1e200)

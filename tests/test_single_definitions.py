@@ -16,8 +16,9 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # one comparison rule close, the rule that two routes agree, the order check
 # that judges ties by close, and the scales of the magnitude and the norms),
 # the route checks that dualq and selfcheck share (the magnitude's two routes,
-# the closed-form 2-norm and the norm chain, which dualq norms runs together
-# over one norm_scales), the default unit tolerance and the rule that admits a
+# and the closed-form 2-norm and the norm chain, each at the norm_scales its
+# caller passes, which norm_checks runs together for dualq norms; see
+# NORM_CHECK_CALLS), the default unit tolerance and the rule that admits a
 # tolerance, the real-scalar operand rule, the quaternion product rule
 # (written out again, with conjugation folded in, by the inner-product
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
@@ -52,6 +53,11 @@ SHARED_RULES = (
     "scale_exponent",
     "times_power_of_two",
 )
+
+# In vectors.py, the one def that calls each comparison rule: each norm check
+# is a single function over the norms and the scales its caller passes, so
+# its scale and k have one copy, and norm_checks only calls the two.
+NORM_CHECK_CALLS = {"agree": {"norm2_closed_form_agrees"}, "le_defect": {"norm_chain_defect"}}
 
 # The one module that names math.frexp or math.ldexp: the scaling rule's.
 # The modules that scale through it map no OverflowError of their own.
@@ -144,6 +150,16 @@ def test_the_commands_and_selfcheck_call_the_route_checks_instead_of_writing_the
     cli = _names(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
     assert not {"close", "le_defect", "magnitude_scale", "norm_scales"} & cli
     assert "close" not in _names(ast.parse((PACKAGE / "selfcheck.py").read_text(encoding="utf-8")))
+
+
+def test_each_norm_check_is_the_one_vectors_def_that_calls_its_rule():
+    body = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8")).body
+    callers = {rule: set() for rule in NORM_CHECK_CALLS}
+    for qualname, node in _functions_outside_functions(body):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in callers:
+                callers[n.func.id].add(".".join(qualname))
+    assert callers == NORM_CHECK_CALLS
 
 
 def _is_all_finite_test(node: ast.AST) -> bool:

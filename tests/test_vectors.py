@@ -23,7 +23,7 @@ from dualquat import (
     embed_real,
 )
 from dualquat.dualquaternion import magnitude_parts
-from dualquat.vectors import _gram_parts, _inner_result, _magnitudes, _self_parts, norm_chain_defect, norms
+from dualquat.vectors import _gram_parts, _inner_result, _magnitudes, _self_parts, norm_chain_defect, norm_scales, norms
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -800,8 +800,8 @@ def test_the_norm_chain_judges_an_infinitesimal_part_where_at_most_one_entry_is_
     # infinitesimal parts: here a norm2 whose infinitesimal part is 1 above norm1's.
     for vector in (DQVector((dq(Quaternion(1.0)), dq(None, Quaternion(1.0)))), DQVector((dq(None, Quaternion(1.0)),) * 2)):
         norm_inf, norm1 = vector.norm_inf(), vector.norm1()
-        assert norm_chain_defect(vector, norm_inf, vector.norm2(), norm1) == 0.0
-        assert norm_chain_defect(vector, norm_inf, DualNumber(norm1.std, norm1.inf + 1.0), norm1) == 1.0
+        assert norm_chain_defect(vector, norm_scales(vector), norm_inf, vector.norm2(), norm1) == 0.0
+        assert norm_chain_defect(vector, norm_scales(vector), norm_inf, DualNumber(norm1.std, norm1.inf + 1.0), norm1) == 1.0
 
 
 def test_the_norm_chain_lets_tied_standard_parts_decide_alone_where_two_entries_are_appreciable():
@@ -810,7 +810,7 @@ def test_the_norm_chain_lets_tied_standard_parts_decide_alone_where_two_entries_
     vector = DQVector((dq(Quaternion(1.0)), dq(Quaternion(1e-20), Quaternion(-1.0))))
     norm_inf, norm2, norm1 = vector.norm_inf(), vector.norm2(), vector.norm1()
     assert (norm_inf, norm2, norm1) == (DualNumber(1.0), DualNumber(1.0, -1e-20), DualNumber(1.0, -1.0))
-    assert norm_chain_defect(vector, norm_inf, norm2, norm1) == 0.0
+    assert norm_chain_defect(vector, norm_scales(vector), norm_inf, norm2, norm1) == 0.0
 
 
 def test_norm2_closed_form_agreement_and_bound():
