@@ -5,8 +5,8 @@ from the left, entrywise; the inner product conjugates its left argument,
 ``x.inner(y) == sum(x[i].conjugate() * y[i])``.  Sums run left to right in
 entry order, with no reordering or compensation, so results are reproducible.
 
-Three norms are provided, each a dual number and each a reduction of one
-list of entry magnitudes ``n_i + m_i e``, built in one pass by ``_magnitudes``:
+Three norms are provided, each a dual number of the entry magnitudes
+``n_i + m_i e``:
 
 * ``norm1``   -- sum of the entry magnitudes
 * ``norm_inf``-- largest entry magnitude under the total order
@@ -14,8 +14,12 @@ list of entry magnitudes ``n_i + m_i e``, built in one pass by ``_magnitudes``:
   ``N = hypot(n_1, ..., n_k)``; when every entry is infinitesimal,
   ``hypot(m_1, ..., m_k)`` times the dual unit
 
-Each method builds its own list; ``norms`` builds one and reduces it to all
-three, which is how ``dualq`` and ``selfcheck`` take them.
+``norm1`` and ``norm2`` reduce one list of the magnitudes, built in one pass
+by ``_magnitudes``.  The order compares standard parts first, so ``norm_inf``
+reads every ``n_i`` and forms an ``m_i`` only for the entries whose ``n_i`` is
+the largest, where alone it can break a tie; with no appreciable entry, every
+``m_i`` decides.  Each method makes its own pass; ``norms`` builds one list and
+reduces it to all three, which is how ``dualq`` and ``selfcheck`` take them.
 
 ``norm2_closed_form`` computes the 2-norm of a vector with an appreciable
 standard part directly from the flattened real embeddings; it must agree
@@ -31,11 +35,13 @@ one ``norm_scales``; it is what ``dualq norms`` calls.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._common import MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, real_operand
 from .dual import DualNumber, _dual_number, le_defect
-from .dualquaternion import DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_scale
+from .dualquaternion import (
+    DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
+)
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
 
@@ -98,6 +104,7 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # NaN comes from the half that is kept.
 
 _Parts = tuple[float, float, float, float, float, float, float, float]
+_DISJOINT: _Parts = (0.0,) * 8  # every product of two vectors that share no nonzero entry, in _gram_parts
 
 
 def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]) -> _Parts:
@@ -221,7 +228,6 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
     for i, row in enumerate(rows):
         gram[i][i], _, zeros = _self_parts(row)
         supports.append(set(range(n)).difference(zeros))
-    disjoint = (0.0,) * 8
     for i in range(n - 1):
         left, mine = rows[i], supports[i]
         for j, right in enumerate(rows[i + 1:], i + 1):
@@ -232,7 +238,7 @@ def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
                 gram[i][j] = _inner_parts(a, b)
                 gram[j][i] = _inner_parts(b, a)
             else:
-                gram[i][j] = gram[j][i] = disjoint
+                gram[i][j] = gram[j][i] = _DISJOINT
     return gram
 
 
@@ -330,23 +336,24 @@ class DQVector(Value):
 
     # -- norms ----------------------------------------------------------
 
-    # The norms reduce _magnitudes of the entries: norm1 adds the floats in
-    # entry order, as the DualNumber operators would, and norm2 passes them to
-    # _norm2_parts, as unit_check passes those of _self_parts.  Sums that start
-    # at +0.0 never produce -0.0, and a non-finite magnitude leaves a part
+    # norm1 and norm2 reduce _magnitudes of the entries: norm1 adds the floats
+    # in entry order, as the DualNumber operators would, and norm2 passes them
+    # to _norm2_parts, as unit_check passes those of _self_parts.  Sums that
+    # start at +0.0 never produce -0.0, and a non-finite magnitude leaves a part
     # infinite or NaN, so the final DualNumber raises NonFiniteError exactly
-    # when magnitude() would.  norms() takes all of them from one list.
+    # when magnitude() would.  norm_inf and norm_inf_index take the magnitude
+    # only of the entries whose standard part is the largest, in _norm_inf.
+    # norms() takes all of them from one list.
 
     def norm1(self) -> DualNumber:
         return _dual_number(*_norm1_parts(_magnitudes(self.entries)))
 
     def norm_inf(self) -> DualNumber:
-        magnitudes = _magnitudes(self.entries)
-        return _dual_number(*magnitudes[_norm_inf_index(magnitudes)])
+        return _norm_inf(self.entries)[1]
 
     def norm_inf_index(self) -> int:
         """Lowest index attaining the largest entry magnitude."""
-        return _norm_inf_index(_magnitudes(self.entries))
+        return _norm_inf(self.entries)[0]
 
     def norm2(self) -> DualNumber:
         return _dual_number(*_norm2_parts(_magnitudes(self.entries)))
@@ -461,6 +468,9 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
         row: list[float] = []
         for j in range(n):
             parts = gram[i][j]
+            if parts is _DISJOINT:  # i != j, and every part is 0.0
+                row.append(0.0)
+                continue
             if not all(map(math.isfinite, parts)):
                 _inner_result(parts)  # raises NonFiniteError as inner() does
             residual = _identity_defect(parts, 1.0 if i == j else 0.0)
@@ -501,16 +511,43 @@ def _norm1_parts(magnitudes: Iterable[tuple[float, float]]) -> tuple[float, floa
     return std, inf
 
 
-def _norm_inf_index(magnitudes: Sequence[tuple[float, float]]) -> int:
-    """The lowest index of the largest magnitude under the total order; a non-finite
-    magnitude raises ``NonFiniteError`` as ``magnitude()`` does, at the first one."""
-    best_index, best = 0, (-1.0, 0.0)  # below every magnitude
-    for index, key in enumerate(magnitudes):
-        if not (math.isfinite(key[0]) and math.isfinite(key[1])):
-            DualNumber(*key)  # raises
-        if key > best:
-            best_index, best = index, key
-    return best_index
+def _norm_inf_index(stds: list[float], tied_infs: Callable[[Sequence[int]], list[float]]) -> int:
+    """The lowest index of the largest entry magnitude under the total order, from the standard parts
+    ``stds`` of the entries' magnitudes.  The infinitesimal parts only break a tie: when two or more
+    standard parts are the largest, ``tied_infs(tied)`` gives the infinitesimal parts of the entries at
+    ``tied``, the positions of those standard parts in increasing order, and is called only then.  It
+    raises only what ``tied_infs`` raises; ``max`` needs its values free of NaN.
+    """
+    top = max(stds)
+    index = stds.index(top)
+    count = stds.count(top)
+    if count == 1:
+        return index
+    tied = range(count) if count == len(stds) else [i for i in range(index, len(stds)) if stds[i] == top]
+    infs = tied_infs(tied)
+    return tied[infs.index(max(infs))]
+
+
+def _norm_inf(entries: Sequence[DualQuaternion]) -> tuple[int, DualNumber]:
+    """``norm_inf_index`` and ``norm_inf``: the ``hypot`` of every standard part, and ``magnitude_parts``
+    only of the entries whose standard part is the largest.  With none appreciable, the ``hypot`` of
+    every infinitesimal part decides.
+
+    The result is the lowest index of the largest of the entries' ``magnitude_parts`` and that
+    magnitude, bit for bit.  It raises ``NonFiniteError`` with ``magnitude()``'s text exactly when
+    the magnitude of an entry whose standard part is the largest is not finite, at the first such
+    entry: a larger standard part decides the order whatever a losing entry's magnitude is.
+    """
+    stds = [math.hypot(e.std.w, e.std.x, e.std.y, e.std.z) for e in entries]
+
+    def tied_infs(tied: Sequence[int]) -> list[float]:
+        if stds[tied[0]] == 0.0:  # no entry is appreciable, so every entry ties; a hypot is no NaN
+            return [math.hypot(e.inf.w, e.inf.x, e.inf.y, e.inf.z) for e in entries]
+        return [_dual_number(*magnitude_parts(entries[i].std, entries[i].inf)).inf for i in tied]
+
+    index = _norm_inf_index(stds, tied_infs)
+    e = entries[index]
+    return index, _dual_number(*magnitude_parts(e.std, e.inf))
 
 
 def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -544,10 +581,11 @@ def norm_scales(vector: DQVector) -> _Scales:
 
 def norms(vector: DQVector) -> tuple[DualNumber, DualNumber, DualNumber, int]:
     """``vector.norm1()``, ``norm_inf()``, ``norm2()`` and ``norm_inf_index()``, bit for bit, from one
-    list of entry magnitudes; each raises as its method does, in the order norm1, norm_inf, norm2."""
+    list of entry magnitudes; each raises as its method does, in the order norm1, norm2.  ``norm_inf``
+    cannot raise once ``norm1`` has not: ``norm1`` raises on any non-finite magnitude."""
     magnitudes = _magnitudes(vector.entries)
     norm1 = _dual_number(*_norm1_parts(magnitudes))
-    index = _norm_inf_index(magnitudes)
+    index = _norm_inf_index([n for n, _ in magnitudes], lambda tied: [magnitudes[i][1] for i in tied])
     return norm1, _dual_number(*magnitudes[index]), _dual_number(*_norm2_parts(magnitudes)), index
 
 

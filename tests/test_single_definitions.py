@@ -59,6 +59,11 @@ SHARED_RULES = (
 # its scale and k have one copy, and norm_checks only calls the two.
 NORM_CHECK_CALLS = {"agree": {"norm2_closed_form_agrees"}, "le_defect": {"norm_chain_defect"}}
 
+# In vectors.py, the one def that picks the entry of norm_inf: the lowest index
+# of the largest standard part, with the infinitesimal parts read only to break
+# a tie among the largest.  norm_inf, norm_inf_index and norms() reach it.
+NORM_INF_RULE = "_norm_inf_index"
+
 # The one module that names math.frexp or math.ldexp: the scaling rule's.
 # The modules that scale through it map no OverflowError of their own.
 SCALING_RULE = "_common"
@@ -249,16 +254,18 @@ def test_production_modules_keep_off_the_mixed_sum_cross_check():
 
 
 def test_vector_norms_evaluate_the_magnitude_rule_directly():
-    # The norms reduce the floats of _magnitudes, the copy of magnitude_parts
-    # written out over a vector's entries; a DualNumber per entry from
-    # DualQuaternion.magnitude is the work they must not redo, and norm_inf
-    # takes its winning entry's magnitude from the same list.
+    # norm1 and norm2 reduce the floats of _magnitudes, the copy of
+    # magnitude_parts written out over a vector's entries; norm_inf and
+    # norm_inf_index take the standard parts in _norm_inf and a magnitude only
+    # where it can decide.  A DualNumber per entry from
+    # DualQuaternion.magnitude is the work none of them may redo.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector"
     )
     methods = {node.name: node for node in vector_class.body if isinstance(node, ast.FunctionDef)}
-    for name in ("norm1", "norm2", "norm_inf_index", "norm_inf"):
+    kernels = {"norm1": "_magnitudes", "norm2": "_magnitudes", "norm_inf_index": "_norm_inf", "norm_inf": "_norm_inf"}
+    for name, kernel in kernels.items():
         calls = {
             node.func.attr
             for node in ast.walk(methods[name])
@@ -266,7 +273,59 @@ def test_vector_norms_evaluate_the_magnitude_rule_directly():
         }
         assert "magnitude" not in calls, f"DQVector.{name} calls .magnitude()"
         names = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
-        assert "_magnitudes" in names, f"DQVector.{name} does not use _magnitudes"
+        assert kernel in names, f"DQVector.{name} does not use {kernel}"
+
+
+def _picks_a_maximum(function: ast.AST) -> bool:
+    """A ``max`` or ``min`` over one iterable, a list's ``index`` or ``count``, or an ``if`` in a loop
+    that compares a name by order and assigns it: a running maximum."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in ("max", "min") and len(node.args) == 1:
+                return True
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("index", "count"):
+                return True
+        if isinstance(node, (ast.For, ast.While)):
+            for branch in ast.walk(node):
+                if not (
+                    isinstance(branch, ast.If)
+                    and isinstance(branch.test, ast.Compare)
+                    and all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in branch.test.ops)
+                ):
+                    continue
+                compared = {n.id for n in ast.walk(branch.test) if isinstance(n, ast.Name)}
+                assigned = {
+                    n.id
+                    for stmt in branch.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                }
+                if compared & assigned:
+                    return True
+    return False
+
+
+def test_the_norm_inf_tie_rule_has_one_definition():
+    # The order that decides norm_inf's entry, standard parts first and the
+    # infinitesimal parts only among the largest, is NORM_INF_RULE's alone:
+    # the two methods and norms() reach it, and no other def in vectors.py
+    # picks a maximum, so a second copy cannot fork from it.
+    body = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8")).body
+    functions = {".".join(qualname): node for qualname, node in _functions_outside_functions(body)}
+    calls = {
+        name: {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        for name, node in functions.items()
+    }
+
+    def reaches(name, seen):
+        return name == NORM_INF_RULE or any(
+            reaches(callee, seen | {callee}) for callee in calls.get(name, set()) - seen
+        )
+
+    for name in ("DQVector.norm_inf", "DQVector.norm_inf_index", "norms"):
+        assert reaches(name, {name}), f"{name} does not reach {NORM_INF_RULE}"
+    pickers = {name for name, node in functions.items() if _picks_a_maximum(node)}
+    assert pickers == {NORM_INF_RULE}
 
 
 def test_norm2_and_its_scale_share_the_2_norm_kernel():

@@ -277,7 +277,8 @@ wide_bases = st.one_of(
 
 # An infinitesimal entry whose magnitude overflows in a vector with an
 # appreciable one, and a non-finite magnitude on an entry that is not the
-# largest: both raise in the operator forms.
+# largest: norm1 raises on both, and norm_inf on neither, since a larger
+# standard part decides the order whatever the losing entry's magnitude is.
 OVERFLOWING_INFINITESIMAL = DQVector(
     (DualQuaternion(Quaternion(1.0)), DualQuaternion(Quaternion(), Quaternion(1.7e308, 1.7e308)))
 )
@@ -397,13 +398,19 @@ def reference_norm2_closed_form(x):
     return DualNumber(std_norm, dot / norm)
 
 
-def reference_norm_inf(x):
-    return max(e.magnitude() for e in x)
-
-
 def reference_norm_inf_index(x):
-    magnitudes = [e.magnitude() for e in x]
-    return magnitudes.index(max(magnitudes))
+    """The lowest index of the largest entry magnitude under the total order: the standard parts
+    ``e.std.norm()`` decide, and ``.magnitude()`` is taken only of the entries whose standard part
+    is the largest, so a losing entry's magnitude cannot raise."""
+    stds = [e.std.norm() for e in x]
+    top = max(stds)
+    tied = [i for i, n in enumerate(stds) if n == top]
+    magnitudes = [x[i].magnitude() for i in tied]
+    return tied[magnitudes.index(max(magnitudes))]
+
+
+def reference_norm_inf(x):
+    return x[reference_norm_inf_index(x)].magnitude()
 
 
 def reference_defect(x, y, target):
@@ -717,6 +724,48 @@ def test_norm2_mixed_oracle():
     x = DQVector((dq(std=Quaternion(1), inf=Quaternion(1)), dq(inf=I)))
     assert x.norm2() == DualNumber(1, 1)
     assert x.norm2_closed_form() == DualNumber(1, 1)
+
+
+def test_norm_inf_is_decided_where_a_losing_entrys_magnitude_overflows():
+    assert OVERFLOWING_RUNNER_UP.norm_inf() == DualNumber(1.7e308)
+    assert OVERFLOWING_RUNNER_UP.norm_inf_index() == 0
+    for compute in (OVERFLOWING_RUNNER_UP.norm1, lambda: norms(OVERFLOWING_RUNNER_UP)):
+        with pytest.raises(NonFiniteError, match=r"^standard part must be finite, got inf$"):
+            compute()
+    assert OVERFLOWING_INFINITESIMAL.norm_inf() == DualNumber(1.0)
+    with pytest.raises(NonFiniteError):
+        OVERFLOWING_INFINITESIMAL.norm1()
+
+
+def test_norm_inf_reads_infinitesimal_parts_only_where_they_can_break_a_tie():
+    # The infinitesimal parts decide only among the entries whose standard
+    # part is the largest.  The tests above see results, not the work behind
+    # them, so they cannot see a lost skip: a pass that forms every entry's
+    # magnitude gives the same results wherever those magnitudes are finite.
+    read = set()
+
+    class Counting(DualQuaternion):
+        __slots__ = ()
+
+        @property
+        def inf(self):
+            read.add(id(self))
+            return DualQuaternion.inf.__get__(self)
+
+    def vector(stds):
+        return DQVector(Counting(Quaternion(*s), Quaternion(k, -2.0, 1.0)) for k, s in enumerate(stds))
+
+    # The three-way tie at 5 goes to the last entry, whose infinitesimal part is the largest.
+    distinct = vector([(3.0,), (0.0, -5.0), (4.0, 1.0), (), (1.0,)])
+    three_way = vector([(5.0,), (1.0,), (0.0, 0.0, -5.0), (3.0, 3.9), (0.0, 3.0), (5.0,)])
+    none_appreciable = vector([()] * 6)
+    for x, k, index in ((distinct, 1, 1), (three_way, 3, 5), (none_appreciable, 6, 5)):
+        for method in (x.norm_inf, x.norm_inf_index):
+            read.clear()
+            method()
+            assert len(read) == k, method.__name__
+        assert x.norm_inf_index() == index
+        assert x.norm_inf() == x[index].magnitude()
 
 
 def test_norm_inf_tie_takes_lowest_index():
