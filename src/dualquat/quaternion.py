@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._common import Value, all_finite, close, finite, real_operand, scale_exponent, times_power_of_two
+from ._common import MIN_NORMAL, Value, all_finite, close, finite, real_operand, scale_exponent, times_power_of_two
 from .errors import ConsistencyError, NotInvertibleError
 
 __all__ = ["Quaternion", "mixed_sum", "product"]
@@ -107,7 +107,7 @@ class Quaternion(Value):
         if self.is_zero:
             raise NotInvertibleError("the zero quaternion has no inverse")
         n2 = self.norm_squared()
-        if 2.2250738585072014e-308 <= n2 <= 1.7976931348623157e308:  # a normal double
+        if MIN_NORMAL <= n2 < math.inf:  # a normal double; a sum of squares is never NaN
             return _quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
         k = -scale_exponent(self.components())
         w, x, y, z = [times_power_of_two(c, k, "inverse", self) for c in self.components()]

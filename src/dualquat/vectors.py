@@ -90,8 +90,10 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 # terms in the order above; in the same pass it takes each entry's magnitude
 # from the dot product d that x . x has formed, so unit_check reads every entry
 # once for both of its residuals.  _gram_parts evaluates all the products
-# x_i . x_j of a list of vectors: each x_i . x_i from _self_parts and every
-# other one from _inner_parts.
+# x_i . x_j of a list of vectors: each x_i . x_i from _self_parts, whose
+# magnitudes give each row's support, and every other one from _inner_parts.
+# _identity_defect is the one finiteness test of these parts: it raises as
+# inner() does before it measures a deviation.
 # The kernels assign at most two names per statement: CPython builds and
 # unpacks a tuple to assign more at once, which costs about a tenth of a kernel.
 # They skip what a zero standard part cannot change: for a = p + f e and
@@ -152,9 +154,8 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
     return sw, sx, sy, sz, iw, ix, iy, iz
 
 
-def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float, float]], list[int]]:
-    """The components of ``_inner_parts(row, row)``, unchecked; the entries' ``magnitude_parts``; and the
-    positions of the entries that are zero as a whole.
+def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float, float]]]:
+    """The components of ``_inner_parts(row, row)``, unchecked, and the entries' ``magnitude_parts``.
 
     The components are bit-identical to ``_inner_parts``: for each entry
     ``p + f e`` the sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat
@@ -174,12 +175,12 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
     has its products, ``x * y == y * x`` exactly, and its order of additions,
     so an appreciable entry's magnitude is ``hypot(p) + (d / hypot(p)) e``.  A
     zero standard part gives ``hypot(f) e``, and a zero entry ``(0.0, 0.0)``
-    with no ``hypot`` at all.
+    with no ``hypot`` at all.  An entry is zero as a whole exactly when its
+    magnitude is ``(0.0, 0.0)``: a ``hypot`` of a nonzero part is never 0.
     """
     sw = sy = sz = iw = ix = iy = iz = 0.0
     magnitudes: list[tuple[float, float]] = []
-    zeros: list[int] = []
-    for k, a in enumerate(row):
+    for a in row:
         p, f = a.std, a.inf
         aw, ax = p.w, p.x
         ay, az = p.y, p.z
@@ -190,7 +191,6 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
                 magnitudes.append((0.0, math.hypot(fw, fx, fy, fz)))
             else:
                 magnitudes.append((0.0, 0.0))
-                zeros.append(k)
             continue
         sw += aw * aw + ax * ax + ay * ay + az * az
         u, v = aw * ay, ax * az
@@ -210,24 +210,25 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
         t1, t2 = fw * az, fx * ay
         t3, t4 = fy * ax, fz * aw
         iz += (t1 - t2 + t3 - t4) + (t4 - t3 + t2 - t1)
-    return (sw, 0.0, sy, sz, iw, ix, iy, iz), magnitudes, zeros
+    return (sw, 0.0, sy, sz, iw, ix, iy, iz), magnitudes
 
 
 def _gram_parts(rows: Sequence[Sequence[DualQuaternion]]) -> list[list[_Parts]]:
     """The components of ``_inner_parts(rows[i], rows[j])`` for every ``i, j``, unchecked.
 
     Every result is bit-identical to ``_inner_parts``.  For ``i == j`` it is
-    ``_self_parts`` of the row, whose magnitudes go unused.  For ``i != j`` it
-    is ``_inner_parts`` of the two rows' entries at the positions where both
-    are nonzero, in increasing order: only the entries that are zero as a
-    whole leave the supports that decide which positions ``i != j`` share.
+    ``_self_parts`` of the row.  For ``i != j`` it is ``_inner_parts`` of the
+    two rows' entries at the positions where both are nonzero, in increasing
+    order.  A row's support is the positions whose magnitude from
+    ``_self_parts`` is not ``(0.0, 0.0)``: only the entries that are zero as a
+    whole leave it.
     """
     n = len(rows)
     gram = [[None] * n for _ in range(n)]
     supports = []
     for i, row in enumerate(rows):
-        gram[i][i], _, zeros = _self_parts(row)
-        supports.append(set(range(n)).difference(zeros))
+        gram[i][i], magnitudes = _self_parts(row)
+        supports.append({k for k, m in enumerate(magnitudes) if m != (0.0, 0.0)})
     for i in range(n - 1):
         left, mine = rows[i], supports[i]
         for j, right in enumerate(rows[i + 1:], i + 1):
@@ -250,12 +251,21 @@ def _inner_result(parts: _Parts) -> DualQuaternion:
 def _identity_defect(parts: _Parts, target: float) -> float:
     """Largest componentwise deviation of an inner product from the real ``target``.
 
-    Rounds as ``max`` over the components of ``inner - target`` does.
+    Rounds as ``max`` over the components of ``inner - target`` does.  A part
+    that is not finite raises ``NonFiniteError`` as ``inner()`` does.
     """
+    if not all(map(math.isfinite, parts)):
+        _inner_result(parts)  # raises
     sw, sx, sy, sz, iw, ix, iy, iz = parts
     return max(
         abs(sw - target), abs(sx), abs(sy), abs(sz), abs(iw), abs(ix), abs(iy), abs(iz)
     )
+
+
+def _same_length(x: DQVector, y: DQVector, operation: str) -> None:
+    """The length rule of an operation on two vectors: ``LengthMismatchError`` naming ``operation``."""
+    if len(x.entries) != len(y.entries):
+        raise LengthMismatchError(f"{operation} of lengths {len(x.entries)} and {len(y.entries)}")
 
 
 class DQVector(Value):
@@ -297,19 +307,13 @@ class DQVector(Value):
     def __add__(self, other: DQVector) -> DQVector:
         if not isinstance(other, DQVector):
             return NotImplemented
-        if len(self) != len(other):
-            raise LengthMismatchError(
-                f"cannot add vectors of lengths {len(self)} and {len(other)}"
-            )
+        _same_length(self, other, "cannot add vectors")
         return DQVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: DQVector) -> DQVector:
         if not isinstance(other, DQVector):
             return NotImplemented
-        if len(self) != len(other):
-            raise LengthMismatchError(
-                f"cannot subtract vectors of lengths {len(self)} and {len(other)}"
-            )
+        _same_length(self, other, "cannot subtract vectors")
         return DQVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> DQVector:
@@ -328,10 +332,7 @@ class DQVector(Value):
         """Inner product with conjugation on the left argument."""
         if not isinstance(other, DQVector):
             raise TypeError("inner product needs another DQVector")
-        if len(self) != len(other):
-            raise LengthMismatchError(
-                f"inner product of lengths {len(self)} and {len(other)}"
-            )
+        _same_length(self, other, "inner product")
         return _inner_result(_inner_parts(self.entries, other.entries))
 
     # -- norms ----------------------------------------------------------
@@ -397,10 +398,8 @@ class DQVector(Value):
         bit for bit those of ``inner`` and ``norm2``.
         """
         check_tolerance(tol)
-        gram, magnitudes, _ = _self_parts(self.entries)
-        if not all(map(math.isfinite, gram)):
-            _inner_result(gram)  # raises NonFiniteError as inner() does
-        gram_residual = _identity_defect(gram, 1.0)
+        gram, magnitudes = _self_parts(self.entries)
+        gram_residual = _identity_defect(gram, 1.0)  # raises as inner() does
         n2 = _dual_number(*_norm2_parts(magnitudes))  # norm2(), and raises as it does
         norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
         return VectorUnitCheck(
@@ -464,15 +463,12 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
     gram = _gram_parts([v.entries for v in vectors])
     rows: list[tuple[float, ...]] = []
     passed = True
-    for i in range(n):
+    for i, products in enumerate(gram):
         row: list[float] = []
-        for j in range(n):
-            parts = gram[i][j]
+        for j, parts in enumerate(products):
             if parts is _DISJOINT:  # i != j, and every part is 0.0
                 row.append(0.0)
                 continue
-            if not all(map(math.isfinite, parts)):
-                _inner_result(parts)  # raises NonFiniteError as inner() does
             residual = _identity_defect(parts, 1.0 if i == j else 0.0)
             row.append(residual)
             if residual > tol:

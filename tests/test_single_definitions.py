@@ -59,6 +59,15 @@ SHARED_RULES = (
 # its scale and k have one copy, and norm_checks only calls the two.
 NORM_CHECK_CALLS = {"agree": {"norm2_closed_form_agrees"}, "le_defect": {"norm_chain_defect"}}
 
+# In vectors.py, the one def that tests inner-product parts for finiteness,
+# raising as inner() does, and the defs that raise LengthMismatchError: the one
+# length rule of an operation on two vectors, which +, - and inner call, and
+# basis_check's shape check.
+FINITENESS_RULE = "_identity_defect"
+LENGTH_RULE = "_same_length"
+LENGTH_RULE_CALLERS = {"DQVector.__add__", "DQVector.__sub__", "DQVector.inner"}
+LENGTH_RAISERS = {LENGTH_RULE, "basis_check"}
+
 # In vectors.py, the one def that picks the entry of norm_inf: the lowest index
 # of the largest standard part, with the infinitesimal parts read only to break
 # a tie among the largest.  norm_inf, norm_inf_index and norms() reach it.
@@ -96,9 +105,9 @@ PRODUCT_WRITTEN_OUT = {
 
 # The one module that may write a float literal below 1e-6: the rounding-error
 # rule's.  Elsewhere such a literal, compared against or passed as a bound, is
-# a second tolerance; the one exception is Quaternion.inverse's normal range.
+# a second tolerance.
 RULE_MODULE = "_common"
-TINY_LITERALS_ALLOWED = {("quaternion.Quaternion.inverse", 2.2250738585072014e-308)}
+TINY_LITERALS_ALLOWED = set()
 
 # Modules on the production paths, which must not run the cross-checked
 # reference form ``mixed_sum``.
@@ -165,6 +174,29 @@ def test_each_norm_check_is_the_one_vectors_def_that_calls_its_rule():
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in callers:
                 callers[n.func.id].add(".".join(qualname))
     assert callers == NORM_CHECK_CALLS
+
+
+def test_vectors_states_its_finiteness_and_length_rules_once():
+    body = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8")).body
+    isfinite_uses = sum(
+        isinstance(n, (ast.Name, ast.Attribute, ast.alias)) and "isfinite" in _names(n)
+        for node in body
+        for n in ast.walk(node)
+    )
+    finiteness, raisers, callers = set(), set(), set()
+    for qualname, node in _functions_outside_functions(body):
+        name = ".".join(qualname)
+        uses = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)) and "isfinite" in _names(n)]
+        if uses:
+            finiteness.add(name)
+            isfinite_uses -= len(uses)
+        if any(isinstance(n, ast.Raise) and n.exc and "LengthMismatchError" in _names(n.exc) for n in ast.walk(node)):
+            raisers.add(name)
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == LENGTH_RULE for n in ast.walk(node)):
+            callers.add(name)
+    assert (finiteness, isfinite_uses) == ({FINITENESS_RULE}, 0)
+    assert raisers == LENGTH_RAISERS
+    assert callers == LENGTH_RULE_CALLERS
 
 
 def _is_all_finite_test(node: ast.AST) -> bool:

@@ -350,6 +350,14 @@ LAST_ENTRY_ONLY = [
     )),
 ]
 
+# A 2x2 basis whose one shared position pairs the infinitesimal entry
+# dq{ std: 0, inf: 1 } with the appreciable 1: x_0 . x_1 is 1e, so a support
+# taken from the standard parts alone would drop the position and give 0.
+INFINITESIMAL_IN_SUPPORT = [
+    DQVector((DualQuaternion(Quaternion(), Quaternion(1.0)), DualQuaternion(Quaternion(1.0)))),
+    DQVector((DualQuaternion(Quaternion(1.0)), DualQuaternion())),
+]
+
 
 def outcome(compute, *args):
     """The ``repr`` of the result, or the class of the DualQuatError raised."""
@@ -483,6 +491,7 @@ def test_norms_and_unit_check_round_exactly_as_the_operators(x):
 @example(HUGE_CANONICAL)
 @example(ZERO_VECTOR)
 @example(LAST_ENTRY_ONLY)
+@example(INFINITESIMAL_IN_SUPPORT)
 def test_basis_check_rounds_exactly_as_the_operators(vectors):
     assert outcome(basis_check, vectors) == outcome(reference_basis_check, vectors)
 
@@ -513,6 +522,7 @@ def first_error(*computations):
 @example(HUGE_CANONICAL)
 @example(ZERO_VECTOR)
 @example(LAST_ENTRY_ONLY)
+@example(INFINITESIMAL_IN_SUPPORT)
 def test_gram_kernel_gives_every_inner_product_exactly(vectors):
     # All eight components of every x_i . x_j, where the residuals of the
     # checks show only the largest.
@@ -536,7 +546,7 @@ def test_self_form_magnitudes_are_magnitude_parts(x):
     # hide an entry's infinitesimal part that differs, so each entry's two
     # floats are compared, by repr.
     expected = repr([magnitude_parts(e.std, e.inf) for e in x])
-    _, magnitudes, _ = _self_parts(x.entries)
+    _, magnitudes = _self_parts(x.entries)
     assert repr(magnitudes) == expected
     assert repr(_magnitudes(x.entries)) == expected
 
