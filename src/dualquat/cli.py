@@ -8,15 +8,25 @@ errors.
 
 Each command states its report once, as an ordered list of
 ``(label, key, value)`` fields, and :class:`Report` alone formats them.
+
+Arguments are read by :func:`_read_args` from the ``_COMMANDS`` table,
+without argparse, whenever argv has the plain form that argparse reads in
+one way only: the command, then that command's flags spelled in full, each
+at most once and followed by a separate value that does not start with
+``-``, and the one source of a document command.  Any other argv, help,
+``--opt=value``, abbreviations and every usage error included, goes to the
+argparse parser, which stays the one producer of help, usage and error
+text.  A ``dualq`` process reads one document, and importing argparse and
+building its parser cost it more than the paper's arithmetic does, so a
+well-formed call loads neither argparse nor, in text format, json.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from ._common import UNIT_TOL, check_tolerance
 from .documents import BASIS, SCALAR, VECTOR, InputDocument, parse_document, render_document
@@ -26,15 +36,24 @@ from .dualquaternion import magnitude_routes_agree
 from .vectors import basis_check, norm_checks, norms
 
 
+def _bad_value() -> type[Exception]:
+    """``argparse.ArgumentTypeError``, the converters' error for a bad value, with argparse
+    loaded only once a value is bad: ``_read_args`` names it in an ``except`` clause, which is
+    evaluated only after a converter has raised."""
+    import argparse
+
+    return argparse.ArgumentTypeError
+
+
 def _tol_arg(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
+        raise _bad_value()(f"invalid tolerance {text!r}")
     try:
         check_tolerance(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+        raise _bad_value()(f"tolerance must be finite and nonnegative, got {text!r}")
     return value
 
 
@@ -42,9 +61,9 @@ def _seed_arg(text: str) -> int:
     try:
         value = int(text, 10)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+        raise _bad_value()(f"invalid seed {text!r}")
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+        raise _bad_value()("seed must fit in 64 bits")
     return value
 
 
@@ -52,9 +71,9 @@ def _cases_arg(text: str) -> int:
     try:
         value = int(text, 10)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid case count {text!r}")
+        raise _bad_value()(f"invalid case count {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError("cases must be at least 1")
+        raise _bad_value()("cases must be at least 1")
     return value
 
 
@@ -113,6 +132,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, so that a text report does not load it
+
         payload = {
             "command": self.command,
             "inputs": self.inputs,
@@ -125,7 +146,7 @@ class Report:
 # Each document command maps a document and the parsed arguments to its pass
 # flag and its fields; ``main`` adds the echoed input in front.
 
-def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+def _magnitude(doc: InputDocument, args: SimpleNamespace) -> tuple[bool, list[tuple]]:
     """The magnitude by both routes, judged by ``magnitude_routes_agree``."""
     q = doc.payload
     magnitude = q.magnitude()
@@ -144,7 +165,7 @@ def _magnitude(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list
     ]
 
 
-def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+def _norms(doc: InputDocument, args: SimpleNamespace) -> tuple[bool, list[tuple]]:
     """The norms, judged by ``norm_checks``: the norm chain and the closed-form 2-norm."""
     vector = doc.payload
     norm1, norm_inf, norm2, norm_inf_index = norms(vector)
@@ -167,7 +188,7 @@ def _norms(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tup
     ]
 
 
-def _check_unit(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+def _check_unit(doc: InputDocument, args: SimpleNamespace) -> tuple[bool, list[tuple]]:
     verdict = doc.payload.unit_check(args.tol)
     if doc.kind == SCALAR:
         residuals = [
@@ -182,7 +203,7 @@ def _check_unit(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, lis
     return verdict.passed, [("kind", None, doc.kind), *residuals, ("tolerance", "tolerance", args.tol)]
 
 
-def _check_orthonormal(doc: InputDocument, args: argparse.Namespace) -> tuple[bool, list[tuple]]:
+def _check_orthonormal(doc: InputDocument, args: SimpleNamespace) -> tuple[bool, list[tuple]]:
     verdict = basis_check(doc.payload, args.tol)
     return verdict.passed, [
         ("size", "size", len(verdict.residuals)),
@@ -192,7 +213,7 @@ def _check_orthonormal(doc: InputDocument, args: argparse.Namespace) -> tuple[bo
     ]
 
 
-def _selfcheck(args: argparse.Namespace) -> tuple[dict, bool, list[tuple]]:
+def _selfcheck(args: SimpleNamespace) -> tuple[dict, bool, list[tuple]]:
     # Imported here so that the other commands do not pay for loading it.
     from . import selfcheck
 
@@ -219,8 +240,10 @@ def _selfcheck(args: argparse.Namespace) -> tuple[dict, bool, list[tuple]]:
 
 
 _TOL = ("--tol", _tol_arg, UNIT_TOL, "residual tolerance")
+_FORMATS = ("text", "json")  # the --format choices; the first is the default
 
 # Command -> (help, options before --format, document kinds it reads, fields).
+# An option is (flag, converter, default, help).
 # A command that reads no document takes no source and builds its own inputs.
 _COMMANDS = {
     "magnitude": ("magnitude of a dual quaternion, with the sqrt cross-check", (), (SCALAR,), _magnitude),
@@ -236,10 +259,59 @@ _COMMANDS = {
 }
 
 
-# Built once per process: ``parse_args`` fills a fresh namespace on every
-# call, and help and usage text read the terminal width when formatted.
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, for argv in the plain form
+    argparse reads in one way only, or None for any other argv.
+
+    The plain form is the command name, then in any order each of its flags
+    at most once, spelled in full and followed by a separate value that does
+    not start with ``-`` and that the flag's converter accepts (for
+    ``--format``, one of the choices), and for a document command exactly one
+    source, ``-`` or a word that does not start with ``-``.  Each value is
+    stored under its flag without the leading ``--``, as argparse names it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, kinds, _ = _COMMANDS[argv[0]]
+    converters = {flag: convert for flag, convert, _, _ in options}
+    converters["--format"] = None
+    values = {"command": argv[0], "format": _FORMATS[0]}
+    values.update((flag[2:], default) for flag, _, default, _ in options)
+    sources = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in converters:
+            convert = converters.pop(token)  # a repeated flag is then an unknown one
+            value = next(tokens, "-")  # a missing value reads as one that starts with -
+            if value.startswith("-"):
+                return None
+            if convert is None:
+                if value not in _FORMATS:
+                    return None
+            else:
+                try:
+                    value = convert(value)
+                except _bad_value():  # argparse reports it
+                    return None
+            values[token[2:]] = value
+        elif token == "-" or not token.startswith("-"):
+            sources.append(token)
+        else:
+            return None
+    if len(sources) != (1 if kinds else 0):
+        return None
+    if kinds:
+        values["source"] = sources[0]
+    return SimpleNamespace(**values)
+
+
+# Built once per process, and only for an argv that _read_args does not read:
+# ``parse_args`` fills a fresh namespace on every call, and help and usage text
+# read the terminal width when formatted.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dualq",
         description="Dual quaternion magnitude, norm, and unit checks with a built-in property selfcheck.",
@@ -249,14 +321,18 @@ def _build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         for flag, kind, default, option_help in options:
             command.add_argument(flag, type=kind, default=default, help=option_help)
-        command.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+        command.add_argument("--format", choices=_FORMATS, default=_FORMATS[0], help="report format")
         if kinds:
             command.add_argument("source", help="input document path, or - for standard input")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv)
+    if args is None:  # argparse reads it, or exits 2 with its usage and error text
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     _, _, kinds, fields = _COMMANDS[args.command]
     try:
         if not kinds:

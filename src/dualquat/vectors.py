@@ -550,6 +550,8 @@ def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, floa
     """``N = hypot(n_1, ..., n_k)`` and ``sum((n_i / N) * m_i)`` in entry order, for entry magnitudes
     ``n_i + m_i e``, unchecked; ``(0.0, hypot(m_1, ..., m_k))`` when ``N == 0``.  It forms no square.  A
     subnormal ``N`` or weight ``n_i / N`` would keep few bits, so it is formed from the ``n_i`` times 2**1022.
+    A term with ``n_i == 0`` is 0 exactly whatever ``m_i`` is, even an overflowed one, so it is skipped: as
+    ``+0.0`` or ``-0.0`` added to a sum that started at ``+0.0`` it never changed the result.
     Against this kernel over ``magnitude_scale``, with ``magnitude_parts`` within γ_2 and γ_7: γ_4 (a hypot
     of γ_2 values) and γ_(k+14) (a weight within γ_7, times ``m_i`` γ_15, then k − 1 additions).
     """
@@ -561,7 +563,12 @@ def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, floa
         return norm * MIN_NORMAL, inf
     inf, floor = 0.0, norm * MIN_NORMAL  # n_i / N >= MIN_NORMAL where n_i >= floor
     for n, m in magnitudes:
-        inf += n / norm * m if n >= floor else n / MIN_NORMAL / norm * m * MIN_NORMAL
+        if not n:
+            continue
+        if n >= floor:
+            inf += n / norm * m
+        else:
+            inf += n / MIN_NORMAL / norm * m * MIN_NORMAL
     return norm, inf
 
 

@@ -306,6 +306,73 @@ def test_one_parser_serves_every_call_with_fresh_parser_output(tmp_path, monkeyp
     assert fresh[2][2] != fresh[5][2]
 
 
+# Commands (and words that are not), flags in full, abbreviated and with =,
+# values that convert and values that do not (some start with -, which
+# argparse still reads as a value), and sources.
+_COMMAND_WORDS = st.sampled_from(
+    ("magnitude", "norms", "check-unit", "check-orthonormal", "selfcheck", "norm", "check")
+)
+_FLAG_VALUES = {  # flag -> (values it takes, values it does not)
+    "--tol": (("0.5", "0", "1e-3", "+5"), ("-0.0", "-0e0", "-1", "nan", "inf", "1e999")),
+    "--seed": (("7", "007", "0", str(2**64 - 1)), (str(2**64), "-3", "x")),
+    "--cases": (("1", "25"), ("0", "-1", "2.5")),
+    "--format": (("text", "json"), ("yaml", "-", "")),
+}
+_FLAG_WORDS = st.sampled_from((*_FLAG_VALUES, "--to", "--form", "--tol=0.5", "--format=json", "-h", "--help"))
+_VALUE_WORDS = st.sampled_from(sorted({value for pools in _FLAG_VALUES.values() for pool in pools for value in pool}))
+_SOURCE_WORDS = st.sampled_from(("-", "a.dq", "-a.dq", "--", ""))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, then in any order flags (mostly its own), each with a value of its kind, and
+    mostly one source."""
+    from dualquat.cli import _COMMANDS
+
+    command = draw(_COMMAND_WORDS)
+    own = [flag for flag, *_ in _COMMANDS[command][1]] + ["--format"] if command in _COMMANDS else ["--format"]
+    flags = draw(st.one_of(
+        st.lists(st.sampled_from(own), unique=True), st.lists(st.sampled_from(list(_FLAG_VALUES)), max_size=3)
+    ))
+    groups = [(flag, draw(st.one_of(*map(st.sampled_from, _FLAG_VALUES[flag])))) for flag in flags]
+    groups += [(source,) for source in draw(st.one_of(st.just(["a.dq"]), st.lists(_SOURCE_WORDS, max_size=2)))]
+    return [command, *(word for group in draw(st.permutations(groups)) for word in group)]
+
+
+# Any words in any order, and command lines, some of which the plain reader reads.
+_ARGVS = st.one_of(
+    st.lists(st.one_of(_COMMAND_WORDS, _FLAG_WORDS, _VALUE_WORDS, _SOURCE_WORDS), max_size=7), _command_lines()
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ARGVS)
+@example(["check-unit", "--tol", "-0.0", "a.dq"])
+@example(["norms", "--format=json", "a.dq"])
+@example(["norms", "--form", "json", "a.dq"])
+@example(["check-unit", "--tol", "0.5", "--tol", "0.5", "a.dq"])
+@example(["norms", "-h"])
+@example([])
+@example(["norms", "a.dq", "b.dq"])
+@example(["selfcheck", "--cases", "7", "--format", "json", "--seed", "007"])
+@example(["check-orthonormal", "-", "--tol", "+5"])
+def test_the_plain_reader_returns_what_argparse_returns(argv):
+    from dualquat.cli import _build_parser, _read_args
+
+    read = _read_args(argv)
+    if read is not None:
+        parsed = _build_parser().parse_args(argv)
+        # repr keeps 0.0 apart from -0.0 and an int apart from a float
+        assert repr(sorted(vars(read).items())) == repr(sorted(vars(parsed).items()))
+
+
+@pytest.mark.parametrize("argv", [job[1] for job in GOLDEN_JOBS] + [["check-unit", "--tol", "0.5", "-"]])
+def test_the_plain_reader_reads_every_golden_call(argv):
+    from dualquat.cli import _read_args
+
+    assert _read_args(argv) is not None
+
+
 def test_overflowing_norm_exits_2(tmp_path):
     # norm1 is 2e308, beyond the largest double.
     doc = tmp_path / "huge.dq"
@@ -321,6 +388,15 @@ def test_a_norm_whose_square_overflows_exits_0():
     code, out, err = run(["norms", "-"], stdin_text="vec[ dq{ std: 1e200, inf: 0 } ]")
     assert (code, err) == (0, "")
     assert "\nnorm2: 1e+200+0.0e\n" in out
+
+
+def test_a_unit_vector_whose_infinitesimal_entry_overflows_passes_check_unit():
+    # The second entry's magnitude overflows to inf e, but its weight in the
+    # 2-norm is 0, so x . x and the 2-norm are both 1 + 0e exactly.
+    document = "vec[ dq{ std: 1, inf: 0 }, dq{ std: 0, inf: 1.7e308 + 1.7e308i + 0j + 0k } ]"
+    code, out, err = run(["check-unit", "-"], stdin_text=document)
+    assert (code, err) == (0, "")
+    assert "\ngram residual: 0.0\nnorm residual: 0.0\n" in out
 
 
 # ROADMAP item 1's norm2 documents: a square of the standard part that

@@ -127,21 +127,15 @@ def test_the_closed_form_check_rejects_a_wrong_infinitesimal_part_of_huge_parts(
 
 
 # OVERFLOWING_INFINITESIMAL of tests/test_vectors.py: entries 1 and (1.7e308 + 1.7e308i)e.  x . x is
-# 1 + 0e exactly, and so is the 2-norm, but the second entry's magnitude overflows to inf e and
-# _norm2_parts weighs it by 0 / 1, which gives NaN: dualq check-unit exits 2 on a unit vector.
+# 1 + 0e exactly, and so is the 2-norm, although the second entry's magnitude overflows to inf e:
+# _norm2_parts weighed it by 0 / 1, which gave NaN, and dualq check-unit exited 2 on a unit vector.
 _OVERFLOWING_INFINITESIMAL = DQVector((_dq(1.0, 0.0), DualQuaternion(Quaternion(), Quaternion(1.7e308, 1.7e308))))
 
 
-@pytest.mark.xfail(strict=True, raises=NonFiniteError,
-                   reason="ROADMAP item 1, norm2 of entries 1 and (1.7e308 + 1.7e308i)e: a zero weight times "
-                          "the overflowed magnitude inf is NaN")
 def test_norm2_of_a_unit_vector_with_an_overflowing_infinitesimal_entry():
     assert _OVERFLOWING_INFINITESIMAL.norm2() == DualNumber(1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=NonFiniteError,
-                   reason="ROADMAP item 1, unit_check of entries 1 and (1.7e308 + 1.7e308i)e: its 2-norm "
-                          "weighs the overflowed magnitude inf by 0, which is NaN")
 def test_unit_check_passes_a_unit_vector_with_an_overflowing_infinitesimal_entry():
     check = _OVERFLOWING_INFINITESIMAL.unit_check()
     assert (check.passed, check.gram_residual, check.norm_residual) == (True, 0.0, 0.0)

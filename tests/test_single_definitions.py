@@ -464,6 +464,35 @@ def test_cold_start_imports_no_record_or_typing_machinery():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_cold_start_of_a_plain_call_loads_no_argparse_and_json_only_for_json():
+    # A plain argv is read without argparse (and gettext, which it loads),
+    # and a text report needs no json; a usage error still gets argparse's
+    # usage line.  ``-S`` keeps site, and whatever a .pth file imports, out.
+    script = (
+        "import io, sys\n"
+        "from dualquat.cli import main\n"
+        "doc = sys.argv[1]\n"
+        "for argv in (['norms', doc], ['norms', '--format', 'json', doc], ['check-unit', '--tol', '-1', doc]):\n"
+        "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+        "    try:\n"
+        "        code = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    err, sys.stdout, sys.stderr = sys.stderr.getvalue(), sys.__stdout__, sys.__stderr__\n"
+        "    print(code, sorted({'argparse', 'gettext', 'json'} & set(sys.modules)), err[:23])\n"
+    )
+    doc = str(Path(__file__).parent / "data" / "vector_pair.dq")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, doc], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        "0 [] ",
+        "0 ['json'] ",
+        "2 ['argparse', 'gettext', 'json'] usage: dualq check-unit",
+    ]
+
+
 def test_cold_start_leaves_the_literal_patterns_uncompiled():
     # The lexer's one pattern takes about 2 ms to compile, which only a parse
     # should pay: not ``import dualquat.cli``, and so not ``dualq selfcheck``.

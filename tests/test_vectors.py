@@ -374,20 +374,24 @@ def reference_norm1(x):
 def reference_norm2(x):
     """``N``, the ``hypot`` of the entry magnitudes' standard parts ``n_i``, and their infinitesimal
     parts ``m_i`` weighted by ``n_i / N`` and added in entry order; with ``N == 0``, the ``hypot`` of the
-    ``m_i``.  A subnormal ``N`` comes from the ``n_i`` times 2**1022, scaled back; so does a weight."""
-    magnitudes = [e.magnitude() for e in x]
-    norm = math.hypot(*[m.std for m in magnitudes])
+    ``m_i``.  A subnormal ``N`` comes from the ``n_i`` times 2**1022, scaled back; so does a weight.
+    An entry with ``n_i == 0`` adds nothing, even where its ``m_i`` overflowed, so the parts come
+    unchecked from ``magnitude_parts`` and only the result is checked."""
+    magnitudes = [magnitude_parts(e.std, e.inf) for e in x]
+    norm = math.hypot(*[n for n, _ in magnitudes])
     if norm == 0.0:
-        return DualNumber(0.0, math.hypot(*[m.inf for m in magnitudes]))
+        return DualNumber(0.0, math.hypot(*[m for _, m in magnitudes]))
     up = 1.0 if norm >= 2.0**-1022 else 2.0**1022
-    norm = math.hypot(*[m.std * up for m in magnitudes])
+    norm = math.hypot(*[n * up for n, _ in magnitudes])
 
-    def weighted(m):
-        if m.std * up >= norm * 2.0**-1022:
-            return m.std * up / norm * m.inf
-        return m.std * up * 2.0**1022 / norm * m.inf * 2.0**-1022
+    def weighted(n, m):
+        if n == 0.0:
+            return 0.0
+        if n * up >= norm * 2.0**-1022:
+            return n * up / norm * m
+        return n * up * 2.0**1022 / norm * m * 2.0**-1022
 
-    return DualNumber(norm / up, functools.reduce(lambda total, m: total + weighted(m), magnitudes, 0.0))
+    return DualNumber(norm / up, functools.reduce(lambda total, nm: total + weighted(*nm), magnitudes, 0.0))
 
 
 def reference_norm2_closed_form(x):
