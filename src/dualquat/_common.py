@@ -11,12 +11,14 @@ one rule that two routes to a value agree: ``close`` part by part.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import NonFiniteError
 
 u = 2.0**-53  # unit roundoff of IEEE double precision
 MIN_NORMAL = 2.0**-1022  # the smallest normal double: a quotient below it keeps fewer bits
+LARGEST = math.nextafter(math.inf, 0.0)  # the largest double: abs(v) <= LARGEST exactly when v is finite
+DOT_FLOOR = 2.0**-960  # a dot product this large hides its underflowed products in γ_k: see dual_hypot
 UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality checks: not a rounding bound
 
 
@@ -133,6 +135,49 @@ def times_power_of_two(value: float, k: int, what: str, subject: object) -> floa
         return math.ldexp(value, k)
     except OverflowError:
         raise NonFiniteError(f"the {what} of {subject} overflows") from None
+
+
+def dual_hypot(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """The hypot of the dual numbers ``a_i + b_i e`` of ``pairs``, unchecked: ``N = hypot(a_1, ..., a_k)``
+    and ``sum((a_i / N) * b_i)`` in order, or ``(0.0, hypot(b_1, ..., b_k))`` when ``N == 0``.
+
+    The one kernel of the magnitude rule ``|a| + (a·b / |a|) e``: over the component pairs of a
+    dual quaternion it is the magnitude, over their absolute values its scale, over a vector's
+    entry magnitudes the 2-norm and over its flattened real embeddings the closed form.  It forms no
+    square and no product ``a_i·b_i`` (Blue, ACM TOMS 4(1), 1978), so it overflows only where the
+    result does.  A subnormal ``N`` or weight ``a_i / N`` would keep few bits, so it is formed from the
+    ``a_i`` times 2**1022.  A term with ``a_i == 0`` is 0 exactly whatever ``b_i`` is, so it is skipped:
+    as ``+0.0`` or ``-0.0`` added to a sum that started at ``+0.0`` it never changed the result.
+    Against the kernel over the absolute pairs, the parts are within γ_2 (a hypot) and γ_(k+3)
+    (a weight within γ_3, times ``b_i``, then k − 1 additions), with the underflows in the
+    ``(k + 3)·5e-324`` of ``close``: a term is off by 2**-1075 at most, and only a weight below 2**-2044,
+    beside an ``N`` above 2**970, can cost its term up to 5·2**-1075.  The magnitude and the closed
+    form call this with such an ``N`` only when ``d`` below has overflowed, so their scale is then at
+    least 1/(4k), whose γ_(k+3) covers that.
+
+    Its callers first try ``d / N``, with ``d = a·b`` summed left to right, and call this only where
+    a guard does not prove that quotient within the same bounds.  It does when ``d`` is finite, so
+    no product overflowed, and either ``N >= 0.5`` or ``|d| >= DOT_FLOOR`` with a normal ``N``; and
+    when every ``b_i`` is zero, where the quotient is exact.  The k products underflow by k·2**-1075
+    at most.  Divided by ``N >= 0.5`` and with the quotient's own underflow, that is inside
+    ``(k + 3)·5e-324``; beside ``|d| >= 2**-960`` it is at most k·2**-115 of the sum of the
+    ``|a_i b_i|``, inside the second-order slack of γ_(k+3) over k + 3 roundings, which is at least 21u².
+    """
+    norm = math.hypot(*[a for a, _ in pairs])
+    if norm == 0.0:
+        return 0.0, math.hypot(*[b for _, b in pairs])
+    if norm < MIN_NORMAL:
+        norm, inf = dual_hypot([(a / MIN_NORMAL, b) for a, b in pairs])
+        return norm * MIN_NORMAL, inf
+    inf, floor = 0.0, norm * MIN_NORMAL  # a_i / N is normal where |a_i| >= floor
+    for a, b in pairs:
+        if not a:
+            continue
+        if a >= floor or -a >= floor:
+            inf += a / norm * b
+        else:
+            inf += a / MIN_NORMAL / norm * b * MIN_NORMAL
+    return norm, inf
 
 
 def real_operand(value: object) -> float | None:

@@ -16,7 +16,9 @@ at most once and followed by a separate value that does not start with
 ``-``, and the one source of a document command.  Any other argv, help,
 ``--opt=value``, abbreviations and every usage error included, goes to the
 argparse parser, which stays the one producer of help, usage and error
-text.  A ``dualq`` process reads one document, and importing argparse and
+text; a separate ``--tol`` value that ``float`` reads reaches it joined as
+``--tol=VALUE``, so that a negative tolerance gets one error however it is
+spelled.  A ``dualq`` process reads one document, and importing argparse and
 building its parser cost it more than the paper's arithmetic does, so a
 well-formed call loads neither argparse nor, in text format, json.
 """
@@ -54,7 +56,7 @@ def _tol_arg(text: str) -> float:
         check_tolerance(value)
     except ValueError:
         raise _bad_value()(f"tolerance must be finite and nonnegative, got {text!r}")
-    return value
+    return value + 0.0  # -0.0 reads as 0.0, as _common.finite stores it
 
 
 def _seed_arg(text: str) -> int:
@@ -305,6 +307,28 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+def _joined_tolerances(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--tol VALUE`` before any ``--`` written ``--tol=VALUE`` where ``float`` reads
+    VALUE.  argparse takes a separate ``-0.5`` for a value but ``-1e-3`` or ``-inf`` for an option, so
+    unjoined, a negative tolerance would get "expected one argument" or the converter's error by its
+    spelling; joined, every spelling gets the converter's."""
+    joined: list[str] = []
+    for token in argv:
+        if joined[-1:] == ["--tol"] and "--" not in joined and _reads_as_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 # Built once per process, and only for an argv that _read_args does not read:
 # ``parse_args`` fills a fresh namespace on every call, and help and usage text
 # read the terminal width when formatted.
@@ -332,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_args(argv)
     if args is None:  # argparse reads it, or exits 2 with its usage and error text
-        args = _build_parser().parse_args(argv, SimpleNamespace())
+        args = _build_parser().parse_args(_joined_tolerances(argv), SimpleNamespace())
     _, _, kinds, fields = _COMMANDS[args.command]
     try:
         if not kinds:

@@ -8,15 +8,18 @@ is nonzero (exact test); only appreciable values are invertible.
 The magnitude of a dual quaternion is a dual *number*: for an appreciable
 value it is ``|std| + (std·inf / |std|) e``, where ``std·inf`` is the
 componentwise dot product (half the mixed sum ``std inf* + inf std*``), and
-for an infinitesimal one it is ``|inf| e``.  ``magnitude_via_sqrt`` reaches
-the appreciable case independently as ``sqrt(q * q.conjugate())`` and exists
-mainly so the two routes can be checked against each other.
+for an infinitesimal one it is ``|inf| e``: ``_common.dual_hypot`` of the
+component pairs, which ``magnitude_parts`` evaluates as a quotient where
+that is proved as close.  ``magnitude_via_sqrt`` reaches the appreciable
+case independently as ``sqrt(q * q.conjugate())``, sharing neither, and
+exists mainly so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
 
 import math
 
+from ._common import DOT_FLOOR, LARGEST, MIN_NORMAL, dual_hypot
 from ._common import UNIT_TOL, Value, agree, check_tolerance, close, real_operand, scale_exponent, times_power_of_two
 from .dual import DualNumber, _dual_number
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
@@ -215,37 +218,48 @@ def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
 
     The definition of the magnitude rule: ``DualQuaternion.magnitude``
     evaluates it here, and the vector norms must round exactly as it does.
-    It has two copies, each bit-identical to it: ``vectors._self_parts``,
-    whose self inner product has already formed the dot product, for
-    ``DQVector.unit_check``, and ``vectors._magnitudes``, which the vector
-    norms reduce, written out so that they make no call per entry; a change
-    here must change both, and ``test_self_form_magnitudes_are_magnitude_parts``
-    fails until it does.  The dot product is ``Quaternion.dot``'s, left to
-    right.  No part is checked, so an overflow comes back as an infinity or a NaN.
-    The parts are within γ_2 and γ_7 of ``magnitude_scale``: one ``hypot``; 4 products added, divided.
+    It is ``n = hypot(std)`` and ``d / n``, with ``d`` the dot product
+    ``Quaternion.dot`` forms, left to right, where ``_common.dual_hypot``
+    proves that quotient within its bounds, and ``dual_hypot`` of the four
+    component pairs elsewhere, which a zero ``std`` reaches too.  It has two
+    copies of the guard and the quotient, each bit-identical to it:
+    ``vectors._self_parts``, whose self inner product has already formed the
+    dot product, for ``DQVector.unit_check``, and ``vectors._magnitudes``,
+    which the vector norms reduce, written out so that they make no call per
+    entry; a change here must change both, and
+    ``test_self_form_magnitudes_are_magnitude_parts`` fails until it does.  No
+    part is checked, so a magnitude beyond the double range comes back as an
+    infinity.  The parts are within γ_2 and γ_7 of ``magnitude_scale``: one
+    ``hypot``; 4 products added, divided, or 4 weights times ``inf``, added.
     """
     w, x, y, z = std.w, std.x, std.y, std.z
-    if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
-        return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
     n = math.hypot(w, x, y, z)
-    return n, (w * inf.w + x * inf.x + y * inf.y + z * inf.z) / n
+    d = w * inf.w + x * inf.x + y * inf.y + z * inf.z
+    if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+            or n and not (inf.w or inf.x or inf.y or inf.z)):
+        return n, d / n
+    return dual_hypot(((w, inf.w), (x, inf.x), (y, inf.y), (z, inf.z)))
 
 
 def magnitude_scale(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
     """The scales of the magnitude's parts for ``close``: ``magnitude_parts`` of the absolute components.
 
-    Written out: two quaternions of absolute components for ``magnitude_parts`` cost five to ten times the formula."""
+    Written out, with its guard: two quaternions of absolute components for ``magnitude_parts`` cost five to ten times
+    the formula."""
     n = math.hypot(std.w, std.x, std.y, std.z)
-    if n == 0.0:
-        return 0.0, math.hypot(inf.w, inf.x, inf.y, inf.z)
-    return n, (abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)) / n
+    d = abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)
+    if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+            or n and not (inf.w or inf.x or inf.y or inf.z)):
+        return n, d / n
+    return dual_hypot([(abs(a), abs(b)) for a, b in zip(std.components(), inf.components())])
 
 
 def magnitude_routes_agree(q: DualQuaternion, magnitude: DualNumber, via_sqrt: DualNumber) -> tuple[bool, float]:
     """Whether ``q.magnitude()`` and ``q.magnitude_via_sqrt()`` agree, and their largest difference.
 
-    Against ``magnitude_scale``, ``magnitude()`` is within γ_2 and γ_7 of the exact parts and
-    ``magnitude_via_sqrt()`` within γ_3 and γ_9, so the two are close at k = 16, part by part.
+    Against ``magnitude_scale``, ``magnitude()`` is within γ_2 and γ_7 of the exact parts, on the
+    quotient's path and on ``dual_hypot``'s alike, and ``magnitude_via_sqrt()`` within γ_3 and γ_9,
+    so the two are close at k = 16, part by part.
     """
     return agree(via_sqrt, magnitude, magnitude_scale(q.std, q.inf), 16)
 

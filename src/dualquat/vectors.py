@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from ._common import MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, real_operand
+from ._common import DOT_FLOOR, LARGEST, MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, dual_hypot, real_operand
 from .dual import DualNumber, _dual_number, le_defect
 from .dualquaternion import (
     DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
@@ -65,13 +65,6 @@ def embed_real(values: Iterable[Quaternion]) -> tuple[float, ...]:
     for q in values:
         flat.extend((q.w, q.x, q.y, q.z))
     return tuple(flat)
-
-
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    total = 0.0
-    for left, right in zip(a, b):
-        total += left * right
-    return total
 
 
 # The inner product in plain floats.  The kernels read the 16 components of
@@ -173,7 +166,8 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
 
     The magnitudes are a copy of ``magnitude_parts``, bit-identical to it: ``d``
     has its products, ``x * y == y * x`` exactly, and its order of additions,
-    so an appreciable entry's magnitude is ``hypot(p) + (d / hypot(p)) e``.  A
+    so an appreciable entry's magnitude is ``hypot(p) + (d / hypot(p)) e``
+    under the rule's guard, and ``magnitude_parts(p, f)`` where it fails.  A
     zero standard part gives ``hypot(f) e``, and a zero entry ``(0.0, 0.0)``
     with no ``hypot`` at all.  An entry is zero as a whole exactly when its
     magnitude is ``(0.0, 0.0)``: a ``hypot`` of a nonzero part is never 0.
@@ -200,7 +194,11 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
         d = fw * aw + fx * ax + fy * ay + fz * az
         iw += d + d
         n = math.hypot(aw, ax, ay, az)
-        magnitudes.append((n, d / n))
+        if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+                or n and not (f.w or f.x or f.y or f.z)):
+            magnitudes.append((n, d / n))
+        else:
+            magnitudes.append(magnitude_parts(p, f))
         t1, t2 = fw * ax, fx * aw
         t3, t4 = fy * az, fz * ay
         ix += (t1 - t2 - t3 + t4) + (t2 - t1 - t4 + t3)
@@ -339,7 +337,7 @@ class DQVector(Value):
 
     # norm1 and norm2 reduce _magnitudes of the entries: norm1 adds the floats
     # in entry order, as the DualNumber operators would, and norm2 passes them
-    # to _norm2_parts, as unit_check passes those of _self_parts.  Sums that
+    # to dual_hypot, as unit_check passes those of _self_parts.  Sums that
     # start at +0.0 never produce -0.0, and a non-finite magnitude leaves a part
     # infinite or NaN, so the final DualNumber raises NonFiniteError exactly
     # when magnitude() would.  norm_inf and norm_inf_index take the magnitude
@@ -357,18 +355,17 @@ class DQVector(Value):
         return _norm_inf(self.entries)[0]
 
     def norm2(self) -> DualNumber:
-        return _dual_number(*_norm2_parts(_magnitudes(self.entries)))
+        return _dual_number(*dual_hypot(_magnitudes(self.entries)))
 
     def norm2_closed_form(self) -> DualNumber:
         """2-norm from the flattened embeddings, in one step.
 
         Equals ``|x_std| + (x_std . x_inf / |x_std|) e`` on the embedded
         real vectors.  Needs an appreciable standard part.  One pass over the
-        entries flattens the standard part and forms the dot product with
-        ``_dot``'s products in ``_dot``'s order, so it rounds as
-        ``_dot(embed_real(std), embed_real(inf))`` does.  A subnormal
-        ``|x_std|`` keeps few bits, so the quotient is then taken over
-        ``x_std / MIN_NORMAL``, which is exact and has the same quotient.
+        entries flattens the standard part and forms the dot product of the
+        embeddings, left to right; where ``magnitude_parts``' guard does not
+        prove the quotient within its bounds, the result is ``dual_hypot`` of
+        the flattened pairs instead.
         """
         std_flat, dot = [], 0.0
         for e in self.entries:
@@ -377,16 +374,14 @@ class DQVector(Value):
             y, z = p.y, p.z
             std_flat += (w, x, y, z)
             dot = dot + w * f.w + x * f.x + y * f.y + z * f.z
-        std_norm = norm = math.hypot(*std_flat)
-        if std_norm == 0.0:
+        norm = math.hypot(*std_flat)
+        if norm == 0.0:
             raise NotAppreciableError(
                 "closed-form 2-norm needs an appreciable standard part"
             )
-        if std_norm < MIN_NORMAL:
-            std_flat = [c / MIN_NORMAL for c in std_flat]
-            norm = math.hypot(*std_flat)
-            dot = _dot(std_flat, embed_real(self.inf_part()))
-        return DualNumber(std_norm, dot / norm)
+        if norm >= 0.5 and abs(dot) <= LARGEST or norm >= MIN_NORMAL and DOT_FLOOR <= abs(dot) <= LARGEST:
+            return DualNumber(norm, dot / norm)
+        return DualNumber(*dual_hypot(list(zip(std_flat, embed_real(self.inf_part())))))
 
     def unit_check(self, tol: float = UNIT_TOL) -> VectorUnitCheck:
         """Test ``x.inner(x) == 1`` and, equivalently, ``norm2(x) == 1``.
@@ -400,7 +395,7 @@ class DQVector(Value):
         check_tolerance(tol)
         gram, magnitudes = _self_parts(self.entries)
         gram_residual = _identity_defect(gram, 1.0)  # raises as inner() does
-        n2 = _dual_number(*_norm2_parts(magnitudes))  # norm2(), and raises as it does
+        n2 = _dual_number(*dual_hypot(magnitudes))  # norm2(), and raises as it does
         norm_residual = max(abs(n2.std - 1.0), abs(n2.inf))
         return VectorUnitCheck(
             passed=gram_residual <= tol and norm_residual <= tol,
@@ -481,8 +476,10 @@ def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
     """``magnitude_parts`` of each entry, in entry order, unchecked.
 
     A copy of the rule, bit-identical to it, written out so that the norms make
-    no call per entry: the same exact zero test, ``hypot``, the dot product
-    left to right over ``w, x, y, z`` and one division.  A change to
+    no call per entry: ``hypot``, the dot product left to right over
+    ``w, x, y, z``, and one division under the rule's guard; where the guard
+    fails, a call to ``magnitude_parts``.  An exact zero test gives a zero
+    standard part its ``(0.0, hypot(f))`` with no call.  A change to
     ``magnitude_parts`` must change it too, and
     ``test_self_form_magnitudes_are_magnitude_parts`` fails until it does.
     """
@@ -495,7 +492,12 @@ def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
             magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
         else:
             n = math.hypot(w, x, y, z)
-            magnitudes.append((n, (w * f.w + x * f.x + y * f.y + z * f.z) / n))
+            d = w * f.w + x * f.x + y * f.y + z * f.z
+            if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+                    or n and not (f.w or f.x or f.y or f.z)):
+                magnitudes.append((n, d / n))
+            else:
+                magnitudes.append(magnitude_parts(p, f))
     return magnitudes
 
 
@@ -546,32 +548,6 @@ def _norm_inf(entries: Sequence[DualQuaternion]) -> tuple[int, DualNumber]:
     return index, _dual_number(*magnitude_parts(e.std, e.inf))
 
 
-def _norm2_parts(magnitudes: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """``N = hypot(n_1, ..., n_k)`` and ``sum((n_i / N) * m_i)`` in entry order, for entry magnitudes
-    ``n_i + m_i e``, unchecked; ``(0.0, hypot(m_1, ..., m_k))`` when ``N == 0``.  It forms no square.  A
-    subnormal ``N`` or weight ``n_i / N`` would keep few bits, so it is formed from the ``n_i`` times 2**1022.
-    A term with ``n_i == 0`` is 0 exactly whatever ``m_i`` is, even an overflowed one, so it is skipped: as
-    ``+0.0`` or ``-0.0`` added to a sum that started at ``+0.0`` it never changed the result.
-    Against this kernel over ``magnitude_scale``, with ``magnitude_parts`` within γ_2 and γ_7: γ_4 (a hypot
-    of γ_2 values) and γ_(k+14) (a weight within γ_7, times ``m_i`` γ_15, then k − 1 additions).
-    """
-    norm = math.hypot(*[n for n, _ in magnitudes])
-    if norm == 0.0:
-        return 0.0, math.hypot(*[m for _, m in magnitudes])
-    if norm < MIN_NORMAL:
-        norm, inf = _norm2_parts([(n / MIN_NORMAL, m) for n, m in magnitudes])
-        return norm * MIN_NORMAL, inf
-    inf, floor = 0.0, norm * MIN_NORMAL  # n_i / N >= MIN_NORMAL where n_i >= floor
-    for n, m in magnitudes:
-        if not n:
-            continue
-        if n >= floor:
-            inf += n / norm * m
-        else:
-            inf += n / MIN_NORMAL / norm * m * MIN_NORMAL
-    return norm, inf
-
-
 _Scales = tuple[tuple[float, float], tuple[float, float]]
 
 
@@ -579,7 +555,7 @@ def norm_scales(vector: DQVector) -> _Scales:
     """The scales for ``close`` of ``norm1``, which bound those of all three
     norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
     scales = [magnitude_scale(e.std, e.inf) for e in vector.entries]
-    return _norm1_parts(scales), _norm2_parts(scales)
+    return _norm1_parts(scales), dual_hypot(scales)
 
 
 def norms(vector: DQVector) -> tuple[DualNumber, DualNumber, DualNumber, int]:
@@ -589,16 +565,19 @@ def norms(vector: DQVector) -> tuple[DualNumber, DualNumber, DualNumber, int]:
     magnitudes = _magnitudes(vector.entries)
     norm1 = _dual_number(*_norm1_parts(magnitudes))
     index = _norm_inf_index([n for n, _ in magnitudes], lambda tied: [magnitudes[i][1] for i in tied])
-    return norm1, _dual_number(*magnitudes[index]), _dual_number(*_norm2_parts(magnitudes)), index
+    return norm1, _dual_number(*magnitudes[index]), _dual_number(*dual_hypot(magnitudes)), index
 
 
 def norm2_closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumber, closed: DualNumber) -> tuple[bool, float]:
     """Whether ``vector.norm2()`` and ``vector.norm2_closed_form()`` agree at ``scales``, the vector's
     ``norm_scales``, and their largest difference.
 
-    Against ``norm_scales``, for n entries: ``norm2()`` (``_norm2_parts``) is within γ_4 and
-    γ_(n+14) of the exact parts, so within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``;
-    4n products added, a division) within γ_2 and γ_(4n+3), so the two are close at k = 6n + 17.
+    Against ``norm_scales``, for n entries: ``norm2()`` (``dual_hypot`` of the entry magnitudes, each
+    within γ_2 and γ_7 on either path of ``magnitude_parts``) is within γ_4 (a hypot of γ_2 values) and
+    γ_(n+14) (a weight within γ_7, times ``m_i`` γ_15, then n − 1 additions) of the exact parts, so
+    within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``; 4n products added and divided, or
+    4n weights within γ_3 times ``x_inf``, added) within γ_2 and γ_(4n+3), so the two are close at
+    k = 6n + 17.
     """
     return agree(norm2, closed, scales[1], 6 * len(vector) + 17)
 
@@ -610,8 +589,8 @@ def norm_chain_defect(
     the vector's ``norm_scales``: the larger ``le_defect`` of its two links, 0.0 when it holds.
 
     Against ``norm_scales``' first scale, which bounds all three, for n entries: ``norm_inf`` is
-    within γ_2 and γ_7 of the exact parts, ``norm2`` γ_(n+4) and γ_(2n+14), and ``norm1`` γ_(n+1)
-    and γ_(n+6), so each link holds at k = 3n + 20.  With two or more appreciable entries the exact
+    within γ_2 and γ_7 of the exact parts on either path of ``magnitude_parts``, ``norm2`` γ_(n+4)
+    and γ_(2n+14), and ``norm1`` γ_(n+1) and γ_(n+6), so each link holds at k = 3n + 20.  With two or more appreciable entries the exact
     standard parts are strictly ordered, so standard parts close at k tie and decide alone: the
     infinitesimal parts are judged at an infinite scale, which ``close`` admits.  With at most one,
     the exact standard parts are equal, and a tie falls to the infinitesimal parts.

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -272,6 +273,27 @@ def test_bad_flag_values_exit_2():
         assert err != ""
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--tol", "-1e-3"], "-1e-3"),
+    (["--tol", "-inf"], "-inf"),
+    (["--tol", "-0.5"], "-0.5"),
+    (["--tol=-1e-3"], "-1e-3"),
+])
+def test_a_negative_tolerance_gets_one_error_however_it_is_spelled(argv, value):
+    # argparse reads a separate -1e-3 or -inf as an option, unlike -0.5.
+    code, out, err = run(["check-unit", *argv, str(DATA / "scalar_unit.dq")])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --tol: tolerance must be finite and nonnegative, got {value!r}\n")
+
+
+def test_a_tolerance_of_minus_zero_reads_as_zero():
+    argv = ["check-unit", "--tol", "-0.0", str(DATA / "scalar_unit.dq")]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "") and "\ntolerance: 0.0\n" in out
+    code, out, _ = run([*argv[:-1], "--format", "json", argv[-1]])
+    assert (code, json.loads(out)["results"]["tolerance"]) == (0, 0.0) and '"tolerance": 0.0' in out
+
+
 def test_one_parser_serves_every_call_with_fresh_parser_output(tmp_path, monkeypatch):
     from dualquat.cli import _build_parser
 
@@ -313,7 +335,7 @@ _COMMAND_WORDS = st.sampled_from(
     ("magnitude", "norms", "check-unit", "check-orthonormal", "selfcheck", "norm", "check")
 )
 _FLAG_VALUES = {  # flag -> (values it takes, values it does not)
-    "--tol": (("0.5", "0", "1e-3", "+5"), ("-0.0", "-0e0", "-1", "nan", "inf", "1e999")),
+    "--tol": (("0.5", "0", "1e-3", "+5", "-0.0", "-0e0"), ("-1", "-1e-3", "-inf", "nan", "inf", "1e999")),
     "--seed": (("7", "007", "0", str(2**64 - 1)), (str(2**64), "-3", "x")),
     "--cases": (("1", "25"), ("0", "-1", "2.5")),
     "--format": (("text", "json"), ("yaml", "-", "")),
@@ -567,11 +589,29 @@ def test_magnitude_and_norm_routes_agree_at_every_scale(entries, std_exponent, i
 
 
 def test_the_route_check_has_no_absolute_floor():
-    # magnitude() loses the whole infinitesimal part of this document, as
-    # std . inf underflows (ROADMAP item 1); the sqrt route keeps it.
-    code, out, err = run(["magnitude", "-"], stdin_text="dq{ std: 5e-324, inf: 1e-300 }")
+    # The sqrt route flushes the small infinitesimal component beside a huge one
+    # (ROADMAP item 17), so the routes differ by 6.97e-142, all of the
+    # infinitesimal scale: tiny, yet a failure.
+    document = "dq{ std: -8.276646e-146, inf: -6.972993e-142 + 2.018e293i + 0j + 0k }"
+    code, out, err = run(["magnitude", "-"], stdin_text=document)
     assert (code, err) == (1, "")
-    assert out.endswith("magnitude: 5e-324+0.0e\nmagnitude via sqrt(qq*): 5e-324+1e-300e\nroute difference: 1e-300\npass: no\n")
+    assert out.endswith(
+        "magnitude: 8.276646e-146+6.972993e-142e\nmagnitude via sqrt(qq*): 8.276646e-146+0.0e\n"
+        "route difference: 6.972993e-142\npass: no\n"
+    )
+    # Both routes keep an infinitesimal part whose product with a subnormal std underflows.
+    code, out, err = run(["magnitude", "-"], stdin_text="dq{ std: 5e-324, inf: 1e-300 }")
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "magnitude: 5e-324+1e-300e\nmagnitude via sqrt(qq*): 5e-324+1e-300e\nroute difference: 0.0\npass: yes\n"
+    )
+
+
+def test_the_norms_of_huge_parts_exit_0():
+    # std·inf = 1e400 is beyond the double range, and no 2-norm forms it.
+    code, out, err = run(["norms", "-"], stdin_text="vec[ dq{ std: 1e200, inf: 1e200 } ]")
+    assert (code, err) == (0, "")
+    assert "\nnorm2: 1e+200+1e+200e\nnorm2 closed form: 1e+200+1e+200e\n" in out
 
 
 # The bounds that magnitude_routes_agree's docstring derives, per route and part,
@@ -611,6 +651,33 @@ full_range_entries = st.lists(
     st.tuples(scaled_entry, st.integers(-326, 307), st.integers(-326, 307)), min_size=1, max_size=4
 )
 _ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def _float_or_inf(value):
+    """``float(value)`` of a nonnegative rational, or inf beyond the double range."""
+    return math.inf if value > oracle.LARGEST else float(value)
+
+
+@given(scaled_entry, st.integers(-326, 307), st.integers(-326, 307))
+@example((_ONE, _ONE), 200, 200)  # std·inf overflowed
+@example(((5.0, 0.0, 0.0, 0.0), _ONE), -324, -300)  # std·inf underflowed to 0.0
+@example(((-9.56133958527554, 2.6713221290536615, 7.305276594359864, 0.0),
+          (-6.002611355451369, 6.489234250275337, 1.492776453921583, 0.0)), -324, 176)  # a subnormal |std|
+@example(((1.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)), 300, 8)  # the scale's sum of |std_i inf_i| overflowed
+def test_the_magnitude_and_its_scale_hold_across_the_double_range(entry, std_exponent, inf_exponent):
+    # Wherever the exact magnitude and its exact scale lie in the double range,
+    # with room for their bounds, magnitude() does not raise and lies within its
+    # bound, and magnitude_scale is finite.  The oracle brackets the root of 0 loosely.
+    q = DualQuaternion(scaled_quaternion(entry[0], std_exponent), scaled_quaternion(entry[1], inf_exponent))
+    assume(not q.is_zero)
+    exact = oracle.magnitude(q.std.components(), q.inf.components())
+    exact_scale = oracle.magnitude(*[[abs(c) for c in part.components()] for part in (q.std, q.inf)])
+    bound = [_float_or_inf(hi) for _, hi in exact_scale]
+    if any(map(oracle.may_overflow, (*exact, *exact_scale), bound * 2, DIRECT_K * 2)):
+        return
+    magnitude, scale = q.magnitude(), magnitude_scale(q.std, q.inf)
+    assert all(map(math.isfinite, scale)), scale
+    assert _within(magnitude, exact, scale, DIRECT_K), (magnitude, scale)
 
 
 @given(full_range_entries)

@@ -14,6 +14,7 @@ from dualquat import (
     NotInvertibleError,
     Quaternion,
 )
+from dualquat._common import DOT_FLOOR, MIN_NORMAL, dual_hypot
 from dualquat.dualquaternion import magnitude_parts
 
 I = Quaternion(0, 1, 0, 0)
@@ -172,12 +173,20 @@ quaternions = st.builds(
 @settings(max_examples=300)
 @given(st.one_of(st.just(Quaternion()), quaternions), quaternions)
 def test_magnitude_parts_are_the_norm_and_dot_of_the_quaternions(std, inf):
-    if std.is_zero:
-        expected = (0.0, inf.norm())
+    # The quotient where the guard proves it within its bound; elsewhere, a zero std
+    # included, the weighted sum over the component pairs.
+    n, d = std.norm(), std.dot(inf)
+    if math.isfinite(d) and (n >= 0.5 or n >= MIN_NORMAL and abs(d) >= DOT_FLOOR) or n and inf.is_zero:
+        expected = (n, d / n)
     else:
-        expected = (std.norm(), std.dot(inf) / std.norm())
-    # repr, so that NaN from an overflow compares equal to itself.
+        expected = dual_hypot(list(zip(std.components(), inf.components())))
+    # repr, so that an infinity from an overflow compares equal to itself.
     assert repr(magnitude_parts(std, inf)) == repr(expected)
+
+
+def test_magnitude_parts_of_parts_whose_dot_product_overflows():
+    # std·inf = 1.798e308 is beyond the double range; the magnitude 2 + 8.99e307e is not.
+    assert magnitude_parts(Quaternion(0, 0, 0, 2), Quaternion(0, 0, 0, 8.99e307)) == (2.0, 8.99e307)
 
 
 def test_magnitude_via_sqrt_agrees():

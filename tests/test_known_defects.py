@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from dualquat import DQVector, DualNumber, DualQuaternion, NonFiniteError, Quaternion
+from dualquat import DQVector, DualNumber, DualQuaternion, Quaternion
 from dualquat.dualquaternion import magnitude_routes_agree, magnitude_scale
 from dualquat.vectors import norm2_closed_form_agrees, norm_scales
 
@@ -42,15 +42,18 @@ def test_norm2_of_an_entry_whose_squared_magnitude_underflows():
     assert str(vector.norm2()) == "3.595529e-271+0.0e"
 
 
-@pytest.mark.xfail(strict=True, raises=NonFiniteError,
-                   reason="ROADMAP item 1, magnitude of Quaternion(1e200) parts: std . inf overflows")
+# ROADMAP item 1's magnitude entries, fixed by _common.dual_hypot, which weighs each inf_i by
+# std_i / |std| and forms no product std_i·inf_i: that product overflowed for the huge parts, and
+# underflowed to 0.0 beside std = 5e-324, and the quotient of a subnormal |std| kept few bits.
 def test_magnitude_of_huge_parts():
     assert _dq(1e200, 1e200).magnitude() == DualNumber(1e200, 1e200)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1, magnitude of std: 5e-324, inf: 1e-300: "
-                          "std . inf underflows and the infinitesimal part comes back as 0.0")
+def test_norm2_closed_form_of_huge_parts():
+    vector = DQVector((_dq(1e200, 1e200),))
+    assert vector.norm2_closed_form() == vector.norm2() == DualNumber(1e200, 1e200)
+
+
 def test_magnitude_keeps_an_infinitesimal_part_when_std_times_inf_underflows():
     assert _dq(5e-324, 1e-300).magnitude() == DualNumber(5e-324, 1e-300)
 
@@ -66,11 +69,8 @@ def test_magnitude_via_sqrt_keeps_the_infinitesimal_part_when_scaling_makes_a_co
     assert value.magnitude_via_sqrt().inf == -2.5218274107177224e-285  # the exact value, rounded
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1, magnitude_parts divides std . inf by a subnormal hypot, which keeps "
-                          "few bits: norm2 gets 9.99e176 as its infinitesimal part, and dualq norms exits 1")
 def test_norm2_keeps_the_infinitesimal_part_when_the_standard_norm_is_subnormal():
-    # Both copies of the magnitude rule, _magnitudes and _self_parts, divide as it does.
+    # Both copies of the magnitude rule, _magnitudes and _self_parts, take its weighted sum here too.
     vector = DQVector((DualQuaternion(
         Quaternion(-9.56133958527554e-324, 2.6713221290536615e-324, 7.305276594359864e-324, 0.0),
         Quaternion(-6.002611355451369e176, 6.489234250275337e176, 1.492776453921583e176, 0.0),
@@ -90,24 +90,18 @@ def test_magnitude_via_sqrt_keeps_small_infinitesimal_components_beside_a_huge_o
 
 
 # dq{ std: 1e300 + 1e300i + 0j + 0k, inf: 1e8 - 1e8i + 0j + 0k }: the magnitude, 1.414e300+0.0e, is
-# right, but magnitude_scale sums |std_i inf_i| = 1e308 + 1e308 before it divides by n, so the
-# infinitesimal scale overflows to inf, and close then admits any infinitesimal difference: the route
-# checks of dualq magnitude and dualq norms pass these documents and could not have failed.
+# right.  magnitude_scale summed |std_i inf_i| = 1e308 + 1e308 before it divided by n, so the
+# infinitesimal scale overflowed to inf, and close then admitted any infinitesimal difference: the
+# route checks of dualq magnitude and dualq norms passed these documents and could not have failed.
 _HUGE_PARTS = DualQuaternion(Quaternion(1e300, 1e300, 0.0, 0.0), Quaternion(1e8, -1e8, 0.0, 0.0))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1, magnitude_scale of std: 1e300 + 1e300i, inf: 1e8 - 1e8i: the sum of "
-                          "|std_i inf_i| overflows before the division by n, and the scale comes back as inf")
 def test_magnitude_scale_is_finite_where_the_magnitude_is():
     std, inf = magnitude_scale(_HUGE_PARTS.std, _HUGE_PARTS.inf)
     assert std == 1.4142135623730952e300
     assert math.isclose(inf, 1.4142135623730951e8, rel_tol=1e-12)  # the exact scale, 2e308 / std
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1, magnitude_scale overflows to inf on std: 1e300 + 1e300i, "
-                          "inf: 1e8 - 1e8i, so magnitude_routes_agree admits an infinitesimal part of 1e200")
 def test_the_magnitude_route_check_rejects_a_wrong_infinitesimal_part_of_huge_parts():
     magnitude = _HUGE_PARTS.magnitude()
     assert magnitude == DualNumber(1.4142135623730952e300)
@@ -115,10 +109,6 @@ def test_the_magnitude_route_check_rejects_a_wrong_infinitesimal_part_of_huge_pa
     assert magnitude_routes_agree(_HUGE_PARTS, magnitude, DualNumber(magnitude.std, 1e200)) == (False, 1e200)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1, magnitude_scale overflows to inf on std: 1e300 + 1e300i, "
-                          "inf: 1e8 - 1e8i, so norm2_closed_form_agrees admits a norm2 whose infinitesimal "
-                          "part is 1e200")
 def test_the_closed_form_check_rejects_a_wrong_infinitesimal_part_of_huge_parts():
     vector = DQVector((_HUGE_PARTS,))
     scales, closed = norm_scales(vector), vector.norm2_closed_form()
@@ -128,7 +118,7 @@ def test_the_closed_form_check_rejects_a_wrong_infinitesimal_part_of_huge_parts(
 
 # OVERFLOWING_INFINITESIMAL of tests/test_vectors.py: entries 1 and (1.7e308 + 1.7e308i)e.  x . x is
 # 1 + 0e exactly, and so is the 2-norm, although the second entry's magnitude overflows to inf e:
-# _norm2_parts weighed it by 0 / 1, which gave NaN, and dualq check-unit exited 2 on a unit vector.
+# the 2-norm kernel weighed it by 0 / 1, which gave NaN, and dualq check-unit exited 2 on a unit vector.
 _OVERFLOWING_INFINITESIMAL = DQVector((_dq(1.0, 0.0), DualQuaternion(Quaternion(), Quaternion(1.7e308, 1.7e308))))
 
 

@@ -22,13 +22,18 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # tolerance, the real-scalar operand rule, the quaternion product rule
 # (written out again, with conjugation folded in, by the inner-product
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
-# 2-norm kernel over entry magnitudes (norm2 over _magnitudes, norm_scales
-# over magnitude_scale, so the two cannot fork), the per-field and all-fields
-# finiteness tests, the trusted constructors of kernel results, the product
-# with a real and the power-of-two scaling rule (see SCALING_RULE).
+# one "hypot, then weighted sum" kernel with the largest double and the floor
+# of the guard that lets its callers divide a dot product instead (the
+# magnitude, its scale, norm2 over _magnitudes, norm_scales over
+# magnitude_scale and the closed form's fallback, so none can fork; see
+# WEIGHTED_SUM), the per-field and all-fields finiteness tests, the trusted
+# constructors of kernel results, the product with a real and the
+# power-of-two scaling rule (see SCALING_RULE).
 SHARED_RULES = (
     "u",
     "MIN_NORMAL",
+    "LARGEST",
+    "DOT_FLOOR",
     "close",
     "agree",
     "le_defect",
@@ -43,7 +48,7 @@ SHARED_RULES = (
     "real_operand",
     "product",
     "magnitude_parts",
-    "_norm2_parts",
+    "dual_hypot",
     "finite",
     "all_finite",
     "_quaternion",
@@ -94,14 +99,30 @@ ALL_FINITE_INLINED = {
 # conj(a) b three times per entry pair without a call or a conjugated copy,
 # and the self form x . x of unit_check and of the Gram kernel of basis_check,
 # which writes it out with each repeated product once.  The self form also
-# holds a copy of the magnitude rule, from its dot product d = f . p, and
-# vectors._magnitudes the other, which the norms reduce;
+# holds a copy of the magnitude rule's guarded quotient, from its dot product
+# d = f . p, and vectors._magnitudes the other, which the norms reduce;
 # test_self_form_magnitudes_are_magnitude_parts pins both to magnitude_parts.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",
     "vectors._self_parts",
 }
+
+# The one def that adds up weights a_i / N times b_i, and the defs that write
+# out the guard under which a dot product over N is within the same bounds
+# instead, each over its own names: the magnitude rule, its two copies, its
+# scale and the closed form.  The sqrt route to the magnitude shares neither,
+# so that dualq magnitude's cross-check of the two routes stays independent.
+WEIGHTED_SUM = "_common.dual_hypot"
+CLOSED_FORM = "vectors.DQVector.norm2_closed_form"
+GUARDED_QUOTIENTS = {
+    "dualquaternion.magnitude_parts",
+    "dualquaternion.magnitude_scale",
+    "vectors._self_parts",
+    "vectors._magnitudes",
+    CLOSED_FORM,
+}
+SQRT_ROUTE = "magnitude_via_sqrt"
 
 # The one module that may write a float literal below 1e-6: the rounding-error
 # rule's.  Elsewhere such a literal, compared against or passed as a bound, is
@@ -360,16 +381,65 @@ def test_the_norm_inf_tie_rule_has_one_definition():
     assert pickers == {NORM_INF_RULE}
 
 
+def _adds_weighted_terms(node: ast.AST) -> bool:
+    """A ``+=`` whose value multiplies a quotient: ``total += a / n * b``."""
+    return any(
+        isinstance(n, ast.AugAssign)
+        and isinstance(n.op, ast.Add)
+        and any(
+            isinstance(m, ast.BinOp) and isinstance(m.op, ast.Mult) and isinstance(m.left, ast.BinOp)
+            and isinstance(m.left.op, ast.Div)
+            for m in ast.walk(n.value)
+        )
+        for n in ast.walk(node)
+    )
+
+
+def _renamed(test: ast.expr) -> str:
+    """The guard ``test`` with its names other than the rule's constants numbered in order of use."""
+    names: dict[str, str] = {}
+    for n in ast.walk(test):
+        if isinstance(n, ast.Name) and n.id not in ("LARGEST", "MIN_NORMAL", "DOT_FLOOR", "abs"):
+            n.id = names.setdefault(n.id, f"v{len(names)}")
+    return ast.unparse(test)
+
+
+def test_one_def_adds_the_weighted_sum_and_the_sqrt_route_stays_apart_from_it():
+    weighted, guards, sqrt_route = set(), {}, []
+    for path in PACKAGE.glob("*.py"):
+        for qualname, node in _functions_outside_functions(ast.parse(path.read_text(encoding="utf-8")).body):
+            name = ".".join((path.stem, *qualname))
+            if _adds_weighted_terms(node):
+                weighted.add(name)
+            for n in ast.walk(node):
+                if isinstance(n, ast.If) and "DOT_FLOOR" in _names(n.test):
+                    guards.setdefault(name, []).append(_renamed(n.test))
+            if qualname[-1] == SQRT_ROUTE:
+                sqrt_route.append(_names(node))
+    assert weighted == {WEIGHTED_SUM}
+    # One guard per def, written alike in each: a copy that admits more than the
+    # rule's own would return a quotient where magnitude_parts takes the kernel.
+    # The closed form leaves out the last clause, a zero infinitesimal part,
+    # which it does not read.
+    assert set(guards) == GUARDED_QUOTIENTS and all(len(tests) == 1 for tests in guards.values())
+    magnitude_guards = {tests[0] for name, tests in guards.items() if name != CLOSED_FORM}
+    assert len(magnitude_guards) == 1, guards
+    (closed,) = guards[CLOSED_FORM]
+    assert magnitude_guards.pop().startswith(closed + " or "), (closed, guards)
+    (used,) = sqrt_route
+    assert not {"magnitude_parts", WEIGHTED_SUM.rpartition(".")[2], "magnitude"} & used
+
+
 def test_norm2_and_its_scale_share_the_2_norm_kernel():
     # norm2 over _magnitudes and norm_scales over magnitude_scale both call
-    # _norm2_parts; norm2 forms no square and takes no square root.
+    # dual_hypot; norm2 forms no square and takes no square root.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector")
     (norm2,) = (node for node in vector_class.body if isinstance(node, ast.FunctionDef) and node.name == "norm2")
     (scales,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "norm_scales")
     for function in (norm2, scales):
         called = {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert "_norm2_parts" in called, function.name
+        assert "dual_hypot" in called, function.name
     names = {node.id for node in ast.walk(norm2) if isinstance(node, ast.Name)}
     attributes = {node.attr for node in ast.walk(norm2) if isinstance(node, ast.Attribute)}
     assert not any(isinstance(node, (ast.Pow, ast.ExceptHandler)) for node in ast.walk(norm2))

@@ -306,6 +306,11 @@ SUBNORMAL_WEIGHT = DQVector((
     DualQuaternion(Quaternion(0.0, 0.0, 1e-180), Quaternion(0.0, 0.0, 1e10)),
 ))
 SUBNORMAL_NORM = DQVector((DualQuaternion(Quaternion(1.5e-323), Quaternion(1.0)),) * 2)
+# A subnormal |x_std| whose dot product with x_inf underflows to 0.0: the closed form takes the
+# weighted sum, which gives the exact 3.6402871348056e-309 as the infinitesimal part.
+UNDERFLOWING_DOT = DQVector((
+    DualQuaternion(Quaternion(0.0, 0.0, 0.0, 1.600542364872352e-308), Quaternion(0.0, 0.0, 0.0, 3.6402871348056e-309)),
+))
 
 
 def _unit_row(n, k, entry=DualQuaternion(Quaternion(1.0))):
@@ -371,43 +376,46 @@ def reference_norm1(x):
     return functools.reduce(lambda total, e: total + e.magnitude(), x, DualNumber())
 
 
-def reference_norm2(x):
-    """``N``, the ``hypot`` of the entry magnitudes' standard parts ``n_i``, and their infinitesimal
-    parts ``m_i`` weighted by ``n_i / N`` and added in entry order; with ``N == 0``, the ``hypot`` of the
-    ``m_i``.  A subnormal ``N`` comes from the ``n_i`` times 2**1022, scaled back; so does a weight.
-    An entry with ``n_i == 0`` adds nothing, even where its ``m_i`` overflowed, so the parts come
-    unchecked from ``magnitude_parts`` and only the result is checked."""
-    magnitudes = [magnitude_parts(e.std, e.inf) for e in x]
-    norm = math.hypot(*[n for n, _ in magnitudes])
+def reference_dual_hypot(pairs):
+    """``N``, the ``hypot`` of the ``a_i`` of ``pairs``, and the ``b_i`` weighted by ``a_i / N`` and added in
+    order; with ``N == 0``, the ``hypot`` of the ``b_i``.  A subnormal ``N`` comes from the ``a_i`` times
+    2**1022, scaled back; so does a weight below 2**-1022 in size.  A pair with ``a_i == 0`` adds nothing,
+    even where its ``b_i`` overflowed, so only the result is checked."""
+    norm = math.hypot(*[a for a, _ in pairs])
     if norm == 0.0:
-        return DualNumber(0.0, math.hypot(*[m for _, m in magnitudes]))
+        return DualNumber(0.0, math.hypot(*[b for _, b in pairs]))
     up = 1.0 if norm >= 2.0**-1022 else 2.0**1022
-    norm = math.hypot(*[n * up for n, _ in magnitudes])
+    norm = math.hypot(*[a * up for a, _ in pairs])
 
-    def weighted(n, m):
-        if n == 0.0:
+    def weighted(a, b):
+        if a == 0.0:
             return 0.0
-        if n * up >= norm * 2.0**-1022:
-            return n * up / norm * m
-        return n * up * 2.0**1022 / norm * m * 2.0**-1022
+        if abs(a * up) >= norm * 2.0**-1022:
+            return a * up / norm * b
+        return a * up * 2.0**1022 / norm * b * 2.0**-1022
 
-    return DualNumber(norm / up, functools.reduce(lambda total, nm: total + weighted(*nm), magnitudes, 0.0))
+    return DualNumber(norm / up, functools.reduce(lambda total, ab: total + weighted(*ab), pairs, 0.0))
+
+
+def reference_norm2(x):
+    """``reference_dual_hypot`` of the entry magnitudes, which come unchecked from ``magnitude_parts``."""
+    return reference_dual_hypot([magnitude_parts(e.std, e.inf) for e in x])
 
 
 def reference_norm2_closed_form(x):
-    """The closed form over the two real embeddings, their dot product added left to right; a
-    subnormal ``|x_std|`` takes the quotient over ``x_std / MIN_NORMAL``."""
-    std_flat = embed_real(x.std_part())
-    std_norm = norm = math.hypot(*std_flat)
-    if std_norm == 0.0:
+    """The closed form over the two real embeddings: their dot product, added left to right, over
+    ``|x_std|`` where the magnitude rule's guard proves that quotient within its bound, and
+    ``reference_dual_hypot`` of the flattened pairs elsewhere."""
+    std_flat, inf_flat = embed_real(x.std_part()), embed_real(x.inf_part())
+    norm = math.hypot(*std_flat)
+    if norm == 0.0:
         raise NotAppreciableError("closed-form 2-norm needs an appreciable standard part")
-    if std_norm < 2.0**-1022:
-        std_flat = [c / 2.0**-1022 for c in std_flat]
-        norm = math.hypot(*std_flat)
     dot = 0.0
-    for a, b in zip(std_flat, embed_real(x.inf_part())):
+    for a, b in zip(std_flat, inf_flat):
         dot += a * b
-    return DualNumber(std_norm, dot / norm)
+    if norm >= 0.5 and math.isfinite(dot) or norm >= 2.0**-1022 and 2.0**-960 <= abs(dot) < math.inf:
+        return DualNumber(norm, dot / norm)
+    return reference_dual_hypot(list(zip(std_flat, inf_flat)))
 
 
 def reference_norm_inf_index(x):
@@ -477,6 +485,7 @@ ALL_INFINITESIMAL = DQVector((
 @example(UNIT_ROUNDING_CROSS_TERMS)
 @example(SUBNORMAL_WEIGHT)
 @example(SUBNORMAL_NORM)
+@example(UNDERFLOWING_DOT)
 @example(ALL_INFINITESIMAL)
 def test_norms_and_unit_check_round_exactly_as_the_operators(x):
     for fused, reference in FUSED_AND_REFERENCE:
