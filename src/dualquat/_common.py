@@ -23,7 +23,10 @@ UNIT_TOL = 1e-9  # default residual tolerance of the unit and orthonormality che
 
 
 def check_tolerance(tol: float) -> None:
-    """Reject a check tolerance that is not finite and ``>= 0.0``: a negative one, an infinity or NaN."""
+    """Reject a check tolerance that is not finite and ``>= 0.0``: a negative one, an infinity or NaN;
+    and a ``bool``, which is not a number here, as ``real_operand`` says."""
+    if tol.__class__ is bool:
+        raise TypeError("tolerance must be a number, got bool")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 

@@ -9,8 +9,10 @@ The magnitude of a dual quaternion is a dual *number*: for an appreciable
 value it is ``|std| + (std·inf / |std|) e``, where ``std·inf`` is the
 componentwise dot product (half the mixed sum ``std inf* + inf std*``), and
 for an infinitesimal one it is ``|inf| e``: ``_common.dual_hypot`` of the
-component pairs, which ``magnitude_parts`` evaluates as a quotient where
-that is proved as close.  ``magnitude_via_sqrt`` reaches the appreciable
+component pairs, which ``_magnitudes`` evaluates as a quotient where that
+is proved as close.  ``_magnitudes`` is the one definition of the rule, over
+a list of values: ``magnitude()`` takes it of a list of one, and the vector
+norms of their entries.  ``magnitude_via_sqrt`` reaches the appreciable
 case independently as ``sqrt(q * q.conjugate())``, sharing neither, and
 exists mainly so the two routes can be checked against each other.
 """
@@ -18,6 +20,7 @@ exists mainly so the two routes can be checked against each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from ._common import DOT_FLOOR, LARGEST, MIN_NORMAL, dual_hypot
 from ._common import UNIT_TOL, Value, agree, check_tolerance, close, real_operand, scale_exponent, times_power_of_two
@@ -25,7 +28,7 @@ from .dual import DualNumber, _dual_number
 from .errors import ConsistencyError, NotAppreciableError, NotInvertibleError
 from .quaternion import Quaternion, _scaled
 
-__all__ = ["DualQuaternion", "UnitCheck", "magnitude_parts", "magnitude_routes_agree", "magnitude_scale"]
+__all__ = ["DualQuaternion", "UnitCheck", "magnitude_routes_agree", "magnitude_scale"]
 
 
 class DualQuaternion(Value):
@@ -120,7 +123,7 @@ class DualQuaternion(Value):
         return _dual_quaternion(std_inv, -(std_inv * self.inf * std_inv))
 
     def magnitude(self) -> DualNumber:
-        return _dual_number(*magnitude_parts(self.std, self.inf))
+        return _dual_number(*_magnitudes((self,))[0])
 
     def magnitude_via_sqrt(self) -> DualNumber:
         """Magnitude computed as ``sqrt(q * q.conjugate())``.
@@ -213,39 +216,47 @@ def _scaled_dual_quaternion(value: DualQuaternion, real: float) -> DualQuaternio
     return _dual_quaternion(_scaled(value.std, real), _scaled(value.inf, real))
 
 
-def magnitude_parts(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
-    """The standard and infinitesimal parts of the magnitude of ``std + inf*e``.
+def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
+    """The parts of the magnitude of each entry, in entry order, unchecked: the one definition of the rule.
 
-    The definition of the magnitude rule: ``DualQuaternion.magnitude``
-    evaluates it here, and the vector norms must round exactly as it does.
-    It is ``n = hypot(std)`` and ``d / n``, with ``d`` the dot product
-    ``Quaternion.dot`` forms, left to right, where ``_common.dual_hypot``
-    proves that quotient within its bounds, and ``dual_hypot`` of the four
-    component pairs elsewhere, which a zero ``std`` reaches too.  It has two
-    copies of the guard and the quotient, each bit-identical to it:
-    ``vectors._self_parts``, whose self inner product has already formed the
-    dot product, for ``DQVector.unit_check``, and ``vectors._magnitudes``,
-    which the vector norms reduce, written out so that they make no call per
-    entry; a change here must change both, and
+    ``DualQuaternion.magnitude`` takes it of a list of one, and the vector
+    norms reduce it over their entries with no call per entry.  An
+    appreciable entry ``p + f e`` gives ``n = hypot(p)`` and ``d / n``, with
+    ``d`` the dot product ``Quaternion.dot`` forms, left to right, where
+    ``_common.dual_hypot`` proves that quotient within its bounds, and
+    ``dual_hypot`` of the four component pairs elsewhere.  A zero standard
+    part gives ``(0.0, hypot(f))``, ``dual_hypot``'s value there.  Each pair
+    depends on its entry alone.  ``vectors._self_parts`` holds one copy,
+    bit-identical to it, over the ``d`` its self inner product has formed; a
+    change here must change it too, and
     ``test_self_form_magnitudes_are_magnitude_parts`` fails until it does.  No
     part is checked, so a magnitude beyond the double range comes back as an
     infinity.  The parts are within γ_2 and γ_7 of ``magnitude_scale``: one
     ``hypot``; 4 products added, divided, or 4 weights times ``inf``, added.
     """
-    w, x, y, z = std.w, std.x, std.y, std.z
-    n = math.hypot(w, x, y, z)
-    d = w * inf.w + x * inf.x + y * inf.y + z * inf.z
-    if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-            or n and not (inf.w or inf.x or inf.y or inf.z)):
-        return n, d / n
-    return dual_hypot(((w, inf.w), (x, inf.x), (y, inf.y), (z, inf.z)))
+    magnitudes = []
+    for e in entries:
+        p, f = e.std, e.inf
+        w, x = p.w, p.x
+        y, z = p.y, p.z
+        if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
+            magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
+        else:
+            n = math.hypot(w, x, y, z)
+            d = w * f.w + x * f.x + y * f.y + z * f.z
+            if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+                    or n and not (f.w or f.x or f.y or f.z)):
+                magnitudes.append((n, d / n))
+            else:
+                magnitudes.append(dual_hypot(((w, f.w), (x, f.x), (y, f.y), (z, f.z))))
+    return magnitudes
 
 
 def magnitude_scale(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
-    """The scales of the magnitude's parts for ``close``: ``magnitude_parts`` of the absolute components.
+    """The scales of the magnitude's parts for ``close``: the rule of ``_magnitudes`` over the absolute components.
 
-    Written out, with its guard: two quaternions of absolute components for ``magnitude_parts`` cost five to ten times
-    the formula."""
+    Written out, with its guard: a dual quaternion of absolute components for ``_magnitudes`` costs five to ten
+    times the formula."""
     n = math.hypot(std.w, std.x, std.y, std.z)
     d = abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)
     if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST

@@ -15,11 +15,12 @@ Three norms are provided, each a dual number of the entry magnitudes
   ``hypot(m_1, ..., m_k)`` times the dual unit
 
 ``norm1`` and ``norm2`` reduce one list of the magnitudes, built in one pass
-by ``_magnitudes``.  The order compares standard parts first, so ``norm_inf``
-reads every ``n_i`` and forms an ``m_i`` only for the entries whose ``n_i`` is
-the largest, where alone it can break a tie; with no appreciable entry, every
-``m_i`` decides.  Each method makes its own pass; ``norms`` builds one list and
-reduces it to all three, which is how ``dualq`` and ``selfcheck`` take them.
+by ``dualquaternion._magnitudes``, the one definition of the magnitude rule.
+The order compares standard parts first, so ``norm_inf`` reads every ``n_i``
+and forms an ``m_i`` only for the entries whose ``n_i`` is the largest, where
+alone it can break a tie; with no appreciable entry, every ``m_i`` decides.
+Each method makes its own pass; ``norms`` builds one list and reduces it to
+all three, which is how ``dualq`` and ``selfcheck`` take them.
 
 ``norm2_closed_form`` computes the 2-norm of a vector with an appreciable
 standard part directly from the flattened real embeddings; it must agree
@@ -40,7 +41,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from ._common import DOT_FLOOR, LARGEST, MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, dual_hypot, real_operand
 from .dual import DualNumber, _dual_number, le_defect
 from .dualquaternion import (
-    DualQuaternion, _coerce, _dual_quaternion, _scaled_dual_quaternion, magnitude_parts, magnitude_scale
+    DualQuaternion, _coerce, _dual_quaternion, _magnitudes, _scaled_dual_quaternion, magnitude_scale
 )
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
@@ -81,8 +82,8 @@ def embed_real(values: Iterable[Quaternion]) -> tuple[float, ...]:
 # floating-point products that repeat in it evaluated once, which is exact
 # because x * y == y * x in IEEE arithmetic, and every sum still adds its own
 # terms in the order above; in the same pass it takes each entry's magnitude
-# from the dot product d that x . x has formed, so unit_check reads every entry
-# once for both of its residuals.  _gram_parts evaluates all the products
+# from the dot product d that x . x has formed, by the one copy of the rule of
+# _magnitudes, so unit_check reads every entry once for both of its residuals.  _gram_parts evaluates all the products
 # x_i . x_j of a list of vectors: each x_i . x_i from _self_parts, whose
 # magnitudes give each row's support, and every other one from _inner_parts.
 # _identity_defect is the one finiteness test of these parts: it raises as
@@ -148,7 +149,7 @@ def _inner_parts(left: Sequence[DualQuaternion], right: Sequence[DualQuaternion]
 
 
 def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float, float]]]:
-    """The components of ``_inner_parts(row, row)``, unchecked, and the entries' ``magnitude_parts``.
+    """The components of ``_inner_parts(row, row)``, unchecked, and the entries' ``_magnitudes``.
 
     The components are bit-identical to ``_inner_parts``: for each entry
     ``p + f e`` the sums ``conj(p) p`` and ``conj(f) p + conj(p) f`` repeat
@@ -164,13 +165,15 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
     zero is skipped, since each of its terms is then a product with a zero,
     which is exact by the argument above _inner_parts.
 
-    The magnitudes are a copy of ``magnitude_parts``, bit-identical to it: ``d``
-    has its products, ``x * y == y * x`` exactly, and its order of additions,
-    so an appreciable entry's magnitude is ``hypot(p) + (d / hypot(p)) e``
-    under the rule's guard, and ``magnitude_parts(p, f)`` where it fails.  A
-    zero standard part gives ``hypot(f) e``, and a zero entry ``(0.0, 0.0)``
-    with no ``hypot`` at all.  An entry is zero as a whole exactly when its
-    magnitude is ``(0.0, 0.0)``: a ``hypot`` of a nonzero part is never 0.
+    The magnitudes are the one copy of the rule of ``_magnitudes``, kept so
+    that ``unit_check`` and ``basis_check`` read every entry once, and
+    bit-identical to it: ``d`` has its products, ``x * y == y * x`` exactly,
+    and its order of additions, so an appreciable entry's magnitude is
+    ``hypot(p) + (d / hypot(p)) e`` under the rule's guard, and ``dual_hypot``
+    of the four component pairs where it fails.  A zero standard part gives
+    ``hypot(f) e``, and a zero entry ``(0.0, 0.0)`` with no ``hypot`` at all.
+    An entry is zero as a whole exactly when its magnitude is ``(0.0, 0.0)``:
+    a ``hypot`` of a nonzero part is never 0.
     """
     sw = sy = sz = iw = ix = iy = iz = 0.0
     magnitudes: list[tuple[float, float]] = []
@@ -198,7 +201,7 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
                 or n and not (f.w or f.x or f.y or f.z)):
             magnitudes.append((n, d / n))
         else:
-            magnitudes.append(magnitude_parts(p, f))
+            magnitudes.append(dual_hypot(((aw, fw), (ax, fx), (ay, fy), (az, fz))))
         t1, t2 = fw * ax, fx * aw
         t3, t4 = fy * az, fz * ay
         ix += (t1 - t2 - t3 + t4) + (t2 - t1 - t4 + t3)
@@ -340,9 +343,9 @@ class DQVector(Value):
     # to dual_hypot, as unit_check passes those of _self_parts.  Sums that
     # start at +0.0 never produce -0.0, and a non-finite magnitude leaves a part
     # infinite or NaN, so the final DualNumber raises NonFiniteError exactly
-    # when magnitude() would.  norm_inf and norm_inf_index take the magnitude
-    # only of the entries whose standard part is the largest, in _norm_inf.
-    # norms() takes all of them from one list.
+    # when magnitude(), the same rule over one entry, would.  norm_inf and
+    # norm_inf_index take _magnitudes only of the entries whose standard part
+    # is the largest, in _norm_inf.  norms() takes all of them from one list.
 
     def norm1(self) -> DualNumber:
         return _dual_number(*_norm1_parts(_magnitudes(self.entries)))
@@ -363,9 +366,9 @@ class DQVector(Value):
         Equals ``|x_std| + (x_std . x_inf / |x_std|) e`` on the embedded
         real vectors.  Needs an appreciable standard part.  One pass over the
         entries flattens the standard part and forms the dot product of the
-        embeddings, left to right; where ``magnitude_parts``' guard does not
-        prove the quotient within its bounds, the result is ``dual_hypot`` of
-        the flattened pairs instead.
+        embeddings, left to right; where the guard of the magnitude rule,
+        ``_magnitudes``, does not prove the quotient within its bounds, the
+        result is ``dual_hypot`` of the flattened pairs instead.
         """
         std_flat, dot = [], 0.0
         for e in self.entries:
@@ -472,35 +475,6 @@ def basis_check(vectors: Sequence[DQVector], tol: float = UNIT_TOL) -> BasisChec
     return BasisCheck(passed=passed, residuals=tuple(rows))
 
 
-def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
-    """``magnitude_parts`` of each entry, in entry order, unchecked.
-
-    A copy of the rule, bit-identical to it, written out so that the norms make
-    no call per entry: ``hypot``, the dot product left to right over
-    ``w, x, y, z``, and one division under the rule's guard; where the guard
-    fails, a call to ``magnitude_parts``.  An exact zero test gives a zero
-    standard part its ``(0.0, hypot(f))`` with no call.  A change to
-    ``magnitude_parts`` must change it too, and
-    ``test_self_form_magnitudes_are_magnitude_parts`` fails until it does.
-    """
-    magnitudes = []
-    for e in entries:
-        p, f = e.std, e.inf
-        w, x = p.w, p.x
-        y, z = p.y, p.z
-        if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
-            magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
-        else:
-            n = math.hypot(w, x, y, z)
-            d = w * f.w + x * f.x + y * f.y + z * f.z
-            if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                    or n and not (f.w or f.x or f.y or f.z)):
-                magnitudes.append((n, d / n))
-            else:
-                magnitudes.append(magnitude_parts(p, f))
-    return magnitudes
-
-
 def _norm1_parts(magnitudes: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """The sums of the standard and of the infinitesimal parts, in entry order, unchecked."""
     std = inf = 0.0
@@ -527,11 +501,11 @@ def _norm_inf_index(stds: list[float], tied_infs: Callable[[Sequence[int]], list
 
 
 def _norm_inf(entries: Sequence[DualQuaternion]) -> tuple[int, DualNumber]:
-    """``norm_inf_index`` and ``norm_inf``: the ``hypot`` of every standard part, and ``magnitude_parts``
+    """``norm_inf_index`` and ``norm_inf``: the ``hypot`` of every standard part, and ``_magnitudes``
     only of the entries whose standard part is the largest.  With none appreciable, the ``hypot`` of
     every infinitesimal part decides.
 
-    The result is the lowest index of the largest of the entries' ``magnitude_parts`` and that
+    The result is the lowest index of the largest of the entries' ``_magnitudes`` and that
     magnitude, bit for bit.  It raises ``NonFiniteError`` with ``magnitude()``'s text exactly when
     the magnitude of an entry whose standard part is the largest is not finite, at the first such
     entry: a larger standard part decides the order whatever a losing entry's magnitude is.
@@ -541,11 +515,10 @@ def _norm_inf(entries: Sequence[DualQuaternion]) -> tuple[int, DualNumber]:
     def tied_infs(tied: Sequence[int]) -> list[float]:
         if stds[tied[0]] == 0.0:  # no entry is appreciable, so every entry ties; a hypot is no NaN
             return [math.hypot(e.inf.w, e.inf.x, e.inf.y, e.inf.z) for e in entries]
-        return [_dual_number(*magnitude_parts(entries[i].std, entries[i].inf)).inf for i in tied]
+        return [_dual_number(*m).inf for m in _magnitudes([entries[i] for i in tied])]
 
     index = _norm_inf_index(stds, tied_infs)
-    e = entries[index]
-    return index, _dual_number(*magnitude_parts(e.std, e.inf))
+    return index, _dual_number(*_magnitudes((entries[index],))[0])
 
 
 _Scales = tuple[tuple[float, float], tuple[float, float]]
@@ -573,7 +546,7 @@ def norm2_closed_form_agrees(vector: DQVector, scales: _Scales, norm2: DualNumbe
     ``norm_scales``, and their largest difference.
 
     Against ``norm_scales``, for n entries: ``norm2()`` (``dual_hypot`` of the entry magnitudes, each
-    within γ_2 and γ_7 on either path of ``magnitude_parts``) is within γ_4 (a hypot of γ_2 values) and
+    within γ_2 and γ_7 on either path of ``_magnitudes``) is within γ_4 (a hypot of γ_2 values) and
     γ_(n+14) (a weight within γ_7, times ``m_i`` γ_15, then n − 1 additions) of the exact parts, so
     within γ_(n+4) and γ_(2n+14), and the closed form (a ``hypot``; 4n products added and divided, or
     4n weights within γ_3 times ``x_inf``, added) within γ_2 and γ_(4n+3), so the two are close at
@@ -589,7 +562,7 @@ def norm_chain_defect(
     the vector's ``norm_scales``: the larger ``le_defect`` of its two links, 0.0 when it holds.
 
     Against ``norm_scales``' first scale, which bounds all three, for n entries: ``norm_inf`` is
-    within γ_2 and γ_7 of the exact parts on either path of ``magnitude_parts``, ``norm2`` γ_(n+4)
+    within γ_2 and γ_7 of the exact parts on either path of ``_magnitudes``, ``norm2`` γ_(n+4)
     and γ_(2n+14), and ``norm1`` γ_(n+1) and γ_(n+6), so each link holds at k = 3n + 20.  With two or more appreciable entries the exact
     standard parts are strictly ordered, so standard parts close at k tie and decide alone: the
     infinitesimal parts are judged at an infinite scale, which ``close`` admits.  With at most one,

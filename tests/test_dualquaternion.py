@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualquat import (
     DualNumber,
@@ -15,7 +15,7 @@ from dualquat import (
     Quaternion,
 )
 from dualquat._common import DOT_FLOOR, MIN_NORMAL, dual_hypot
-from dualquat.dualquaternion import magnitude_parts
+from dualquat.dualquaternion import _magnitudes
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -172,6 +172,10 @@ quaternions = st.builds(
 
 @settings(max_examples=300)
 @given(st.one_of(st.just(Quaternion()), quaternions), quaternions)
+# A zero std, the branch of every infinitesimal magnitude(): a hypot that
+# overflows, and one of subnormal components.
+@example(Quaternion(), Quaternion(1e308, 1e308, 0.0, 0.0))
+@example(Quaternion(), Quaternion(5e-324, -1e-310, 2.5e-320, 0.0))
 def test_magnitude_parts_are_the_norm_and_dot_of_the_quaternions(std, inf):
     # The quotient where the guard proves it within its bound; elsewhere, a zero std
     # included, the weighted sum over the component pairs.
@@ -181,12 +185,13 @@ def test_magnitude_parts_are_the_norm_and_dot_of_the_quaternions(std, inf):
     else:
         expected = dual_hypot(list(zip(std.components(), inf.components())))
     # repr, so that an infinity from an overflow compares equal to itself.
-    assert repr(magnitude_parts(std, inf)) == repr(expected)
+    assert repr(_magnitudes((DualQuaternion(std, inf),))[0]) == repr(expected)
 
 
 def test_magnitude_parts_of_parts_whose_dot_product_overflows():
     # std·inf = 1.798e308 is beyond the double range; the magnitude 2 + 8.99e307e is not.
-    assert magnitude_parts(Quaternion(0, 0, 0, 2), Quaternion(0, 0, 0, 8.99e307)) == (2.0, 8.99e307)
+    value = DualQuaternion(Quaternion(0, 0, 0, 2), Quaternion(0, 0, 0, 8.99e307))
+    assert _magnitudes((value,))[0] == (2.0, 8.99e307)
 
 
 def test_magnitude_via_sqrt_agrees():

@@ -70,7 +70,7 @@ def test_magnitude_via_sqrt_keeps_the_infinitesimal_part_when_scaling_makes_a_co
 
 
 def test_norm2_keeps_the_infinitesimal_part_when_the_standard_norm_is_subnormal():
-    # Both copies of the magnitude rule, _magnitudes and _self_parts, take its weighted sum here too.
+    # The magnitude rule, _magnitudes, and its copy in _self_parts take its weighted sum here too.
     vector = DQVector((DualQuaternion(
         Quaternion(-9.56133958527554e-324, 2.6713221290536615e-324, 7.305276594359864e-324, 0.0),
         Quaternion(-6.002611355451369e176, 6.489234250275337e176, 1.492776453921583e176, 0.0),

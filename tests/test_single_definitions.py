@@ -21,10 +21,12 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # NORM_CHECK_CALLS), the default unit tolerance and the rule that admits a
 # tolerance, the real-scalar operand rule, the quaternion product rule
 # (written out again, with conjugation folded in, by the inner-product
-# kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule, the
-# one "hypot, then weighted sum" kernel with the largest double and the floor
-# of the guard that lets its callers divide a dot product instead (the
-# magnitude, its scale, norm2 over _magnitudes, norm_scales over
+# kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule
+# _magnitudes, over a list of values (magnitude() takes it of a list of one
+# and the norms of their entries, so a second copy in vectors.py fails here),
+# the one "hypot, then weighted sum" kernel with the largest double and the
+# floor of the guard that lets its callers divide a dot product instead (the
+# magnitude rule, its scale, norm2 over the rule, norm_scales over
 # magnitude_scale and the closed form's fallback, so none can fork; see
 # WEIGHTED_SUM), the per-field and all-fields finiteness tests, the trusted
 # constructors of kernel results, the product with a real and the
@@ -47,7 +49,7 @@ SHARED_RULES = (
     "check_tolerance",
     "real_operand",
     "product",
-    "magnitude_parts",
+    "_magnitudes",
     "dual_hypot",
     "finite",
     "all_finite",
@@ -99,9 +101,9 @@ ALL_FINITE_INLINED = {
 # conj(a) b three times per entry pair without a call or a conjugated copy,
 # and the self form x . x of unit_check and of the Gram kernel of basis_check,
 # which writes it out with each repeated product once.  The self form also
-# holds a copy of the magnitude rule's guarded quotient, from its dot product
-# d = f . p, and vectors._magnitudes the other, which the norms reduce;
-# test_self_form_magnitudes_are_magnitude_parts pins both to magnitude_parts.
+# holds the one copy of the magnitude rule's guarded quotient, from its dot
+# product d = f . p; test_self_form_magnitudes_are_magnitude_parts pins it to
+# the rule, dualquaternion._magnitudes.
 PRODUCT_WRITTEN_OUT = {
     "quaternion.product",
     "vectors._inner_parts",
@@ -110,16 +112,16 @@ PRODUCT_WRITTEN_OUT = {
 
 # The one def that adds up weights a_i / N times b_i, and the defs that write
 # out the guard under which a dot product over N is within the same bounds
-# instead, each over its own names: the magnitude rule, its two copies, its
-# scale and the closed form.  The sqrt route to the magnitude shares neither,
-# so that dualq magnitude's cross-check of the two routes stays independent.
+# instead, each over its own names: the magnitude rule, its one copy in the
+# self form, its scale and the closed form.  The sqrt route to the magnitude
+# shares neither, so that dualq magnitude's cross-check of the two routes
+# stays independent.
 WEIGHTED_SUM = "_common.dual_hypot"
 CLOSED_FORM = "vectors.DQVector.norm2_closed_form"
 GUARDED_QUOTIENTS = {
-    "dualquaternion.magnitude_parts",
+    "dualquaternion._magnitudes",
     "dualquaternion.magnitude_scale",
     "vectors._self_parts",
-    "vectors._magnitudes",
     CLOSED_FORM,
 }
 SQRT_ROUTE = "magnitude_via_sqrt"
@@ -307,11 +309,11 @@ def test_production_modules_keep_off_the_mixed_sum_cross_check():
 
 
 def test_vector_norms_evaluate_the_magnitude_rule_directly():
-    # norm1 and norm2 reduce the floats of _magnitudes, the copy of
-    # magnitude_parts written out over a vector's entries; norm_inf and
-    # norm_inf_index take the standard parts in _norm_inf and a magnitude only
-    # where it can decide.  A DualNumber per entry from
-    # DualQuaternion.magnitude is the work none of them may redo.
+    # norm1 and norm2 reduce the floats of _magnitudes, the magnitude rule over
+    # a vector's entries; norm_inf and norm_inf_index take the standard parts
+    # in _norm_inf and the rule's magnitude only where it can decide.  A
+    # DualNumber per entry from DualQuaternion.magnitude is the work none of
+    # them may redo.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector"
@@ -418,7 +420,7 @@ def test_one_def_adds_the_weighted_sum_and_the_sqrt_route_stays_apart_from_it():
                 sqrt_route.append(_names(node))
     assert weighted == {WEIGHTED_SUM}
     # One guard per def, written alike in each: a copy that admits more than the
-    # rule's own would return a quotient where magnitude_parts takes the kernel.
+    # rule's own would return a quotient where _magnitudes takes the kernel.
     # The closed form leaves out the last clause, a zero infinitesimal part,
     # which it does not read.
     assert set(guards) == GUARDED_QUOTIENTS and all(len(tests) == 1 for tests in guards.values())
@@ -427,11 +429,11 @@ def test_one_def_adds_the_weighted_sum_and_the_sqrt_route_stays_apart_from_it():
     (closed,) = guards[CLOSED_FORM]
     assert magnitude_guards.pop().startswith(closed + " or "), (closed, guards)
     (used,) = sqrt_route
-    assert not {"magnitude_parts", WEIGHTED_SUM.rpartition(".")[2], "magnitude"} & used
+    assert not {"_magnitudes", WEIGHTED_SUM.rpartition(".")[2], "magnitude"} & used
 
 
 def test_norm2_and_its_scale_share_the_2_norm_kernel():
-    # norm2 over _magnitudes and norm_scales over magnitude_scale both call
+    # norm2 over the magnitude rule and norm_scales over magnitude_scale both call
     # dual_hypot; norm2 forms no square and takes no square root.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector")

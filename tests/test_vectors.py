@@ -22,8 +22,9 @@ from dualquat import (
     basis_check,
     embed_real,
 )
-from dualquat.dualquaternion import magnitude_parts
-from dualquat.vectors import _gram_parts, _inner_result, _magnitudes, _self_parts, norm_chain_defect, norm_scales, norms
+from dualquat.dual import _dual_number
+from dualquat.dualquaternion import _magnitudes
+from dualquat.vectors import _gram_parts, _inner_result, _self_parts, norm_chain_defect, norm_scales, norms
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -398,8 +399,8 @@ def reference_dual_hypot(pairs):
 
 
 def reference_norm2(x):
-    """``reference_dual_hypot`` of the entry magnitudes, which come unchecked from ``magnitude_parts``."""
-    return reference_dual_hypot([magnitude_parts(e.std, e.inf) for e in x])
+    """``reference_dual_hypot`` of the entry magnitudes, which come unchecked from the magnitude rule."""
+    return reference_dual_hypot([_magnitudes((e,))[0] for e in x])
 
 
 def reference_norm2_closed_form(x):
@@ -555,13 +556,16 @@ def test_gram_kernel_gives_every_inner_product_exactly(vectors):
 @example(ALL_INFINITESIMAL)
 def test_self_form_magnitudes_are_magnitude_parts(x):
     # unit_check takes its 2-norm from the self form's copy of the magnitude
-    # rule, and the norms theirs from _magnitudes.  A norm or a residual can
-    # hide an entry's infinitesimal part that differs, so each entry's two
-    # floats are compared, by repr.
-    expected = repr([magnitude_parts(e.std, e.inf) for e in x])
+    # rule, and the norms theirs from the rule, _magnitudes.  A norm or a
+    # residual can hide an entry's infinitesimal part that differs, so each
+    # entry's two floats are compared, by repr.
+    expected = _magnitudes(x.entries)
     _, magnitudes = _self_parts(x.entries)
-    assert repr(magnitudes) == expected
-    assert repr(_magnitudes(x.entries)) == expected
+    assert repr(magnitudes) == repr(expected)
+    # The list form carries nothing from one entry to the next: each entry's
+    # magnitude(), the rule over a list of one, is its pair in the whole list.
+    for e, pair in zip(x, expected):
+        assert exact_outcome(e.magnitude) == exact_outcome(lambda: _dual_number(*pair))
 
 
 @settings(max_examples=200)
@@ -936,6 +940,15 @@ _TOLERANCE_CHECKS = {
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, -1e-9, math.nan])
 def test_every_check_admits_only_a_finite_nonnegative_tolerance(entry_point, tol):
     with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        _TOLERANCE_CHECKS[entry_point](tol)
+
+
+@pytest.mark.parametrize("entry_point", sorted(_TOLERANCE_CHECKS))
+@pytest.mark.parametrize("tol", [True, False])
+def test_every_check_refuses_a_bool_tolerance(entry_point, tol):
+    # A bool is not a number here, as in DualNumber(1.0) + True: True would
+    # otherwise read as the tolerance 1.0.
+    with pytest.raises(TypeError, match="tolerance must be a number, got bool"):
         _TOLERANCE_CHECKS[entry_point](tol)
 
 
