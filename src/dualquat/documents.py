@@ -17,8 +17,9 @@ line and column.  A line ends at LF, and every other character, tab
 included, is one column.
 
 A document is read by one lexer and one parser.  The lexer reads each
-well-formed dual-quaternion literal as one token; the parser defines the
-grammar and reports every error.
+well-formed dual-quaternion literal as one token and builds its value, where
+``float`` is the check of each number; the parser defines the grammar and
+reports every error.
 
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
@@ -65,14 +66,23 @@ class InputDocument(Value):
 # The alternatives are tried in order: a whole ``dq{ std: Q, inf: Q }``
 # literal, number, identifier, punctuation, and last any other character but
 # whitespace, which the lexer rejects.  So only space, tab, CR and LF match
-# nothing, and ``finditer`` skips exactly those.  A literal token covers
-# exactly the tokens that the other alternatives would give for its text: it
-# starts where a token would, and each number, unit or keyword in it is
-# followed by whitespace or by a sign, unit or punctuation mark, none of which
-# can extend it.  Those tokens are what the parser's piecewise rules accept
-# after "dq", so the parser stays the one definition of the grammar and of
-# every error.
+# nothing, and ``finditer`` skips exactly those.  Inside the literal each
+# number is a _RUN of digits and dots with an optional exponent, which sre
+# matches as one repeated character class, where _NUMBER takes it through
+# nested groups.
+# Every _NUMBER text is a run, and over these characters ``float`` accepts a
+# run exactly when it is a _NUMBER, so the literal's value build is its number
+# check.  A literal token whose runs ``float`` all accepts covers exactly the
+# tokens that the other alternatives would give for its text: it starts where
+# a token would, and each number, unit or keyword in it is followed by
+# whitespace or by a sign, unit or punctuation mark, none of which can extend
+# it.  Those tokens are what the parser's piecewise rules accept after "dq",
+# so the parser stays the one definition of the grammar and of every error.
+# A match holding a run that ``float`` rejects is no literal token: the lexer
+# gives its "dq" as an identifier and scans on after it with the same pattern,
+# which yields the tokens the other alternatives give for the rest.
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_RUN = r"[0-9.]+(?:[eE][+-]?[0-9]+)?"
 _WS = "[ \t\r\n]*"
 _NON_FINITE_WORDS = frozenset({"inf", "infinity", "nan"})
 
@@ -80,8 +90,8 @@ _NON_FINITE_WORDS = frozenset({"inf", "infinity", "nan"})
 @functools.cache
 def _scanner() -> re.Pattern:
     """The lexer's one pattern, compiled on first use, not at import."""
-    term = rf"{_WS}([+-]){_WS}({_NUMBER}){_WS}"
-    quaternion = rf"{_WS}(?:([+-]){_WS})?({_NUMBER})(?:{term}i{term}j{term}k)?{_WS}"
+    term = rf"{_WS}([+-]){_WS}({_RUN}){_WS}"
+    quaternion = rf"{_WS}(?:([+-]){_WS})?({_RUN})(?:{term}i{term}j{term}k)?{_WS}"
     literal = rf"dq{_WS}\{{{_WS}std{_WS}:{quaternion},{_WS}inf{_WS}:{quaternion}\}}"
     return re.compile(
         rf"(?P<literal>{literal})|(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -90,9 +100,10 @@ def _scanner() -> re.Pattern:
 
 
 # A token is (kind, text, offset) with kind "number", "ident", "punct" or
-# "end", or ("literal", "dq", offset, match).  The end token has empty text
+# "end", or ("literal", "dq", offset, match, value), with value None where a
+# number of the literal overflows.  The end token has empty text
 # and offset len(text).
-_Tok = tuple[str, str, int] | tuple[str, str, int, re.Match]
+_Tok = tuple[str, str, int] | tuple[str, str, int, re.Match, DualQuaternion | None]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -100,16 +111,46 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _literal_value(m: re.Match) -> DualQuaternion | None:
+    """The value of a literal match, built by the trusted constructors; None if a number overflows.
+
+    Groups 2-17 of the match are the sign and number of w, x, y and z of
+    each part in turn; an absent group reads as "".  ``float`` is the check
+    of each number: it raises ``ValueError`` on a run that is not a number,
+    which has two dots or no digit, and only there, since the signs are
+    "", "+" or "-".  A single real's absent terms read as "0", and
+    ``float("-" + number)`` is ``-float(number)``, the piecewise value, since
+    decimal conversion rounds correctly and so symmetrically.  All eight
+    numbers are read before either part is built, so a rejected run is found
+    whatever else the literal holds.
+    """
+    g = m.groups("")
+    std = float(g[1] + g[2]), float(g[3] + g[4] or "0"), float(g[5] + g[6] or "0"), float(g[7] + g[8] or "0")
+    inf = float(g[9] + g[10]), float(g[11] + g[12] or "0"), float(g[13] + g[14] or "0"), float(g[15] + g[16] or "0")
+    try:
+        return _dual_quaternion(_quaternion(*std), _quaternion(*inf))
+    except NonFiniteError:  # _quaternion raises it on an overflowed real
+        return None
+
+
 def _tokenize(text: str) -> list[_Tok]:
     tokens = []
-    for m in _scanner().finditer(text):
-        kind = m.lastgroup
-        if kind == "literal":
-            tokens.append((kind, "dq", m.start(), m))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
-        else:
-            tokens.append((kind, m[0], m.start()))
+    resume = 0
+    while resume is not None:
+        matches, resume = _scanner().finditer(text, resume), None
+        for m in matches:
+            kind = m.lastgroup
+            if kind == "literal":
+                try:
+                    tokens.append((kind, "dq", m.start(), m, _literal_value(m)))
+                except ValueError:  # a run that is no number: the text after "dq" is read on piecewise
+                    tokens.append(("ident", "dq", m.start()))
+                    resume = m.start() + 2
+                    break
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
+            else:
+                tokens.append((kind, m[0], m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -195,7 +236,7 @@ class _Parser:
         token = self._tokens[self._pos]
         if token[0] == "literal":
             self._pos += 1
-            return self._literal(token[3])
+            return self._literal(token)
         self._expect("dq")
         self._expect("{")
         self._expect("std")
@@ -208,25 +249,18 @@ class _Parser:
         self._expect("}")
         return DualQuaternion(std, inf)
 
-    def _literal(self, m: re.Match) -> DualQuaternion:
-        """The value of a literal token, built by the trusted constructors.
+    def _literal(self, token: _Tok) -> DualQuaternion:
+        """The value of a literal token, or the overflow error of its first number that overflows.
 
-        Groups 2-17 of its match are the sign and number of w, x, y and z of
-        each part in turn.  An absent group reads as "0": a leading zero,
-        which ``float`` ignores, or as a single real's terms "00", 0.0.
-        ``float("-" + number)`` is ``-float(number)``, the piecewise value,
-        since decimal conversion rounds correctly and so symmetrically.
+        The numbers are groups 3-17, odd, of its match, in the piecewise rules' order.
         """
-        g = m.groups("0")
-        try:
-            return _dual_quaternion(
-                _quaternion(float(g[1] + g[2]), float(g[3] + g[4]), float(g[5] + g[6]), float(g[7] + g[8])),
-                _quaternion(float(g[9] + g[10]), float(g[11] + g[12]), float(g[13] + g[14]), float(g[15] + g[16])),
-            )
-        except NonFiniteError:  # _quaternion raises it on an overflowed real
-            for group in range(3, 18, 2):  # the numbers, in the piecewise rules' order
-                if m[group] is not None and not math.isfinite(float(m[group])):
-                    raise self._overflow(m[group], m.start(group)) from None
+        value = token[4]
+        if value is None:
+            m = token[3]
+            for group in range(3, 18, 2):
+                if m[group] and not math.isfinite(float(m[group])):
+                    raise self._overflow(m[group], m.start(group))
+        return value
 
     def _items(self, head: str, noun: str, read) -> tuple:
         """The items of a non-empty ``head[ item, ... ]`` list, each read by ``read``."""

@@ -12,7 +12,9 @@ for an infinitesimal one it is ``|inf| e``: ``_common.dual_hypot`` of the
 component pairs, which ``_magnitudes`` evaluates as a quotient where that
 is proved as close.  ``_magnitudes`` is the one definition of the rule, over
 a list of values: ``magnitude()`` takes it of a list of one, and the vector
-norms of their entries.  ``magnitude_via_sqrt`` reaches the appreciable
+norms of their entries.  The scale of its parts for ``close``, the rule over
+the absolute components, is the list kernel ``_magnitude_scales``, built the
+same way.  ``magnitude_via_sqrt`` reaches the appreciable
 case independently as ``sqrt(q * q.conjugate())``, sharing neither, and
 exists mainly so the two routes can be checked against each other.
 """
@@ -242,27 +244,49 @@ def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
         if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
             magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
         else:
+            fw, fx = f.w, f.x
+            fy, fz = f.y, f.z
             n = math.hypot(w, x, y, z)
-            d = w * f.w + x * f.x + y * f.y + z * f.z
+            d = w * fw + x * fx + y * fy + z * fz
             if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                    or n and not (f.w or f.x or f.y or f.z)):
+                    or n and not (fw or fx or fy or fz)):
                 magnitudes.append((n, d / n))
             else:
-                magnitudes.append(dual_hypot(((w, f.w), (x, f.x), (y, f.y), (z, f.z))))
+                magnitudes.append(dual_hypot(((w, fw), (x, fx), (y, fy), (z, fz))))
     return magnitudes
 
 
-def magnitude_scale(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
-    """The scales of the magnitude's parts for ``close``: the rule of ``_magnitudes`` over the absolute components.
+def _magnitude_scales(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
+    """The scales of the magnitude's parts for ``close``, for each entry in entry order: the rule of ``_magnitudes``
+    over the absolute components.
 
-    Written out, with its guard: a dual quaternion of absolute components for ``_magnitudes`` costs five to ten
-    times the formula."""
-    n = math.hypot(std.w, std.x, std.y, std.z)
-    d = abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)
-    if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-            or n and not (inf.w or inf.x or inf.y or inf.z)):
-        return n, d / n
-    return dual_hypot([(abs(a), abs(b)) for a, b in zip(std.components(), inf.components())])
+    Built as ``_magnitudes`` is, with ``d`` the sum of the ``|p_i f_i|`` and ``dual_hypot`` of the absolute pairs
+    where the guard fails.  A zero standard part gives ``(0.0, hypot(f))``, which is ``dual_hypot``'s value there,
+    as ``hypot`` ignores signs.  ``magnitude_scale`` takes it of a list of one, and ``vectors.norm_scales`` of a
+    vector's entries."""
+    scales = []
+    for e in entries:
+        p, f = e.std, e.inf
+        w, x = p.w, p.x
+        y, z = p.y, p.z
+        if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
+            scales.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
+        else:
+            fw, fx = f.w, f.x
+            fy, fz = f.y, f.z
+            n = math.hypot(w, x, y, z)
+            d = abs(w * fw) + abs(x * fx) + abs(y * fy) + abs(z * fz)
+            if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
+                    or n and not (fw or fx or fy or fz)):
+                scales.append((n, d / n))
+            else:
+                scales.append(dual_hypot(((abs(w), abs(fw)), (abs(x), abs(fx)), (abs(y), abs(fy)), (abs(z), abs(fz)))))
+    return scales
+
+
+def magnitude_scale(std: Quaternion, inf: Quaternion) -> tuple[float, float]:
+    """The scales of the magnitude's parts of ``std + inf e`` for ``close``: ``_magnitude_scales`` of a list of one."""
+    return _magnitude_scales((_dual_quaternion(std, inf),))[0]
 
 
 def magnitude_routes_agree(q: DualQuaternion, magnitude: DualNumber, via_sqrt: DualNumber) -> tuple[bool, float]:
@@ -272,7 +296,7 @@ def magnitude_routes_agree(q: DualQuaternion, magnitude: DualNumber, via_sqrt: D
     quotient's path and on ``dual_hypot``'s alike, and ``magnitude_via_sqrt()`` within γ_3 and γ_9,
     so the two are close at k = 16, part by part.
     """
-    return agree(via_sqrt, magnitude, magnitude_scale(q.std, q.inf), 16)
+    return agree(via_sqrt, magnitude, _magnitude_scales((q,))[0], 16)
 
 
 class UnitCheck(Value):

@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from ._common import DOT_FLOOR, LARGEST, MIN_NORMAL, UNIT_TOL, Value, agree, check_tolerance, dual_hypot, real_operand
 from .dual import DualNumber, _dual_number, le_defect
 from .dualquaternion import (
-    DualQuaternion, _coerce, _dual_quaternion, _magnitudes, _scaled_dual_quaternion, magnitude_scale
+    DualQuaternion, _coerce, _dual_quaternion, _magnitude_scales, _magnitudes, _scaled_dual_quaternion
 )
 from .errors import EmptyVectorError, LengthMismatchError, NotAppreciableError
 from .quaternion import Quaternion, _quaternion
@@ -198,7 +198,7 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
         iw += d + d
         n = math.hypot(aw, ax, ay, az)
         if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                or n and not (f.w or f.x or f.y or f.z)):
+                or n and not (fw or fx or fy or fz)):
             magnitudes.append((n, d / n))
         else:
             magnitudes.append(dual_hypot(((aw, fw), (ax, fx), (ay, fy), (az, fz))))
@@ -526,8 +526,8 @@ _Scales = tuple[tuple[float, float], tuple[float, float]]
 
 def norm_scales(vector: DQVector) -> _Scales:
     """The scales for ``close`` of ``norm1``, which bound those of all three
-    norms, and of ``norm2``: the norms of the entries' ``magnitude_scale``."""
-    scales = [magnitude_scale(e.std, e.inf) for e in vector.entries]
+    norms, and of ``norm2``: the norms of the entries' scales, ``_magnitude_scales``."""
+    scales = _magnitude_scales(vector.entries)
     return _norm1_parts(scales), dual_hypot(scales)
 
 

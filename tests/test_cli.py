@@ -19,8 +19,9 @@ import oracle
 from dualquat import DQVector, DualQuatError, DualQuaternion, Quaternion, embed_real
 from dualquat.cli import main
 from dualquat.documents import parse_document
-from dualquat.dualquaternion import magnitude_scale
-from dualquat.vectors import norm_scales
+from dualquat._common import DOT_FLOOR, LARGEST, MIN_NORMAL, dual_hypot
+from dualquat.dualquaternion import _magnitude_scales, magnitude_scale
+from dualquat.vectors import _norm1_parts, norm_scales
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -708,6 +709,35 @@ def test_norm2_is_within_its_derived_bound_across_the_double_range(entries):
         assert any(map(oracle.may_overflow, exact, scale, ks)), vector
         return
     assert _within(norm2, exact, scale, ks) or not entries_within, vector
+
+
+def _reference_scale(std, inf):
+    """An entry's magnitude scale as one formula over its quaternions: the guarded quotient over the
+    absolute components, else ``dual_hypot`` of the absolute pairs."""
+    n = math.hypot(*std.components())
+    d = abs(std.w * inf.w) + abs(std.x * inf.x) + abs(std.y * inf.y) + abs(std.z * inf.z)
+    if (n >= 0.5 and d <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= d <= LARGEST
+            or n and not (inf.w or inf.x or inf.y or inf.z)):
+        return n, d / n
+    return dual_hypot([(abs(a), abs(b)) for a, b in zip(std.components(), inf.components())])
+
+
+_ZERO = (0.0,) * 4
+
+
+@given(full_range_entries)
+@example([((_ZERO, (9.0, 9.0, -9.0, 9.0)), 0, 307)])  # a zero standard part whose infinitesimal hypot overflows
+@example([((_ZERO, (5.0, -3.0, 0.0, 1.0)), 0, -324), ((_ZERO, (2.5, 0.0, 0.0, -7.0)), -5, -320)])  # subnormal components
+@example([((_ONE, _ONE), 200, 200), (((1.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)), 300, 8)])  # overflowed products
+@example([((_ONE, _ONE), -323, 0)] * 2)  # a subnormal N
+def test_the_scales_kernel_is_the_per_entry_formula_bit_for_bit(entries):
+    # _magnitude_scales evaluates the formula over a list, with a zero standard
+    # part taking (0.0, hypot(inf)), which is dual_hypot's value there.
+    vector = DQVector([DualQuaternion(scaled_quaternion(std, e), scaled_quaternion(inf, f)) for (std, inf), e, f in entries])
+    want = [_reference_scale(x.std, x.inf) for x in vector]
+    assert repr(_magnitude_scales(vector.entries)) == repr(want)
+    assert repr([magnitude_scale(x.std, x.inf) for x in vector]) == repr(want)
+    assert repr(norm_scales(vector)) == repr((_norm1_parts(want), dual_hypot(want)))
 
 
 # tests/data/vector_chain_tie.dq: two appreciable entries whose norms' standard parts round

@@ -188,28 +188,35 @@ def test_nonfinite_literals_rejected():
 _OVERFLOW_POSITIONS = [(part, index) for part in (0, 1) for index in range(4)] + [(0, None), (1, None)]
 
 
-def _overflowing_literal(part, index, sign):
+def _literal_holding(part, index, real):
+    """A literal with the signed ``real`` at one position and 1 at every other."""
     quaternions = []
     for p in (0, 1):
         if index is None:
-            quaternions.append(f"{sign}1e999" if p == part else "1")
+            quaternions.append(real if p == part else "1")
         else:
-            terms = [f"{sign}1e999" if (p, i) == (part, index) else "+1" for i in range(4)]
+            terms = [real if (p, i) == (part, index) else "+1" for i in range(4)]
             quaternions.append(f"{terms[0]} {terms[1]}i {terms[2]}j {terms[3]}k")
     return f"dq{{ std: {quaternions[0]}, inf: {quaternions[1]} }}"
 
 
+_PLACES = ["scalar", "last entry", "second vector"]
+_OK = "dq{ std: 1 + 0i + 0j + 0k, inf: 0 }"
+
+
+def _placed(place, literal):
+    return {
+        "scalar": literal,
+        "last entry": f"vec[ {_OK},\n  {literal} ]",
+        "second vector": f"basis[ vec[ {_OK}, {_OK} ],\n  vec[ {_OK}, {literal} ] ]",
+    }[place]
+
+
 @pytest.mark.parametrize("part,index", _OVERFLOW_POSITIONS)
-@pytest.mark.parametrize("place", ["scalar", "last entry", "second vector"])
+@pytest.mark.parametrize("place", _PLACES)
 def test_matcher_declines_an_overflow_in_every_position(place, part, index):
-    ok = "dq{ std: 1 + 0i + 0j + 0k, inf: 0 }"
     for sign in ("+", "-"):
-        bad = _overflowing_literal(part, index, sign)
-        text = {
-            "scalar": bad,
-            "last entry": f"vec[ {ok},\n  {bad} ]",
-            "second vector": f"basis[ vec[ {ok}, {ok} ],\n  vec[ {ok}, {bad} ] ]",
-        }[place]
+        text = _placed(place, _literal_holding(part, index, f"{sign}1e999"))
         # The overflow is inside a literal token, so the literal's value
         # build finds it, not the piecewise rules.
         assert _literal_tokens(text) == text.count("dq")
@@ -221,6 +228,36 @@ def test_matcher_declines_an_overflow_in_every_position(place, part, index):
         with pytest.raises(NonFiniteError) as piecewise_err:
             _parse_piecewise(text)
         assert str(piecewise_err.value) == str(err.value)
+
+
+# Runs of digits, dots and an exponent that the literal pattern admits as a
+# number and ``float`` rejects: two dots, or no digit before the exponent.
+_NOT_NUMBERS = ["1.2.3", "1..2", ".", "..", ".e5", ".5.", "1.2.e3"]
+
+
+@pytest.mark.parametrize("run", _NOT_NUMBERS)
+@pytest.mark.parametrize("place", _PLACES)
+def test_a_run_that_is_no_number_leaves_its_literal_to_the_piecewise_rules(place, run):
+    # Whatever follows, the text reads as it does token by token: a lexer error
+    # anywhere first, then the first parse error in document order, so neither
+    # a later '@' nor a later overflow comes before the run's own error.
+    scanner = documents._scanner()
+    for part, index in _OVERFLOW_POSITIONS:
+        for sign in ("", "+", "-") if index in (0, None) else ("+", "-"):
+            literal = _literal_holding(part, index, sign + run)
+            for later in ("", " @", " dq{ std: 1e999, inf: 0 } 1e999", ",\n 1e999 @"):
+                text = _placed(place, literal) + later
+                assert _outcome(parse_document, text) == _outcome(_parse_piecewise, text), text
+                start = text.index(literal)
+                m = scanner.match(text, start)
+                assert m.lastgroup == "literal" and m.end() == start + len(literal), text
+                with pytest.raises(ValueError):
+                    documents._literal_value(m)
+                try:
+                    tokens = documents._tokenize(text)
+                except ParseError:
+                    continue  # a lexer error, which the outcomes above agree on
+                assert ("ident", "dq", start) in tokens, text
 
 
 def test_partial_quaternions_rejected():
@@ -426,7 +463,7 @@ def _signed_quaternion_tokens(draw):
 _signed_document_tokens = _documents_of(_dq_tokens(_signed_quaternion_tokens()))
 _edit_tokens = st.sampled_from([
     "dq", "vec", "basis", "std", "inf", "{", "}", "[", "]", ",", ":", "+", "-",
-    "i", "j", "k", "e", "0", ".5", "1.8e308", "1e999", "Infinity", "x", "@", "é", "\f", "\v", "\xa0",
+    "i", "j", "k", "e", "0", ".5", "1.8e308", "1e999", "1.2.3", "..", "Infinity", "x", "@", "é", "\f", "\v", "\xa0",
 ])
 
 

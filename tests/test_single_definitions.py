@@ -24,10 +24,12 @@ PACKAGE = Path(dualquat.__file__).resolve().parent
 # kernels; see PRODUCT_WRITTEN_OUT), the dual-quaternion magnitude rule
 # _magnitudes, over a list of values (magnitude() takes it of a list of one
 # and the norms of their entries, so a second copy in vectors.py fails here),
+# its scale _magnitude_scales, over a list in the same way (magnitude_scale
+# takes it of a list of one and norm_scales of a vector's entries),
 # the one "hypot, then weighted sum" kernel with the largest double and the
 # floor of the guard that lets its callers divide a dot product instead (the
 # magnitude rule, its scale, norm2 over the rule, norm_scales over
-# magnitude_scale and the closed form's fallback, so none can fork; see
+# _magnitude_scales and the closed form's fallback, so none can fork; see
 # WEIGHTED_SUM), the per-field and all-fields finiteness tests, the trusted
 # constructors of kernel results, the product with a real and the
 # power-of-two scaling rule (see SCALING_RULE).
@@ -50,6 +52,7 @@ SHARED_RULES = (
     "real_operand",
     "product",
     "_magnitudes",
+    "_magnitude_scales",
     "dual_hypot",
     "finite",
     "all_finite",
@@ -120,7 +123,7 @@ WEIGHTED_SUM = "_common.dual_hypot"
 CLOSED_FORM = "vectors.DQVector.norm2_closed_form"
 GUARDED_QUOTIENTS = {
     "dualquaternion._magnitudes",
-    "dualquaternion.magnitude_scale",
+    "dualquaternion._magnitude_scales",
     "vectors._self_parts",
     CLOSED_FORM,
 }
@@ -433,7 +436,7 @@ def test_one_def_adds_the_weighted_sum_and_the_sqrt_route_stays_apart_from_it():
 
 
 def test_norm2_and_its_scale_share_the_2_norm_kernel():
-    # norm2 over the magnitude rule and norm_scales over magnitude_scale both call
+    # norm2 over the magnitude rule and norm_scales over _magnitude_scales both call
     # dual_hypot; norm2 forms no square and takes no square root.
     tree = ast.parse((PACKAGE / "vectors.py").read_text(encoding="utf-8"))
     (vector_class,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DQVector")
@@ -568,7 +571,8 @@ def test_cold_start_of_a_plain_call_loads_no_argparse_and_json_only_for_json():
 def test_cold_start_leaves_the_literal_patterns_uncompiled():
     # The lexer's one pattern takes about 2 ms to compile, which only a parse
     # should pay: not ``import dualquat.cli``, and so not ``dualq selfcheck``.
-    # The first parse compiles it and no other pattern.
+    # The first parse compiles it and no other pattern, and neither does a
+    # literal whose run is no number, which the lexer reads on piecewise.
     script = (
         "import re, sys\n"
         "callers, compile = [], re.compile\n"
@@ -580,6 +584,10 @@ def test_cold_start_leaves_the_literal_patterns_uncompiled():
         "from dualquat import documents\n"
         "print([name for name in callers if name.startswith('dualquat')])\n"
         "callers.clear()\n"
+        "try:\n"
+        "    documents.parse_document('dq{ std: 1.2.3, inf: 0 }')\n"
+        "except documents.ParseError as exc:\n"
+        "    print(exc)\n"
         "documents.parse_document('vec[ dq{ std: 1, inf: 0 }, dq{ std: 1 + 0i + 0j + 0k, inf: 0 } ]')\n"
         "documents.parse_document('dq{ std: 1, inf: 0 }')\n"
         "print(callers)\n"
@@ -588,7 +596,9 @@ def test_cold_start_leaves_the_literal_patterns_uncompiled():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.splitlines() == ["[]", "['dualquat.documents']"]
+    assert proc.stdout.splitlines() == [
+        "[]", "line 1, column 13: expected ',', got '.3'", "['dualquat.documents']"
+    ]
 
 
 def _document_builds(node: ast.AST) -> int:
