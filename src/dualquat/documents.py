@@ -17,9 +17,9 @@ line and column.  A line ends at LF, and every other character, tab
 included, is one column.
 
 A document is read by one lexer and one parser.  The lexer reads each
-well-formed dual-quaternion literal as one token and builds its value, where
+dual-quaternion literal whose value it can build as one token, where
 ``float`` is the check of each number; the parser defines the grammar and
-reports every error.
+reports every error, an overflow inside a literal included.
 
 ``parse_document`` and ``render_document`` round-trip: rendering uses
 shortest round-trip decimals, so parsing the rendered text reproduces the
@@ -78,9 +78,10 @@ class InputDocument(Value):
 # whitespace or by a sign, unit or punctuation mark, none of which can extend
 # it.  Those tokens are what the parser's piecewise rules accept after "dq",
 # so the parser stays the one definition of the grammar and of every error.
-# A match holding a run that ``float`` rejects is no literal token: the lexer
-# gives its "dq" as an identifier and scans on after it with the same pattern,
-# which yields the tokens the other alternatives give for the rest.
+# A match whose value cannot be built, as it holds a run that ``float``
+# rejects or a number that overflows, is no literal token: the lexer gives its
+# "dq" as an identifier and scans on after it with the same pattern, which
+# yields the tokens the other alternatives give for the rest.
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _RUN = r"[0-9.]+(?:[eE][+-]?[0-9]+)?"
 _WS = "[ \t\r\n]*"
@@ -100,10 +101,9 @@ def _scanner() -> re.Pattern:
 
 
 # A token is (kind, text, offset) with kind "number", "ident", "punct" or
-# "end", or ("literal", "dq", offset, match, value), with value None where a
-# number of the literal overflows.  The end token has empty text
+# "end", or ("literal", "dq", offset, value).  The end token has empty text
 # and offset len(text).
-_Tok = tuple[str, str, int] | tuple[str, str, int, re.Match, DualQuaternion | None]
+_Tok = tuple[str, str, int] | tuple[str, str, int, DualQuaternion]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -111,26 +111,23 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _literal_value(m: re.Match) -> DualQuaternion | None:
-    """The value of a literal match, built by the trusted constructors; None if a number overflows.
+def _literal_value(m: re.Match) -> DualQuaternion:
+    """The value of a literal match, built by the trusted constructors, or ``ValueError``.
 
     Groups 2-17 of the match are the sign and number of w, x, y and z of
     each part in turn; an absent group reads as "".  ``float`` is the check
     of each number: it raises ``ValueError`` on a run that is not a number,
     which has two dots or no digit, and only there, since the signs are
-    "", "+" or "-".  A single real's absent terms read as "0", and
-    ``float("-" + number)`` is ``-float(number)``, the piecewise value, since
-    decimal conversion rounds correctly and so symmetrically.  All eight
-    numbers are read before either part is built, so a rejected run is found
-    whatever else the literal holds.
+    "", "+" or "-".  ``_quaternion`` raises ``NonFiniteError``, a
+    ``ValueError``, on a number that overflows.  A single real's absent
+    terms read as "0", and ``float("-" + number)`` is ``-float(number)``, the
+    piecewise value, since decimal conversion rounds correctly and so
+    symmetrically.
     """
     g = m.groups("")
     std = float(g[1] + g[2]), float(g[3] + g[4] or "0"), float(g[5] + g[6] or "0"), float(g[7] + g[8] or "0")
     inf = float(g[9] + g[10]), float(g[11] + g[12] or "0"), float(g[13] + g[14] or "0"), float(g[15] + g[16] or "0")
-    try:
-        return _dual_quaternion(_quaternion(*std), _quaternion(*inf))
-    except NonFiniteError:  # _quaternion raises it on an overflowed real
-        return None
+    return _dual_quaternion(_quaternion(*std), _quaternion(*inf))
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -142,8 +139,8 @@ def _tokenize(text: str) -> list[_Tok]:
             kind = m.lastgroup
             if kind == "literal":
                 try:
-                    tokens.append((kind, "dq", m.start(), m, _literal_value(m)))
-                except ValueError:  # a run that is no number: the text after "dq" is read on piecewise
+                    tokens.append((kind, "dq", m.start(), _literal_value(m)))
+                except ValueError:  # no number or an overflow: the text after "dq" is read on piecewise
                     tokens.append(("ident", "dq", m.start()))
                     resume = m.start() + 2
                     break
@@ -179,9 +176,6 @@ class _Parser:
         got = "end of input" if token[0] == "end" else repr(token[1])
         raise ParseError(f"{message}, got {got}", *_position(self._text, token[2]))
 
-    def _overflow(self, text: str, offset: int) -> NonFiniteError:
-        return NonFiniteError(f"literal {text!r} overflows the double range at {self._where(offset)}")
-
     def _expect(self, text: str, message: str = "") -> _Tok:
         token = self._tokens[self._pos]
         if token[1] != text:
@@ -198,7 +192,7 @@ class _Parser:
             self._fail("expected a number", token)
         value = float(text)
         if not math.isfinite(value):
-            raise self._overflow(text, token[2])
+            raise NonFiniteError(f"literal {text!r} overflows the double range at {self._where(token[2])}")
         self._pos += 1
         return value
 
@@ -236,7 +230,7 @@ class _Parser:
         token = self._tokens[self._pos]
         if token[0] == "literal":
             self._pos += 1
-            return self._literal(token)
+            return token[3]
         self._expect("dq")
         self._expect("{")
         self._expect("std")
@@ -248,19 +242,6 @@ class _Parser:
         inf = self._quaternion()
         self._expect("}")
         return DualQuaternion(std, inf)
-
-    def _literal(self, token: _Tok) -> DualQuaternion:
-        """The value of a literal token, or the overflow error of its first number that overflows.
-
-        The numbers are groups 3-17, odd, of its match, in the piecewise rules' order.
-        """
-        value = token[4]
-        if value is None:
-            m = token[3]
-            for group in range(3, 18, 2):
-                if m[group] and not math.isfinite(float(m[group])):
-                    raise self._overflow(m[group], m.start(group))
-        return value
 
     def _items(self, head: str, noun: str, read) -> tuple:
         """The items of a non-empty ``head[ item, ... ]`` list, each read by ``read``."""

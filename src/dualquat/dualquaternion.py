@@ -244,15 +244,13 @@ def _magnitudes(entries: Iterable[DualQuaternion]) -> list[tuple[float, float]]:
         if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
             magnitudes.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
         else:
-            fw, fx = f.w, f.x
-            fy, fz = f.y, f.z
             n = math.hypot(w, x, y, z)
-            d = w * fw + x * fx + y * fy + z * fz
+            d = w * f.w + x * f.x + y * f.y + z * f.z
             if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                    or n and not (fw or fx or fy or fz)):
+                    or not (f.w or f.x or f.y or f.z)):
                 magnitudes.append((n, d / n))
             else:
-                magnitudes.append(dual_hypot(((w, fw), (x, fx), (y, fy), (z, fz))))
+                magnitudes.append(dual_hypot(((w, f.w), (x, f.x), (y, f.y), (z, f.z))))
     return magnitudes
 
 
@@ -272,15 +270,13 @@ def _magnitude_scales(entries: Iterable[DualQuaternion]) -> list[tuple[float, fl
         if w == 0.0 and x == 0.0 and y == 0.0 and z == 0.0:
             scales.append((0.0, math.hypot(f.w, f.x, f.y, f.z)))
         else:
-            fw, fx = f.w, f.x
-            fy, fz = f.y, f.z
             n = math.hypot(w, x, y, z)
-            d = abs(w * fw) + abs(x * fx) + abs(y * fy) + abs(z * fz)
+            d = abs(w * f.w) + abs(x * f.x) + abs(y * f.y) + abs(z * f.z)
             if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                    or n and not (fw or fx or fy or fz)):
+                    or not (f.w or f.x or f.y or f.z)):
                 scales.append((n, d / n))
             else:
-                scales.append(dual_hypot(((abs(w), abs(fw)), (abs(x), abs(fx)), (abs(y), abs(fy)), (abs(z), abs(fz)))))
+                scales.append(dual_hypot(((abs(w), abs(f.w)), (abs(x), abs(f.x)), (abs(y), abs(f.y)), (abs(z), abs(f.z)))))
     return scales
 
 

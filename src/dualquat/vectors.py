@@ -198,7 +198,7 @@ def _self_parts(row: Sequence[DualQuaternion]) -> tuple[_Parts, list[tuple[float
         iw += d + d
         n = math.hypot(aw, ax, ay, az)
         if (n >= 0.5 and abs(d) <= LARGEST or n >= MIN_NORMAL and DOT_FLOOR <= abs(d) <= LARGEST
-                or n and not (fw or fx or fy or fz)):
+                or not (f.w or f.x or f.y or f.z)):
             magnitudes.append((n, d / n))
         else:
             magnitudes.append(dual_hypot(((aw, fw), (ax, fx), (ay, fy), (az, fz))))

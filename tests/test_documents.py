@@ -1,6 +1,7 @@
 """Document grammar: parsing, rendering, round-trips, and error locations."""
 
 import functools
+import itertools
 import random
 import re
 from pathlib import Path
@@ -188,14 +189,18 @@ def test_nonfinite_literals_rejected():
 _OVERFLOW_POSITIONS = [(part, index) for part in (0, 1) for index in range(4)] + [(0, None), (1, None)]
 
 
-def _literal_holding(part, index, real):
-    """A literal with the signed ``real`` at one position and 1 at every other."""
+def _literal_holding(reals):
+    """A literal with the signed ``reals[part, index]`` at each of its positions and 1 at every other.
+
+    Both parts are single reals where every index is None, and four-term otherwise.
+    """
+    single = all(index is None for _, index in reals)
     quaternions = []
     for p in (0, 1):
-        if index is None:
-            quaternions.append(real if p == part else "1")
+        if single:
+            quaternions.append(reals.get((p, None), "1"))
         else:
-            terms = [real if (p, i) == (part, index) else "+1" for i in range(4)]
+            terms = [reals.get((p, i), "+1") for i in range(4)]
             quaternions.append(f"{terms[0]} {terms[1]}i {terms[2]}j {terms[3]}k")
     return f"dq{{ std: {quaternions[0]}, inf: {quaternions[1]} }}"
 
@@ -216,10 +221,14 @@ def _placed(place, literal):
 @pytest.mark.parametrize("place", _PLACES)
 def test_matcher_declines_an_overflow_in_every_position(place, part, index):
     for sign in ("+", "-"):
-        text = _placed(place, _literal_holding(part, index, f"{sign}1e999"))
-        # The overflow is inside a literal token, so the literal's value
-        # build finds it, not the piecewise rules.
-        assert _literal_tokens(text) == text.count("dq")
+        literal = _literal_holding({(part, index): f"{sign}1e999"})
+        text = _placed(place, literal)
+        # The literal's value build raises, so the lexer gives its "dq" as an
+        # identifier and the piecewise rules find the overflow.
+        start = text.index(literal)
+        with pytest.raises(NonFiniteError):
+            documents._literal_value(documents._scanner().match(text, start))
+        assert ("ident", "dq", start) in documents._tokenize(text)
         offset = text.index("1e999")
         line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
         with pytest.raises(NonFiniteError) as err:
@@ -228,6 +237,17 @@ def test_matcher_declines_an_overflow_in_every_position(place, part, index):
         with pytest.raises(NonFiniteError) as piecewise_err:
             _parse_piecewise(text)
         assert str(piecewise_err.value) == str(err.value)
+
+
+@pytest.mark.parametrize("place", _PLACES)
+def test_an_overflow_and_a_run_that_is_no_number_in_one_literal_report_the_first(place):
+    # The overflow and the run at every two positions of one form, so in both
+    # orders: the first error in document order, as the piecewise rules give it.
+    for form in _OVERFLOW_POSITIONS[:8], _OVERFLOW_POSITIONS[8:]:
+        for overflow, run in itertools.permutations(form, 2):
+            signed = {overflow: "+1e999" if overflow[1] else "1e999", run: "+1.2.3" if run[1] else "1.2.3"}
+            text = _placed(place, _literal_holding(signed))
+            assert _outcome(parse_document, text) == _outcome(_parse_piecewise, text), text
 
 
 # Runs of digits, dots and an exponent that the literal pattern admits as a
@@ -244,7 +264,7 @@ def test_a_run_that_is_no_number_leaves_its_literal_to_the_piecewise_rules(place
     scanner = documents._scanner()
     for part, index in _OVERFLOW_POSITIONS:
         for sign in ("", "+", "-") if index in (0, None) else ("+", "-"):
-            literal = _literal_holding(part, index, sign + run)
+            literal = _literal_holding({(part, index): sign + run})
             for later in ("", " @", " dq{ std: 1e999, inf: 0 } 1e999", ",\n 1e999 @"):
                 text = _placed(place, literal) + later
                 assert _outcome(parse_document, text) == _outcome(_parse_piecewise, text), text

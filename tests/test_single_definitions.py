@@ -621,6 +621,33 @@ def test_only_the_parser_builds_a_document():
     assert in_parser == total > 0
 
 
+# The attributes of re.Match, which the parser reads no token through.
+MATCH_READS = {"start", "end", "span", "group", "groups", "groupdict", "lastgroup", "lastindex", "string"}
+
+
+def _writes_text(function: ast.AST, text: str) -> bool:
+    """Whether a string in ``function``, its docstring aside, holds ``text``."""
+    docstring = ast.get_docstring(function, clean=False)
+    return any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value and n.value != docstring
+        for n in ast.walk(function)
+    )
+
+
+def test_the_parser_alone_reports_an_overflow_and_reads_no_match():
+    # A literal the lexer cannot build is read token by token, so the parser's
+    # number rule is the one place that words an overflow, and a token carries
+    # a value, not the match it came from.
+    tree = ast.parse((PACKAGE / "documents.py").read_text(encoding="utf-8"))
+    functions = list(_functions_outside_functions(tree.body))
+    assert [name for name, node in functions if _writes_text(node, "overflows the double range")] == [
+        ("_Parser", "_unsigned_real")
+    ]
+    for name, node in functions:
+        if name[0] == "_Parser":
+            assert not {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} & MATCH_READS, name
+
+
 def _functions_outside_functions(body, prefix=()):
     """The defs reachable from a module, at module level or in classes, with their qualified names."""
     for node in body:
